@@ -20,7 +20,6 @@ coefficient precision decays only through the configured inversion window.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -105,11 +104,6 @@ class DeltaPoly:
                 term = term * powers[j][k]
             acc = acc + term
         return acc
-
-    def total_degree(self):
-        if not self.coeffs:
-            return -math.inf
-        return max(sum(e) for e in self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, DeltaPoly):

@@ -22,13 +22,14 @@ import sys
 from . import brackets as br
 from . import cauchy, hyper, opring, sampling, textio
 from .errors import (CarlitzError, InadmissibleError, NotInvertibleError,
-                     ParseError, PrecisionError, UsageError)
+                     ParameterMismatchError, ParseError, PrecisionError,
+                     UsageError)
 from .ffield import FieldParams
 from .funcspace import MultiFunction
 from .series import INF, PerfSeries
 
 REFUSAL_ERRORS = (InadmissibleError, PrecisionError, NotInvertibleError)
-USAGE_ERRORS = (ParseError, UsageError)
+USAGE_ERRORS = (ParameterMismatchError, ParseError, UsageError)
 
 
 def _field_params(args) -> FieldParams:

@@ -290,7 +290,8 @@ class FieldParams:
         log = [0] * Q
         for k, val in enumerate(exp):
             log[val] = k
-        self._exp = exp
+        # doubled, so that _exp[log a + log b] needs no reduction mod Q - 1
+        self._exp = exp + exp
         self._log = log
 
         # addition table (small fields only)
@@ -333,8 +334,7 @@ class FieldParams:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        n = self.Q - 1
-        return self._exp[(self._log[a] + self._log[b]) % n]
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:

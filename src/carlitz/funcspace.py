@@ -196,12 +196,6 @@ class MultiFunction:
     def zero(cls, params, n, trunc_m, trunc_i):
         return cls(params, n, trunc_m, trunc_i, {})
 
-    @classmethod
-    def from_initial_layer(cls, params, n, trunc_m, trunc_i, layer: dict):
-        """Function with prescribed m = 0 coefficients and nothing else."""
-        coeffs = {(0,) + tuple(ivec): c for ivec, c in layer.items()}
-        return cls(params, n, trunc_m, trunc_i, coeffs)
-
     def _check(self, other):
         if self.params != other.params or self.n != other.n:
             raise ParameterMismatchError("incompatible functions")

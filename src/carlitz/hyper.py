@@ -123,10 +123,6 @@ def hyper_coeff(hp: HyperParams, m: int, window=None) -> PerfSeries:
     return num * den.invert(window=window)
 
 
-def hyper_coeffs(hp: HyperParams, M: int, window=None):
-    return [hyper_coeff(hp, m, window=window) for m in range(M + 1)]
-
-
 def convergence_bound(hp: HyperParams) -> Fraction:
     """Certified val(z) threshold for strictly increasing term valuations."""
     q = hp.params.q

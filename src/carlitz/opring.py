@@ -96,24 +96,6 @@ def _factor_eq(a, b):
 CONVENTIONS = ("standard", "alt")
 
 
-def _rank(factor, convention):
-    """Left-to-right generator order of the target normal form."""
-    kind = factor[0]
-    if convention == "standard":
-        # tau^l d^mu delta_1 .. delta_n
-        if kind == FACTOR_TAU:
-            return (0, 0)
-        if kind == FACTOR_D:
-            return (1, 0)
-        return (2, factor[1])
-    # alt: delta_1 .. delta_n tau^l d^mu
-    if kind == FACTOR_DELTA:
-        return (0, factor[1])
-    if kind == FACTOR_TAU:
-        return (1, 0)
-    return (2, 0)
-
-
 def _rewrite_pair(x, y, params, convention):
     """Rewriting of the adjacent pair (x, y), or None when irreducible.
 

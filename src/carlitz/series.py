@@ -8,8 +8,13 @@ case the series is an exact perfected Laurent polynomial.
 
 Internally exponents live on an integer grid num / q^dexp (minimal dexp),
 so exponent arithmetic is plain integer arithmetic; the public API speaks
-:class:`fractions.Fraction`.  Coefficients are stored as integer indices
-into the parent :class:`~carlitz.ffield.FieldParams` tables.
+:class:`fractions.Fraction`.  ``prec`` stays a Fraction (or INF) at the
+API, but the hot loops never compare a grid exponent k with it: since k is
+an integer, ``k < prec`` on grid q^d is the same test as ``k < B`` for the
+integer B = ceil(prec * q^d), computed once per operation.  Coefficients
+are stored as integer indices into the parent
+:class:`~carlitz.ffield.FieldParams` tables, and products read the
+log/exp and addition tables directly.
 
 Precision bookkeeping follows non-Archimedean big-oh arithmetic:
 
@@ -53,6 +58,13 @@ class AtLeast(NamedTuple):
     bound: Fraction
 
 
+def _grid_bound(prec, scale: int) -> int:
+    """The integer ceil(prec * scale) for a finite ``prec``: an integer k
+    satisfies k < prec * scale exactly when k < _grid_bound(prec, scale)."""
+    num, den = prec.as_integer_ratio()
+    return -(-num * scale // den)
+
+
 def _p_power_denominator(frac: Fraction, p: int) -> bool:
     d = frac.denominator
     while d % p == 0:
@@ -80,7 +92,7 @@ class PerfSeries:
     def _make(cls, params, dexp, terms, prec):
         q = params.q
         if prec != INF:
-            bound = prec * q ** dexp
+            bound = _grid_bound(prec, q ** dexp)
             terms = {k: c for k, c in terms.items() if c != 0 and k < bound}
         else:
             terms = {k: c for k, c in terms.items() if c != 0}
@@ -248,20 +260,24 @@ class PerfSeries:
         prec = min(self.prec + other._val_lb(), other.prec + self._val_lb())
         d, ta, tb = self._aligned(other)
         params = self.params
-        mul, add = params.mul, params.add
+        # coefficients multiply as exp[log a + log b] (the exp table is
+        # doubled, so the sum needs no reduction) and add by table lookup
+        log, exp = params._log, params._exp
+        add, add_table = params.add, params._add_table
+        bound = _grid_bound(prec, params.q ** d) if prec != INF else INF
         out = {}
-        if prec != INF:
-            bound = prec * params.q ** d
-        else:
-            bound = None
         for ka, ca in ta.items():
+            la = log[ca]
             for kb, cb in tb.items():
                 k = ka + kb
-                if bound is not None and k >= bound:
+                if k >= bound:
                     continue
-                c = mul(ca, cb)
+                c = exp[la + log[cb]]
                 if k in out:
-                    s = add(out[k], c)
+                    if add_table is not None:
+                        s = add_table[out[k]][c]
+                    else:
+                        s = add(out[k], c)
                     if s:
                         out[k] = s
                     else:
@@ -387,12 +403,11 @@ class PerfSeries:
         while known < rel_out:
             known = min(rel_out, known * 2)
             step = y + y * (one - u_poly * y)
-            cut = {k: c for k, c in step.terms.items()
-                   if Fraction(k, q ** step.dexp) < known}
+            bound = _grid_bound(known, q ** step.dexp)
+            cut = {k: c for k, c in step.terms.items() if k < bound}
             y = PerfSeries._make(params, step.dexp, cut, INF)
-        final = {k: c for k, c in y.terms.items()
-                 if rel_out == INF or Fraction(k, q ** y.dexp) < rel_out}
-        y = PerfSeries._make(params, y.dexp, final, rel_out)
+        # _make cuts y at rel_out on y's own grid
+        y = PerfSeries._make(params, y.dexp, y.terms, rel_out)
         # undo the normalization: 1/self = y * inv_lead * x^(-v)
         return y.scale(FFElement(params, inv_lead)).shift(-v)
 
@@ -413,7 +428,7 @@ class PerfSeries:
         d, ta, tb = self._aligned(other)
         if prec == INF:
             return ta == tb
-        bound = prec * self.params.q ** d
+        bound = _grid_bound(prec, self.params.q ** d)
         for k, c in ta.items():
             if k < bound and tb.get(k, 0) != c:
                 return False

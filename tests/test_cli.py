@@ -108,6 +108,22 @@ def test_syntax_error_exit_code(capsys):
     assert code == 2
 
 
+def test_parameter_mismatch_exit_code(capsys, monkeypatch):
+    # mismatched field configurations are usage errors: exit 2.  Every verb
+    # reads its series over the one field its input names, so the mismatch
+    # is forced by combining series over two fields inside a verb.
+    from carlitz import brackets
+
+    def mismatched(params, n):
+        other = FieldParams.default(3)
+        return PerfSeries.one(params) + PerfSeries.one(other)
+
+    monkeypatch.setattr(brackets, "bracket", mismatched)
+    code, out, _ = run(capsys, ["--q", "2", "--json", "bracket", "--n", "1"])
+    assert code == 2
+    assert json.loads(out)["reason"] == "parameter-mismatch"
+
+
 def test_hyper_eval_and_residual(capsys):
     code, out, _ = run(capsys, ["--q", "2", "hyper-eval", "--a", "x", "--b", "1",
                                 "--z", "x^2", "--M", "4"])
