@@ -26,11 +26,11 @@ from typing import Optional
 
 from .brackets import bracket, INFINITY
 from .errors import (InadmissibleError, ParameterMismatchError,
-                     ParseError, PrecisionError, UsageError)
+                     PrecisionError, UsageError)
 from .ffield import FieldParams
 from .funcspace import MultiFunction, _parse_keyed_lines
 from .opring import NormalForm
-from .series import INF, PerfSeries
+from .series import INF, PerfSeries, _add_maps, _maps_equal
 from . import textio
 
 
@@ -48,8 +48,8 @@ class DeltaPoly:
             if len(e) != n or any(k < 0 for k in e):
                 raise UsageError("bad monomial exponent %r" % (e,))
             if not c.is_zero():
-                out[e] = out[e] + c if e in out else c
-        self.coeffs = {e: c for e, c in out.items() if not c.is_zero()}
+                out[e] = c
+        self.coeffs = out
 
     @classmethod
     def zero(cls, params, n):
@@ -68,11 +68,13 @@ class DeltaPoly:
     def is_zero(self):
         return not self.coeffs
 
+    def _check(self, other):
+        if self.params != other.params or self.n != other.n:
+            raise ParameterMismatchError("polynomials over different rings")
+
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out[e] + c if e in out else c
-        return DeltaPoly(self.params, self.n, out)
+        self._check(other)
+        return DeltaPoly(self.params, self.n, _add_maps(self.coeffs, other.coeffs))
 
     def __neg__(self):
         return DeltaPoly(self.params, self.n,
@@ -82,6 +84,7 @@ class DeltaPoly:
         return self + (-other)
 
     def __mul__(self, other):
+        self._check(other)
         out = {}
         for ea, ca in self.coeffs.items():
             for eb, cb in other.coeffs.items():
@@ -108,11 +111,9 @@ class DeltaPoly:
     def __eq__(self, other):
         if not isinstance(other, DeltaPoly):
             return NotImplemented
-        zero = PerfSeries.zero(self.params)
-        for e in set(self.coeffs) | set(other.coeffs):
-            if self.coeffs.get(e, zero) != other.coeffs.get(e, zero):
-                return False
-        return True
+        if self.params != other.params or self.n != other.n:
+            return False
+        return _maps_equal(self.params, self.coeffs, other.coeffs)
 
     __hash__ = None
 
@@ -135,12 +136,8 @@ class EvolutionEquation:
     def as_normal_form(self) -> NormalForm:
         """The operator as a NormalForm in the alt convention, where
         delta-monomials followed by d powers are already normal."""
-        terms = {}
-        for e, c in self.P.coeffs.items():
-            terms[(0, 0) + e] = c
-        for e, c in self.Q.coeffs.items():
-            key = (0, 1) + e
-            terms[key] = terms[key] + c if key in terms else c
+        terms = {(0, 0) + e: c for e, c in self.P.coeffs.items()}
+        terms.update(((0, 1) + e, c) for e, c in self.Q.coeffs.items())
         return NormalForm(self.params, self.n, "alt", terms)
 
 
@@ -169,10 +166,7 @@ class InitialData:
     def __add__(self, other):
         if self.params != other.params or self.n != other.n:
             raise ParameterMismatchError("incompatible initial data")
-        out = dict(self.values)
-        for k, c in other.values.items():
-            out[k] = out[k] + c if k in out else c
-        return InitialData(self.params, self.n, out)
+        return InitialData(self.params, self.n, _add_maps(self.values, other.values))
 
     def scale(self, s: PerfSeries) -> "InitialData":
         return InitialData(self.params, self.n,
@@ -207,6 +201,14 @@ def _index_values(params, indices):
     return [bracket(params, i) for i in indices]
 
 
+def _q_values(eq: EvolutionEquation, i_max: int):
+    """Yield (tuple, Q at the brackets of its indices) for every tuple over
+    {0..i_max, inf}."""
+    choices = list(range(i_max + 1)) + [INFINITY]
+    for combo in itertools.product(choices, repeat=eq.n):
+        yield combo, eq.Q.eval_at(_index_values(eq.params, combo))
+
+
 def admissibility_check(eq: EvolutionEquation, i_max: int) -> AdmissibilityReport:
     """Evaluate Q at every tuple over {0..i_max, inf}.
 
@@ -217,10 +219,8 @@ def admissibility_check(eq: EvolutionEquation, i_max: int) -> AdmissibilityRepor
     """
     if i_max < 0:
         raise UsageError("i_max must be >= 0")
-    choices = list(range(i_max + 1)) + [INFINITY]
     worst = None
-    for combo in itertools.product(choices, repeat=eq.n):
-        value = eq.Q.eval_at(_index_values(eq.params, combo))
+    for combo, value in _q_values(eq, i_max):
         if value.is_zero():
             return AdmissibilityReport("fail", None, combo, i_max)
         if value.is_zero_at_prec():
@@ -241,10 +241,8 @@ def recommend_imax(eq: EvolutionEquation, probe: int = 4) -> int:
     coefficient valuation; it is a recommendation, the final choice stays
     with the caller.
     """
-    choices = list(range(probe + 1)) + [INFINITY]
     vmax = Fraction(0)
-    for combo in itertools.product(choices, repeat=eq.n):
-        value = eq.Q.eval_at(_index_values(eq.params, combo))
+    for _, value in _q_values(eq, probe):
         lb = value._val_lb()
         if lb != INF:
             vmax = max(vmax, lb)
@@ -417,16 +415,13 @@ def parse_problem(text: str):
     """Returns (equation, initial data, trunc_m, trunc_i)."""
     fields, payload = _parse_keyed_lines(text, "PERFPROBLEM", ("P", "Q", "init"))
     params = textio.parse_field_header(fields)
-    try:
-        n = int(fields["n"])
-        trunc_m = int(fields["truncM"])
-        trunc_i = int(fields["truncI"])
-    except KeyError as exc:
-        raise ParseError("missing problem key %s" % exc)
+    n, trunc_m, trunc_i = (textio._read_int(fields.get(k), "problem key %r" % k)
+                           for k in ("n", "truncM", "truncI"))
     p_coeffs, q_coeffs, init_values = {}, {}, {}
     for head, body in payload:
         kind, indices = head.split(None, 1)
-        key = tuple(int(t) for t in indices.split(","))
+        key = tuple(textio._read_int(t, "%s index" % kind)
+                    for t in indices.split(","))
         value = textio.parse_series(body, params)
         if kind == "P":
             p_coeffs[key] = value

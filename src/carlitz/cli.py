@@ -38,7 +38,8 @@ def _field_params(args) -> FieldParams:
             raise UsageError("--p needs --v as well")
         modulus = None
         if args.modulus:
-            modulus = tuple(int(c) for c in args.modulus.split(","))
+            modulus = tuple(textio._read_int(c, "--modulus coefficient")
+                            for c in args.modulus.split(","))
         return FieldParams(args.p, args.v, args.m, modulus)
     config = args.field_config or os.environ.get("CARLITZ_FIELD_CONFIG")
     if args.q is None and config:
@@ -61,10 +62,23 @@ def _emit(args, human: str, payload: dict):
         print(human)
 
 
+def _emit_function(args, command, key, f):
+    """Write the function file to --out, or print it under ``key``."""
+    text = f.to_text()
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+        _emit(args, "wrote %s" % args.out,
+              {"command": command, "out": args.out, "slots": len(f.coeffs)})
+    else:
+        _emit(args, text, {"command": command, key: text})
+    return 0
+
+
 def _parse_index(text: str):
     if text in ("inf", "infinity"):
         return br.INFINITY
-    return int(text)
+    return textio._read_int(text, "bracket index")
 
 
 # ---------------------------------------------------------------------------
@@ -128,16 +142,7 @@ def cmd_op_apply(args):
         params = f.params  # the function file pins the field
     words = textio.parse_operator(args.expr, params, f.n)
     nf = opring.normalize(words, params, "standard")
-    result = nf.op_apply(f)
-    text = result.to_text()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        _emit(args, "wrote %s" % args.out,
-              {"command": "op-apply", "out": args.out, "slots": len(result.coeffs)})
-    else:
-        _emit(args, text, {"command": "op-apply", "function": text})
-    return 0
+    return _emit_function(args, "op-apply", "function", nf.op_apply(f))
 
 
 def cmd_cauchy_solve(args):
@@ -145,22 +150,13 @@ def cmd_cauchy_solve(args):
         eq, init, trunc_m, trunc_i = cauchy.parse_problem(fh.read())
     u = cauchy.cauchy_solve(eq, init, trunc_m, trunc_i, i_max=args.imax,
                             window=args.window)
-    text = u.to_text()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        _emit(args, "wrote %s" % args.out,
-              {"command": "cauchy-solve", "out": args.out, "slots": len(u.coeffs)})
-    else:
-        _emit(args, text, {"command": "cauchy-solve", "solution": text})
-    return 0
+    return _emit_function(args, "cauchy-solve", "solution", u)
 
 
 def _hyper_params_from_args(args, params):
     if args.params:
         with open(args.params) as fh:
-            kind, upper, lower, params = _load_hyper_file(fh.read())
-        return kind, upper, lower, params
+            return _load_hyper_file(fh.read())
     if args.alpha or args.beta:
         return "integer", list(args.alpha or []), list(args.beta or []), params
     a_list = [textio.parse_series(s, params) for s in (args.a or [])]
@@ -181,9 +177,9 @@ def _load_hyper_file(text):
         elif kind == "b":
             b_list.append(textio.parse_series(body, params))
         elif kind == "alpha":
-            alphas.append(int(body))
+            alphas.append(textio._read_int(body, "alpha"))
         else:
-            betas.append(int(body))
+            betas.append(textio._read_int(body, "beta"))
     if alphas or betas:
         if a_list or b_list:
             raise ParseError("mix of series and integer parameters")
@@ -191,14 +187,18 @@ def _load_hyper_file(text):
     return "series", a_list, b_list, params
 
 
+def _series_hyper_params(kind, upper, lower, params):
+    """HyperParams of the read parameters, integers taken at their brackets."""
+    if kind == "integer":
+        upper = hyper._bracket_params(params, upper)
+        lower = hyper._bracket_params(params, lower)
+    return hyper.HyperParams(params, upper, lower)
+
+
 def cmd_hyper_eval(args):
     params = _field_params(args)
-    kind, upper, lower, params = _hyper_params_from_args(args, params)
-    if kind == "integer":
-        upper = [br.bracket(params, -alpha) for alpha in upper]
-        lower = [br.bracket(params, -beta) for beta in lower]
-    hp = hyper.HyperParams(params, upper, lower)
-    z = textio.parse_series(args.z, params)
+    hp = _series_hyper_params(*_hyper_params_from_args(args, params))
+    z = textio.parse_series(args.z, hp.params)
     value = hyper.hyper_eval(hp, z, args.M, window=args.window)
     text = textio.format_series(value)
     _emit(args, text, {"command": "hyper-eval", "M": args.M, "value": text})
@@ -215,10 +215,7 @@ def cmd_hyper_residual(args):
         res = hyper.thakur_residual(params, upper, lower, args.M,
                                     window=args.window)
     else:
-        if kind == "integer":
-            upper = [br.bracket(params, -alpha) for alpha in upper]
-            lower = [br.bracket(params, -beta) for beta in lower]
-        hp = hyper.HyperParams(params, upper, lower)
+        hp = _series_hyper_params(kind, upper, lower, params)
         res = hyper.hyper_residual(hp, args.M, form=args.form,
                                    window=args.window)
     zero = res.is_zero_on_known()

@@ -39,7 +39,7 @@ from __future__ import annotations
 from .brackets import bracket, carlitz_D
 from .errors import ParameterMismatchError, ParseError, UsageError
 from .ffield import FieldParams
-from .series import PerfSeries
+from .series import PerfSeries, _add_maps, _maps_equal
 from . import textio
 
 
@@ -74,10 +74,8 @@ class LinearSeries:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out[k] + c if k in out else c
-        return LinearSeries(self.params, out, self._common_known(other))
+        return LinearSeries(self.params, _add_maps(self.coeffs, other.coeffs),
+                            self._common_known(other))
 
     def __neg__(self):
         return LinearSeries(self.params, {k: -c for k, c in self.coeffs.items()},
@@ -144,14 +142,8 @@ class LinearSeries:
         if self.params != other.params:
             return False
         known = self._common_known(other)
-        keys = set(self.coeffs) | set(other.coeffs)
-        zero = PerfSeries.zero(self.params)
-        for k in keys:
-            if known is not None and k > known:
-                continue
-            if self.coeffs.get(k, zero) != other.coeffs.get(k, zero):
-                return False
-        return True
+        return _maps_equal(self.params, self.coeffs, other.coeffs,
+                           None if known is None else lambda k: k <= known)
 
     __hash__ = None
 
@@ -216,21 +208,17 @@ class MultiFunction:
     def apply_delta(self, j: int) -> "MultiFunction":
         if not 1 <= j <= self.n:
             raise UsageError("delta index %d out of range 1..%d" % (j, self.n))
-        params = self.params
-        out = {}
-        for key, c in self.coeffs.items():
-            i_j = key[j]
-            if i_j > 0:
-                out[key] = c * bracket(params, i_j)
-        return MultiFunction(params, self.n, self.trunc_m, self.trunc_i, out)
+        return self._bracket_scale(j)
 
     def apply_delta_z(self) -> "MultiFunction":
         """Difference operator in the distinguished variable: c -> [m] c."""
+        return self._bracket_scale(0)
+
+    def _bracket_scale(self, pos: int) -> "MultiFunction":
+        """c -> [key[pos]] * c; slots with key[pos] = 0 die ([0] = 0)."""
         params = self.params
-        out = {}
-        for key, c in self.coeffs.items():
-            if key[0] > 0:
-                out[key] = c * bracket(params, key[0])
+        out = {key: c * bracket(params, key[pos])
+               for key, c in self.coeffs.items() if key[pos] > 0}
         return MultiFunction(params, self.n, self.trunc_m, self.trunc_i, out)
 
     def apply_d(self) -> "MultiFunction":
@@ -251,12 +239,8 @@ class MultiFunction:
         self._check(other)
         tm = min(self.trunc_m, other.trunc_m)
         ti = min(self.trunc_i, other.trunc_i)
-        out = {}
-        for key in set(self.coeffs) | set(other.coeffs):
-            zero = PerfSeries.zero(self.params)
-            c = self.coeffs.get(key, zero) + other.coeffs.get(key, zero)
-            out[key] = c
-        return MultiFunction(self.params, self.n, tm, ti, out)
+        return MultiFunction(self.params, self.n, tm, ti,
+                             _add_maps(self.coeffs, other.coeffs))
 
     def __neg__(self):
         out = {key: -c for key, c in self.coeffs.items()}
@@ -286,13 +270,8 @@ class MultiFunction:
             return False
         tm = min(self.trunc_m, other.trunc_m)
         ti = min(self.trunc_i, other.trunc_i)
-        zero = PerfSeries.zero(self.params)
-        for key in set(self.coeffs) | set(other.coeffs):
-            if key[0] > tm or any(i > ti for i in key[1:]):
-                continue
-            if self.coeffs.get(key, zero) != other.coeffs.get(key, zero):
-                return False
-        return True
+        return _maps_equal(self.params, self.coeffs, other.coeffs,
+                           lambda key: key[0] <= tm and max(key[1:]) <= ti)
 
     __hash__ = None
 
@@ -345,14 +324,14 @@ class MultiFunction:
     def from_text(cls, text: str) -> "MultiFunction":
         fields, coeff_lines = _parse_keyed_lines(text, "PERFFUNC", ("coeff",))
         params = textio.parse_field_header(fields)
-        n = int(fields["n"])
-        tm = int(fields["truncM"])
-        ti = int(fields["truncI"])
+        n, tm, ti = (textio._read_int(fields.get(k), "function key %r" % k)
+                     for k in ("n", "truncM", "truncI"))
         coeffs = {}
         for head, body in coeff_lines:
             parts = head.split(None, 2)
-            m = int(parts[1])
-            ivec = tuple(int(t) for t in parts[2].split(","))
+            m = textio._read_int(parts[1], "coeff index")
+            ivec = tuple(textio._read_int(t, "coeff index")
+                         for t in parts[2].split(","))
             coeffs[(m,) + ivec] = textio.parse_series(body, params)
         return cls(params, n, tm, ti, coeffs)
 

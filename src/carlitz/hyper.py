@@ -50,7 +50,8 @@ from typing import Optional
 
 from .brackets import (INFINITY, bracket, carlitz_D, pochhammer,
                        pochhammer_thakur, shift_down, shift_up)
-from .errors import (InadmissibleError, PrecisionError, UsageError)
+from .errors import (InadmissibleError, ParameterMismatchError,
+                     PrecisionError, UsageError)
 from .ffield import FieldParams
 from .funcspace import LinearSeries
 from .series import INF, PerfSeries
@@ -93,7 +94,6 @@ class HyperParams:
         b_list = tuple(b_list)
         for s in a_list + b_list:
             if s.params != params:
-                from .errors import ParameterMismatchError
                 raise ParameterMismatchError("parameter over a different field")
         self.params = params
         self.a_list = a_list
@@ -109,41 +109,51 @@ class HyperParams:
         return len(self.b_list)
 
 
+def _coeff_quotient(params: FieldParams, m: int, upper, lower,
+                    window) -> PerfSeries:
+    """prod(upper) / (D_m * prod(lower)), the factors multiplied in order;
+    both coefficient families are this quotient of their symbols."""
+    num = PerfSeries.one(params)
+    for factor in upper:
+        num = num * factor
+    den = carlitz_D(params, m)
+    for factor in lower:
+        den = den * factor
+    return num * den.invert(window=window)
+
+
+def _linear_series(params: FieldParams, coeff, M: int) -> LinearSeries:
+    """The truncation sum_(m<=M) coeff(m) z^(q^m) of a coefficient family."""
+    return LinearSeries(params, {m: coeff(m) for m in range(M + 1)}, known=M)
+
+
 def hyper_coeff(hp: HyperParams, m: int, window=None) -> PerfSeries:
     """h_m = prod <a_i>_m / (prod <b_j>_m * D_m)."""
     if m < 0:
         raise UsageError("need m >= 0")
-    params = hp.params
-    num = PerfSeries.one(params)
-    for a in hp.a_list:
-        num = num * pochhammer(a, m)
-    den = carlitz_D(params, m)
-    for b in hp.b_list:
-        den = den * pochhammer(b, m)
-    return num * den.invert(window=window)
+    return _coeff_quotient(hp.params, m, (pochhammer(a, m) for a in hp.a_list),
+                           (pochhammer(b, m) for b in hp.b_list), window)
 
 
-def convergence_bound(hp: HyperParams) -> Fraction:
-    """Certified val(z) threshold for strictly increasing term valuations."""
-    q = hp.params.q
+def _tail_slope(hp: HyperParams) -> Fraction:
+    """k = q * (sum_i alpha^_i - sum_j B_j) - 1: the term-valuation lower
+    bound of index m is k (q^m - 1)/(q - 1) + q^m val(z)."""
     alpha_sum = Fraction(0)
     for a in hp.a_list:
         lb = a._val_lb()
         alpha_sum += Fraction(1) if lb == INF else min(Fraction(1), Fraction(lb))
-    b_sum = sum(hp.profiles, Fraction(0))
-    return Fraction(1 + q * (b_sum - alpha_sum), q - 1)
+    return hp.params.q * (alpha_sum - sum(hp.profiles, Fraction(0))) - 1
+
+
+def convergence_bound(hp: HyperParams) -> Fraction:
+    """Certified val(z) threshold for strictly increasing term valuations."""
+    return Fraction(-_tail_slope(hp), hp.params.q - 1)
 
 
 def _tail_valuation(hp: HyperParams, val_z: Fraction, m: int) -> Fraction:
     """Lower bound for val(h_m z^(q^m)); increasing in m above the threshold."""
     q = hp.params.q
-    alpha_sum = Fraction(0)
-    for a in hp.a_list:
-        lb = a._val_lb()
-        alpha_sum += Fraction(1) if lb == INF else min(Fraction(1), Fraction(lb))
-    b_sum = sum(hp.profiles, Fraction(0))
-    k = q * (alpha_sum - b_sum) - 1
-    return Fraction(q ** m - 1, q - 1) * k + q ** m * val_z
+    return Fraction(q ** m - 1, q - 1) * _tail_slope(hp) + q ** m * val_z
 
 
 def hyper_eval(hp: HyperParams, z: PerfSeries, M: int, window=None) -> PerfSeries:
@@ -154,7 +164,6 @@ def hyper_eval(hp: HyperParams, z: PerfSeries, M: int, window=None) -> PerfSerie
     """
     params = hp.params
     if z.params != params:
-        from .errors import ParameterMismatchError
         raise ParameterMismatchError("z over a different field")
     if z.is_zero():
         return PerfSeries.zero(params)
@@ -170,16 +179,14 @@ def hyper_eval(hp: HyperParams, z: PerfSeries, M: int, window=None) -> PerfSerie
         raise InadmissibleError(
             "z outside the certified convergence region: val(z) = %s <= %s"
             % (val_z, threshold))
-    acc = PerfSeries.zero(params)
-    for m in range(M + 1):
-        acc = acc + hyper_coeff(hp, m, window=window) * z.frobenius(m)
-    return acc.truncate(_tail_valuation(hp, val_z, M + 1))
+    return hyper_series(hp, M, window=window).evaluate(
+        z, tail_prec=_tail_valuation(hp, val_z, M + 1))
 
 
 def hyper_series(hp: HyperParams, M: int, window=None) -> LinearSeries:
     """The truncation of the function as an F_q-linear series in z."""
-    coeffs = {m: hyper_coeff(hp, m, window=window) for m in range(M + 1)}
-    return LinearSeries(hp.params, coeffs, known=M)
+    return _linear_series(hp.params,
+                          lambda m: hyper_coeff(hp, m, window=window), M)
 
 
 # ---------------------------------------------------------------------------
@@ -190,32 +197,29 @@ def hyper_thakur_coeff(params: FieldParams, alphas, betas, m: int,
                        window=None) -> PerfSeries:
     """t_m = prod (alpha_i)_m / (prod (beta_j)_m * D_m) with beta_j >= 1.
 
-    Refuses when a denominator symbol vanishes (which beta_j >= 1 rules
-    out, but the guard names the factor for any extended use)."""
+    Refuses lower parameters below 1, the only ones whose symbol can
+    vanish."""
     if m < 0:
         raise UsageError("need m >= 0")
     for beta in betas:
         if beta < 1:
             raise UsageError("lower parameters must be positive integers, got %r"
                              % (beta,))
-    num = PerfSeries.one(params)
-    for alpha in alphas:
-        num = num * pochhammer_thakur(params, alpha, m, prec=None)
-    den = carlitz_D(params, m)
-    for beta in betas:
-        factor = pochhammer_thakur(params, beta, m)
-        if factor.is_zero():
-            raise InadmissibleError(
-                "denominator symbol (%d)_%d vanishes" % (beta, m), witness=beta)
-        den = den * factor
-    return num * den.invert(window=window)
+    return _coeff_quotient(
+        params, m, (pochhammer_thakur(params, alpha, m) for alpha in alphas),
+        (pochhammer_thakur(params, beta, m) for beta in betas), window)
 
 
 def thakur_series(params: FieldParams, alphas, betas, M: int,
                   window=None) -> LinearSeries:
-    coeffs = {m: hyper_thakur_coeff(params, alphas, betas, m, window=window)
-              for m in range(M + 1)}
-    return LinearSeries(params, coeffs, known=M)
+    return _linear_series(
+        params,
+        lambda m: hyper_thakur_coeff(params, alphas, betas, m, window=window), M)
+
+
+def _bracket_params(params: FieldParams, integers):
+    """The bracket parameters [-alpha] that stand for integer parameters."""
+    return [bracket(params, -alpha) for alpha in integers]
 
 
 @dataclass
@@ -237,9 +241,8 @@ def thakur_correspondence(params: FieldParams, alphas, betas, M: int,
 
     rho is computed from m = 0 and verified at every other index; an
     inconsistency is reported with the first failing index."""
-    a_list = [bracket(params, -alpha) for alpha in alphas]
-    b_list = [bracket(params, -beta) for beta in betas]
-    hp = HyperParams(params, a_list, b_list)
+    hp = HyperParams(params, _bracket_params(params, alphas),
+                     _bracket_params(params, betas))
     rho = None
     for m in range(M + 1):
         t_m = hyper_thakur_coeff(params, alphas, betas, m, window=window)
@@ -306,9 +309,8 @@ def thakur_residual(params: FieldParams, alphas, betas, M: int,
     """Product-form residual of the integer-parameter function: applies
     prod(Delta - [-alpha_i]) - (prod(Delta - [-beta_j])) d."""
     series = thakur_series(params, alphas, betas, M, window=window)
-    a_list = [bracket(params, -alpha) for alpha in alphas]
-    b_list = [bracket(params, -beta) for beta in betas]
-    return _product_residual(series, a_list, b_list)
+    return _product_residual(series, _bracket_params(params, alphas),
+                             _bracket_params(params, betas))
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +407,11 @@ def _function_check(ident, params, a, b, c, M, window) -> CheckResult:
     if ident == "5.7":
         left_a = HyperParams(params, (shift_up(a), b), (c,))
         left_b = HyperParams(params, (a, shift_up(b)), (c,))
+        h, h_a, h_b = (hyper_series(hp, M, window=window).coefficient
+                       for hp in (base, left_a, left_b))
         for m in range(M + 1):
-            h = hyper_coeff(base, m, window=window)
-            lhs = (hyper_coeff(left_a, m, window=window) * a.frobenius(m)
-                   - hyper_coeff(left_b, m, window=window) * b.frobenius(m))
-            rhs = (a - b) * h
+            lhs = h_a(m) * a.frobenius(m) - h_b(m) * b.frobenius(m)
+            rhs = (a - b) * h(m)
             residuals.append(lhs - rhs)
             ok = ok and lhs == rhs
         return CheckResult(ident, ok, residuals)
@@ -424,16 +426,15 @@ def _function_check(ident, params, a, b, c, M, window) -> CheckResult:
     inv_c = c.invert(window=window)
     inv_sa = shifted_a.invert(window=window)
     scale3 = c.frobenius(1) - b.frobenius(1)
+    h = hyper_series(base, M, window=window).coefficient
+    h3 = hyper_series(third, M - 1, window=window).coefficient
+    h4 = hyper_series(fourth, M, window=window).coefficient
     for m in range(M + 1):
-        total = hyper_coeff(base, m, window=window)
+        total = h(m)
         if m >= 1:
-            total = total - hyper_coeff(base, m - 1, window=window).frobenius(1)
-            total = total + (scale3
-                             * hyper_coeff(third, m - 1, window=window).frobenius(1)
-                             * inv_c.frobenius(m))
-        total = total - (shifted_a
-                         * hyper_coeff(fourth, m, window=window)
-                         * inv_sa.frobenius(m))
+            total = total - h(m - 1).frobenius(1)
+            total = total + scale3 * h3(m - 1).frobenius(1) * inv_c.frobenius(m)
+        total = total - shifted_a * h4(m) * inv_sa.frobenius(m)
         residuals.append(total)
         ok = ok and total.is_zero_at_prec()
     return CheckResult(ident, ok, residuals)

@@ -34,7 +34,7 @@ from .brackets import bracket
 from .errors import ParameterMismatchError, UsageError
 from .ffield import FieldParams
 from .funcspace import MultiFunction
-from .series import PerfSeries
+from .series import PerfSeries, _add_maps, _maps_equal
 
 FACTOR_TAU = "tau"
 FACTOR_D = "d"
@@ -72,9 +72,9 @@ class OperatorWord:
         return OperatorWord(self.n, self.factors + other.factors)
 
     def __eq__(self, other):
+        # factor tuples compare kind by kind and scalars by PerfSeries ==
         return (isinstance(other, OperatorWord) and self.n == other.n
-                and len(self.factors) == len(other.factors)
-                and all(_factor_eq(a, b) for a, b in zip(self.factors, other.factors)))
+                and self.factors == other.factors)
 
     __hash__ = None
 
@@ -83,57 +83,47 @@ class OperatorWord:
         return format_operator_word(self)
 
 
-def _factor_eq(a, b):
-    if a[0] != b[0]:
-        return False
-    if a[0] == FACTOR_DELTA:
-        return a[1] == b[1]
-    if a[0] == FACTOR_SCALAR:
-        return a[1] == b[1]
-    return True
-
-
 CONVENTIONS = ("standard", "alt")
 
 
 def _rewrite_pair(x, y, params, convention):
     """Rewriting of the adjacent pair (x, y), or None when irreducible.
 
-    Returns a list of replacement segments, each a (coeff or None, factors
-    tuple) pair; ``coeff`` multiplies in from the left of the whole word.
+    Returns a list of replacement segments (factor tuples): the words got
+    by putting each segment in place of the pair sum to the original word.
     """
     kx, ky = x[0], y[0]
     if ky == FACTOR_SCALAR:
         s = y[1]
         if kx == FACTOR_SCALAR:
-            return [(None, (scalar_factor(x[1] * s),))]
+            return [(scalar_factor(x[1] * s),)]
         if kx == FACTOR_TAU:
-            return [(None, (scalar_factor(s.frobenius(1)), TAU))]
+            return [(scalar_factor(s.frobenius(1)), TAU)]
         if kx == FACTOR_D:
-            return [(None, (scalar_factor(s.frobenius(-1)), D))]
-        return [(None, (scalar_factor(s), x))]
+            return [(scalar_factor(s.frobenius(-1)), D)]
+        return [(scalar_factor(s), x)]
     if kx == FACTOR_SCALAR:
         return None  # scalar already left of a generator
     one_root = bracket(params, 1).frobenius(-1)  # [1]^(1/q)
     if convention == "standard":
         if kx == FACTOR_D and ky == FACTOR_TAU:
-            return [(None, (TAU, D)), (None, (scalar_factor(one_root),))]
+            return [(TAU, D), (scalar_factor(one_root),)]
         if kx == FACTOR_DELTA and ky == FACTOR_TAU:
-            return [(None, (TAU, x)), (None, (scalar_factor(bracket(params, 1)), TAU))]
+            return [(TAU, x), (scalar_factor(bracket(params, 1)), TAU)]
         if kx == FACTOR_DELTA and ky == FACTOR_D:
-            return [(None, (D, x)), (None, (scalar_factor(-one_root), D))]
+            return [(D, x), (scalar_factor(-one_root), D)]
         if kx == FACTOR_DELTA and ky == FACTOR_DELTA and x[1] > y[1]:
-            return [(None, (y, x))]
+            return [(y, x)]
         return None
     # alt convention
     if kx == FACTOR_D and ky == FACTOR_TAU:
-        return [(None, (TAU, D)), (None, (scalar_factor(one_root),))]
+        return [(TAU, D), (scalar_factor(one_root),)]
     if kx == FACTOR_TAU and ky == FACTOR_DELTA:
-        return [(None, (y, TAU)), (None, (scalar_factor(-bracket(params, 1)), TAU))]
+        return [(y, TAU), (scalar_factor(-bracket(params, 1)), TAU)]
     if kx == FACTOR_D and ky == FACTOR_DELTA:
-        return [(None, (y, D)), (None, (scalar_factor(one_root), D))]
+        return [(y, D), (scalar_factor(one_root), D)]
     if kx == FACTOR_DELTA and ky == FACTOR_DELTA and x[1] > y[1]:
-        return [(None, (y, x))]
+        return [(y, x)]
     return None
 
 
@@ -187,10 +177,8 @@ class NormalForm:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return NormalForm(self.params, self.n, self.convention, out)
+        return NormalForm(self.params, self.n, self.convention,
+                          _add_maps(self.terms, other.terms))
 
     def __neg__(self):
         return NormalForm(self.params, self.n, self.convention,
@@ -205,11 +193,7 @@ class NormalForm:
         if (self.params != other.params or self.n != other.n
                 or self.convention != other.convention):
             return False
-        zero = PerfSeries.zero(self.params)
-        for k in set(self.terms) | set(other.terms):
-            if self.terms.get(k, zero) != other.terms.get(k, zero):
-                return False
-        return True
+        return _maps_equal(self.params, self.terms, other.terms)
 
     __hash__ = None
 
@@ -258,24 +242,14 @@ class NormalForm:
             raise ParameterMismatchError("different field configurations")
         total = None
         for key in sorted(self.terms):
-            l, mu = key[0], key[1]
             g = f
-            if self.convention == "standard":
-                for j, i in enumerate(key[2:], start=1):
-                    for _ in range(i):
-                        g = g.apply_delta(j)
-                for _ in range(mu):
-                    g = g.apply_d()
-                for _ in range(l):
+            for factor in reversed(self.key_factors(key)):
+                if factor[0] == FACTOR_TAU:
                     g = g.apply_tau()
-            else:
-                for _ in range(mu):
+                elif factor[0] == FACTOR_D:
                     g = g.apply_d()
-                for _ in range(l):
-                    g = g.apply_tau()
-                for j, i in enumerate(key[2:], start=1):
-                    for _ in range(i):
-                        g = g.apply_delta(j)
+                else:
+                    g = g.apply_delta(factor[1])
             g = g.scale(self.terms[key])
             total = g if total is None else total + g
         if total is None:
@@ -338,10 +312,8 @@ def _normalize_items(items, params, n, convention, strategy="leftmost"):
                 terms[key] = coeff
             continue
         x, y = seq[pos], seq[pos + 1]
-        for extra_coeff, repl in _rewrite_pair(x, y, params, convention):
-            new_seq = seq[:pos] + repl + seq[pos + 2:]
-            new_coeff = coeff if extra_coeff is None else coeff * extra_coeff
-            stack.append((new_coeff, new_seq))
+        for repl in _rewrite_pair(x, y, params, convention):
+            stack.append((coeff, seq[:pos] + repl + seq[pos + 2:]))
     return NormalForm(params, n, convention, terms)
 
 

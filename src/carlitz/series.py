@@ -72,6 +72,14 @@ def _p_power_denominator(frac: Fraction, p: int) -> bool:
     return d == 1
 
 
+def _grid_depth(e: Fraction, q: int) -> int:
+    """The least k >= 0 with e * q^k an integer, for e in Z[1/q]."""
+    k = 0
+    while (e * q ** k).denominator != 1:
+        k += 1
+    return k
+
+
 class PerfSeries:
     """One element of the perfection of F_Q((x)), truncated at ``prec``."""
 
@@ -120,10 +128,7 @@ class PerfSeries:
             e = Fraction(e)
             if not _p_power_denominator(e, params.p):
                 raise UsageError("exponent %s is not in Z[1/q]" % e)
-            k = 0
-            while (e * q ** k).denominator != 1:
-                k += 1
-            dexp = max(dexp, k)
+            dexp = max(dexp, _grid_depth(e, q))
             idx = c.idx if isinstance(c, FFElement) else params.from_int(c)
             fracs[e] = idx
         scaled = {}
@@ -302,10 +307,7 @@ class PerfSeries:
         if not _p_power_denominator(e, self.params.p):
             raise UsageError("shift exponent %s is not in Z[1/q]" % e)
         q = self.params.q
-        k = 0
-        while (e * q ** k).denominator != 1:
-            k += 1
-        d = max(self.dexp, k)
+        d = max(self.dexp, _grid_depth(e, q))
         off = int(e * q ** d)
         fa = q ** (d - self.dexp)
         terms = {kk * fa + off: c for kk, c in self.terms.items()}
@@ -356,8 +358,7 @@ class PerfSeries:
         if prec is not None and window is not None:
             raise UsageError("pass at most one of prec and window")
         if window is not None and self.terms:
-            prec = Fraction(window) - Fraction(min(self.terms),
-                                               self.params.q ** self.dexp)
+            prec = Fraction(window) - self._val_lb()
         if not self.terms:
             if self.prec == INF:
                 raise NotInvertibleError("exact zero series is not invertible")
@@ -442,3 +443,26 @@ class PerfSeries:
     def __repr__(self):
         from .textio import format_series
         return format_series(self)
+
+
+# ---------------------------------------------------------------------------
+# maps from keys to series (the coefficient stores of the other modules)
+# ---------------------------------------------------------------------------
+
+def _add_maps(a: dict, b: dict) -> dict:
+    """Keywise sum of two maps to PerfSeries, a missing key reading as
+    exact zero; every caller's constructor drops exact-zero values."""
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out[k] + c if k in out else c
+    return out
+
+
+def _maps_equal(params: FieldParams, a: dict, b: dict, keep=None) -> bool:
+    """Keywise equality at common precision of two maps to PerfSeries, a
+    missing key reading as exact zero; keys failing ``keep`` are skipped."""
+    zero = PerfSeries.zero(params)
+    for k in set(a) | set(b):
+        if (keep is None or keep(k)) and a.get(k, zero) != b.get(k, zero):
+            return False
+    return True

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .ffield import FieldParams
-from .series import INF, PerfSeries
+from .series import INF, PerfSeries, _grid_depth
 
 _TOKEN_RE = re.compile(r"""
     (?P<int>\d+)
@@ -230,11 +230,8 @@ def _parse_series_expr(cur: _Cursor, params: FieldParams) -> PerfSeries:
 def _mono(params, e: Fraction, idx: int) -> PerfSeries:
     if idx == 0:
         return PerfSeries.zero(params)
-    q = params.q
-    k = 0
-    while (e * q ** k).denominator != 1:
-        k += 1
-    return PerfSeries._make(params, k, {int(e * q ** k): idx}, INF)
+    k = _grid_depth(e, params.q)
+    return PerfSeries._make(params, k, {int(e * params.q ** k): idx}, INF)
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +366,23 @@ def format_field_header(params: FieldParams):
         "modulus %s" % ",".join(str(c) for c in params.modulus),
     ]
 
+
 def parse_field_header(fields: dict) -> FieldParams:
-    try:
-        p = int(fields["p"])
-        v = int(fields["v"])
-        m = int(fields["m"])
-    except KeyError as exc:
-        raise ParseError("missing field-config key %s" % exc)
+    p, v, m = (_read_int(fields.get(k), "field-config key %r" % k)
+               for k in ("p", "v", "m"))
     modulus = None
     if "modulus" in fields:
-        modulus = tuple(int(c) for c in fields["modulus"].split(","))
+        modulus = tuple(_read_int(c, "modulus coefficient")
+                        for c in fields["modulus"].split(","))
     return FieldParams(p, v, m, modulus)
+
+
+def _read_int(text, what: str) -> int:
+    """The integer written in ``text`` (None for a missing file key); a
+    ParseError naming ``what`` otherwise."""
+    if text is None:
+        raise ParseError("missing %s" % what)
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError("%s is not an integer: %r" % (what, text)) from None

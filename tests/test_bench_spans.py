@@ -1,0 +1,32 @@
+"""The benchmark's traced runs name library functions and methods in
+``perfbench/spans.py``; a rename in the library must fail here rather than
+leave a metric group silently empty.  The module is only read and run
+here, never changed or installed."""
+
+import importlib
+from pathlib import Path
+from types import ModuleType, SimpleNamespace
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    # compiled from source: no bytecode cache is written next to the file
+    module = ModuleType("perfbench_spans")
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), module.__dict__)
+    return module
+
+
+def test_every_group_name_is_a_wrapped_library_attribute():
+    spans = _load_spans()
+    lib = SimpleNamespace(**{layer: importlib.import_module("carlitz." + layer)
+                             for layer in spans.LAYERS})
+    wrapped = {name for _, _, name, _, _ in spans._targets(lib)}
+    for group, names in spans.GROUPS.items():
+        for name in names:
+            obj = lib
+            for part in name.split("."):
+                assert hasattr(obj, part), "%s (group %s) does not resolve" % (name, group)
+                obj = getattr(obj, part)
+            assert callable(obj), name
+            assert name in wrapped, "%s (group %s) is not traced" % (name, group)

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from carlitz import (FieldParams, InadmissibleError, PerfSeries,
-                     PrecisionError, bracket, pochhammer)
+from carlitz import (FieldParams, InadmissibleError, ParameterMismatchError,
+                     PerfSeries, PrecisionError, bracket, pochhammer)
 from carlitz.brackets import INFINITY
 from carlitz.cauchy import (DeltaPoly, EvolutionEquation,
                             InitialData, admissibility_check, cauchy_solve,
@@ -260,3 +260,20 @@ def test_problem_file_roundtrip(F3, rng):
     assert eq2.P == eq.P and eq2.Q == eq.Q
     assert cauchy_solve(eq, init, tm, ti) == cauchy_solve(eq2, init2, tm, ti)
     assert format_problem(eq2, init2, tm, ti) == text
+
+
+def test_delta_poly_checks_field_and_arity(F2, F3):
+    # the field and the number of indeterminates must match: + and * refuse,
+    # == answers False (zip would otherwise truncate exponent tuples)
+    assert DeltaPoly.zero(F2, 1) == DeltaPoly.zero(F2, 1)
+    assert DeltaPoly.zero(F2, 1) != DeltaPoly.zero(F2, 2)
+    assert DeltaPoly.zero(F2, 1) != DeltaPoly.zero(F3, 1)
+    t1 = DeltaPoly.variable(F2, 1, 1)
+    for other in (DeltaPoly.variable(F2, 2, 1), DeltaPoly.variable(F3, 1, 1)):
+        with pytest.raises(ParameterMismatchError):
+            t1 * other
+        with pytest.raises(ParameterMismatchError):
+            t1 + other
+        with pytest.raises(ParameterMismatchError):
+            t1 - other
+    assert (t1 * t1).coeffs == {(2,): PerfSeries.one(F2)}

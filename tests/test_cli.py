@@ -196,3 +196,66 @@ def test_hyper_params_file(tmp_path, capsys):
     code, out, _ = run(capsys, ["hyper-eval", "--params", str(path),
                                 "--z", "x^2", "--M", "3"])
     assert code == 0
+
+
+def _assert_syntax_refusal(capsys, argv, what):
+    # a malformed integer is a syntax error (exit 2), never a traceback
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert "refused [syntax]" in err and what in err
+    code, out, _ = run(capsys, ["--json"] + argv)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["ok"] is False and payload["reason"] == "syntax"
+    assert what in payload["message"]
+
+
+def test_bracket_index_not_an_integer(capsys):
+    _assert_syntax_refusal(capsys, ["--q", "2", "bracket", "--n", "foo"],
+                           "'foo'")
+
+
+def test_modulus_coefficient_not_an_integer(capsys):
+    _assert_syntax_refusal(
+        capsys, ["--p", "2", "--v", "1", "--modulus", "1,a", "bracket", "--n", "1"],
+        "'a'")
+
+
+def test_function_file_without_n(tmp_path, capsys):
+    from carlitz.funcspace import MultiFunction
+    params = FieldParams.default(2)
+    text = MultiFunction(params, 1, 3, 3, {(0, 1): PerfSeries.one(params)}).to_text()
+    path = tmp_path / "f.txt"
+    path.write_text("".join(ln for ln in text.splitlines(True)
+                            if not ln.startswith("n ")))
+    _assert_syntax_refusal(capsys, ["op-apply", "tau", "--function", str(path)],
+                           "missing function key 'n'")
+
+
+def test_problem_file_with_non_integer_n(tmp_path, capsys):
+    params = FieldParams.default(2)
+    eq = hypergeometric_equation(params, [PerfSeries.monomial(params, 1)],
+                                 [PerfSeries.one(params)])
+    text = format_problem(eq, InitialData.delta(params, 1), 2, 2)
+    assert "\nn 1\n" in text
+    path = tmp_path / "problem.txt"
+    path.write_text(text.replace("\nn 1\n", "\nn x\n"))
+    _assert_syntax_refusal(capsys, ["cauchy-solve", str(path)],
+                           "problem key 'n' is not an integer: 'x'")
+
+
+def test_hyper_file_with_non_integer_parameter(tmp_path, capsys):
+    text = "\n".join(["PERFHYPER 1", "p 2", "v 1", "m 1", "modulus 0,1",
+                      "alpha : 2", "beta : one", "END"]) + "\n"
+    path = tmp_path / "hp.txt"
+    path.write_text(text)
+    _assert_syntax_refusal(capsys, ["hyper-eval", "--params", str(path),
+                                    "--z", "x^4"], "'one'")
+
+
+def test_field_config_with_non_integer_key(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "field.cfg"
+    cfg.write_text("p 3\nv one\nm 1\n")
+    monkeypatch.setenv("CARLITZ_FIELD_CONFIG", str(cfg))
+    _assert_syntax_refusal(capsys, ["bracket", "--n", "1"],
+                           "field-config key 'v' is not an integer")
