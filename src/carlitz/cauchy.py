@@ -28,7 +28,7 @@ from .brackets import bracket, INFINITY
 from .errors import (InadmissibleError, ParameterMismatchError,
                      PrecisionError, UsageError)
 from .ffield import FieldParams
-from .funcspace import MultiFunction, _parse_keyed_lines
+from .funcspace import MultiFunction, _head_fields, _parse_keyed_lines
 from .opring import NormalForm
 from .series import INF, PerfSeries, _add_maps, _maps_equal
 from . import textio
@@ -419,7 +419,7 @@ def parse_problem(text: str):
                            for k in ("n", "truncM", "truncI"))
     p_coeffs, q_coeffs, init_values = {}, {}, {}
     for head, body in payload:
-        kind, indices = head.split(None, 1)
+        kind, indices = _head_fields(head, 2)
         key = tuple(textio._read_int(t, "%s index" % kind)
                     for t in indices.split(","))
         value = textio.parse_series(body, params)

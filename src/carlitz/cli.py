@@ -276,14 +276,14 @@ def _commutation_trial(params, rng):
     n = rng.randint(1, 2)
     f = sampling.random_multifunction(rng, params, n, 4, 4)
     j = rng.randint(1, n)
-    root = br.bracket(params, 1).frobenius(-1)
-    lhs1 = f.apply_tau().apply_d() - f.apply_d().apply_tau()
-    ok1 = lhs1 == f.scale(root)
-    lhs2 = f.apply_delta(j).apply_d() - f.apply_d().apply_delta(j)
-    ok2 = lhs2 == f.apply_d().scale(root)
-    lhs3 = f.apply_tau().apply_delta(j) - f.apply_delta(j).apply_tau()
-    ok3 = lhs3 == f.apply_tau().scale(br.bracket(params, 1))
-    return ok1 and ok2 and ok3
+    gens = {opring.FACTOR_TAU: opring.TAU, opring.FACTOR_D: opring.D,
+            opring.FACTOR_DELTA: opring.delta(j)}
+    ok = True
+    for (kx, ky), (s, g) in opring._relation_table(params).items():
+        x, y = gens[kx], gens[ky]  # each entry: x y - y x = s g
+        lhs = opring._act(f, (x, y)) - opring._act(f, (y, x))
+        ok = lhs == opring._act(f, g).scale(s) and ok
+    return ok
 
 
 def cmd_dim_count(args):

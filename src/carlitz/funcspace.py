@@ -328,10 +328,10 @@ class MultiFunction:
                      for k in ("n", "truncM", "truncI"))
         coeffs = {}
         for head, body in coeff_lines:
-            parts = head.split(None, 2)
-            m = textio._read_int(parts[1], "coeff index")
+            _, m, indices = _head_fields(head, 3)
+            m = textio._read_int(m, "coeff index")
             ivec = tuple(textio._read_int(t, "coeff index")
-                         for t in parts[2].split(","))
+                         for t in indices.split(","))
             coeffs[(m,) + ivec] = textio.parse_series(body, params)
         return cls(params, n, tm, ti, coeffs)
 
@@ -369,3 +369,13 @@ def _parse_keyed_lines(text: str, magic: str, payload_keys):
     else:
         raise ParseError("missing END marker")
     return fields, payload
+
+
+def _head_fields(head: str, count: int):
+    """The ``count`` whitespace-separated fields of a payload line's head
+    (the last one keeps the rest); a ParseError when some are missing."""
+    parts = head.split(None, count - 1)
+    if len(parts) < count:
+        raise ParseError("payload line %r needs %d fields before ' : '"
+                         % (head, count))
+    return parts

@@ -1,24 +1,25 @@
 """The Carlitz operator ring on n+1 variables.
 
 Words over the alphabet {tau, d, delta_1..delta_n, scalars} are rewritten
-to one of two normal-form conventions:
+to one of two normal-form conventions, each one generator order
+(``CONVENTION_ORDERS``; deltas in ascending index order):
 
-* ``standard``: sums of  a * tau^l d^mu delta_1^(i_1) .. delta_n^(i_n)
-* ``alt``:      sums of  a * delta_1^(i_1) .. delta_n^(i_n) tau^l d^mu
+* ``standard`` (tau, d, delta): sums of  a * tau^l d^mu delta^i
+* ``alt`` (delta, tau, d):      sums of  a * delta^i tau^l d^mu
 
-using the commutation relations
+with delta^i = delta_1^(i_1) .. delta_n^(i_n).  A scalar right of a
+generator moves left, twisted as in  tau a = a^q tau,  d a = a^(1/q) d,
+del_j a = a del_j.  A generator pair x y out of order becomes  y x + s g,
+read from one table of relations  x y - y x = s g  (reversed: -s):
 
-    d tau   = tau d + [1]^(1/q)
-    d del_j = del_j d + [1]^(1/q) d
-    del_j tau = tau del_j + [1] tau
+    d tau - tau d = [1]^(1/q),   d del_j - del_j d = [1]^(1/q) d,
+    del_j tau - tau del_j = [1] tau.
 
-and the scalar rules  d a = a^(1/q) d,  tau a = a^q tau,  del_j a = a del_j.
-Each convention orients these so that every applied rule strictly reduces
-the number of inversions against that convention's generator order (ties
-broken by word length), which terminates; confluence is exercised by the
-test suite with independent reduction strategies.  Within one convention
-the resulting coefficient map is unique, so equality of normal forms is
-equality of term maps (coefficient equality at common precision).
+Every rule strictly reduces the number of inversions against the order
+(ties broken by word length), which terminates; confluence is exercised
+by the test suite with independent reduction strategies.  Within one
+convention the resulting coefficient map is unique, so equality of normal
+forms is equality of term maps (coefficient equality at common precision).
 
 The module also carries the filtration machinery: total-degree filtration
 dimension counts for the full ring, the lower-bound monomial count behind
@@ -83,11 +84,38 @@ class OperatorWord:
         return format_operator_word(self)
 
 
-CONVENTIONS = ("standard", "alt")
+#: One generator order per convention; a word is normal when its generators
+#: follow it, deltas in ascending index order.
+CONVENTION_ORDERS = {"standard": (FACTOR_TAU, FACTOR_D, FACTOR_DELTA),
+                     "alt": (FACTOR_DELTA, FACTOR_TAU, FACTOR_D)}
+CONVENTIONS = tuple(CONVENTION_ORDERS)
+
+# the q-power twist of a scalar that a generator passes to the right
+_TWIST = {FACTOR_TAU: 1, FACTOR_D: -1, FACTOR_DELTA: 0}
 
 
-def _rewrite_pair(x, y, params, convention):
-    """Rewriting of the adjacent pair (x, y), or None when irreducible.
+def _convention_order(convention):
+    if convention not in CONVENTION_ORDERS:
+        raise UsageError("unknown convention %r" % (convention,))
+    return CONVENTION_ORDERS[convention]
+
+
+def _relation_table(params):
+    """(x, y) -> (s, g) with  x y - y x = s g  for every ordered pair of
+    distinct generator kinds; g is a generator segment."""
+    one = bracket(params, 1)
+    root = one.frobenius(-1)  # [1]^(1/q)
+    table = {}
+    for x, y, s, g in ((FACTOR_D, FACTOR_TAU, root, ()),
+                       (FACTOR_D, FACTOR_DELTA, root, (D,)),
+                       (FACTOR_DELTA, FACTOR_TAU, one, (TAU,))):
+        table[x, y] = (s, g)
+        table[y, x] = (-s, g)
+    return table
+
+
+def _rewrite_pair(x, y, relations):
+    """Rewriting of the reducible adjacent pair (x, y).
 
     Returns a list of replacement segments (factor tuples): the words got
     by putting each segment in place of the pair sum to the original word.
@@ -97,34 +125,24 @@ def _rewrite_pair(x, y, params, convention):
         s = y[1]
         if kx == FACTOR_SCALAR:
             return [(scalar_factor(x[1] * s),)]
-        if kx == FACTOR_TAU:
-            return [(scalar_factor(s.frobenius(1)), TAU)]
-        if kx == FACTOR_D:
-            return [(scalar_factor(s.frobenius(-1)), D)]
-        return [(scalar_factor(s), x)]
-    if kx == FACTOR_SCALAR:
-        return None  # scalar already left of a generator
-    one_root = bracket(params, 1).frobenius(-1)  # [1]^(1/q)
-    if convention == "standard":
-        if kx == FACTOR_D and ky == FACTOR_TAU:
-            return [(TAU, D), (scalar_factor(one_root),)]
-        if kx == FACTOR_DELTA and ky == FACTOR_TAU:
-            return [(TAU, x), (scalar_factor(bracket(params, 1)), TAU)]
-        if kx == FACTOR_DELTA and ky == FACTOR_D:
-            return [(D, x), (scalar_factor(-one_root), D)]
-        if kx == FACTOR_DELTA and ky == FACTOR_DELTA and x[1] > y[1]:
-            return [(y, x)]
-        return None
-    # alt convention
-    if kx == FACTOR_D and ky == FACTOR_TAU:
-        return [(TAU, D), (scalar_factor(one_root),)]
-    if kx == FACTOR_TAU and ky == FACTOR_DELTA:
-        return [(y, TAU), (scalar_factor(-bracket(params, 1)), TAU)]
-    if kx == FACTOR_D and ky == FACTOR_DELTA:
-        return [(y, D), (scalar_factor(one_root), D)]
-    if kx == FACTOR_DELTA and ky == FACTOR_DELTA and x[1] > y[1]:
-        return [(y, x)]
-    return None
+        return [(scalar_factor(s.frobenius(_TWIST[kx])), x)]
+    if kx == ky:
+        return [(y, x)]  # deltas commute
+    s, g = relations[kx, ky]
+    return [(y, x), (scalar_factor(s),) + g]
+
+
+def _act(f, factors):
+    """The action of a generator word on a MultiFunction; the rightmost
+    factor acts first."""
+    for factor in reversed(factors):
+        if factor[0] == FACTOR_TAU:
+            f = f.apply_tau()
+        elif factor[0] == FACTOR_D:
+            f = f.apply_d()
+        else:
+            f = f.apply_delta(factor[1])
+    return f
 
 
 class NormalForm:
@@ -137,8 +155,7 @@ class NormalForm:
     __slots__ = ("params", "n", "convention", "terms")
 
     def __init__(self, params: FieldParams, n: int, convention: str, terms: dict):
-        if convention not in CONVENTIONS:
-            raise UsageError("unknown convention %r" % (convention,))
+        _convention_order(convention)
         self.params = params
         self.n = n
         self.convention = convention
@@ -199,14 +216,11 @@ class NormalForm:
 
     def key_factors(self, key):
         """Expand a term key into its generator word for this convention."""
-        l, mu = key[0], key[1]
-        deltas = []
-        for j, i in enumerate(key[2:], start=1):
-            deltas.extend([delta(j)] * i)
-        gens = [TAU] * l + [D] * mu
-        if self.convention == "standard":
-            return tuple(gens + deltas)
-        return tuple(deltas + gens)
+        deltas = tuple(delta(j) for j, i in enumerate(key[2:], start=1)
+                       for _ in range(i))
+        runs = {FACTOR_TAU: (TAU,) * key[0], FACTOR_D: (D,) * key[1],
+                FACTOR_DELTA: deltas}
+        return sum((runs[kind] for kind in _convention_order(self.convention)), ())
 
     def words(self):
         """The normal form as a list of OperatorWord (scalar then generators)."""
@@ -242,15 +256,7 @@ class NormalForm:
             raise ParameterMismatchError("different field configurations")
         total = None
         for key in sorted(self.terms):
-            g = f
-            for factor in reversed(self.key_factors(key)):
-                if factor[0] == FACTOR_TAU:
-                    g = g.apply_tau()
-                elif factor[0] == FACTOR_D:
-                    g = g.apply_d()
-                else:
-                    g = g.apply_delta(factor[1])
-            g = g.scale(self.terms[key])
+            g = _act(f, self.key_factors(key)).scale(self.terms[key])
             total = g if total is None else total + g
         if total is None:
             return MultiFunction.zero(self.params, self.n, f.trunc_m, f.trunc_i)
@@ -296,11 +302,16 @@ def normalize(words, params: FieldParams, convention: str = "standard",
 
 
 def _normalize_items(items, params, n, convention, strategy="leftmost"):
+    if strategy not in ("leftmost", "rightmost"):
+        raise UsageError("unknown strategy %r" % (strategy,))
+    ranks = {FACTOR_SCALAR: -1}  # below every generator: scalars move left
+    ranks.update((kind, r) for r, kind in enumerate(_convention_order(convention)))
+    relations = _relation_table(params)
     terms = {}
     stack = list(items)
     while stack:
         coeff, seq = stack.pop()
-        pos = _find_redex(seq, params, convention, strategy)
+        pos = _find_redex(seq, ranks, strategy)
         if pos is None:
             if seq and seq[0][0] == FACTOR_SCALAR:
                 coeff = coeff * seq[0][1]
@@ -311,20 +322,18 @@ def _normalize_items(items, params, n, convention, strategy="leftmost"):
             else:
                 terms[key] = coeff
             continue
-        x, y = seq[pos], seq[pos + 1]
-        for repl in _rewrite_pair(x, y, params, convention):
+        for repl in _rewrite_pair(seq[pos], seq[pos + 1], relations):
             stack.append((coeff, seq[:pos] + repl + seq[pos + 2:]))
     return NormalForm(params, n, convention, terms)
 
 
-def _find_redex(seq, params, convention, strategy):
+def _find_redex(seq, ranks, strategy):
     rng = range(len(seq) - 1)
     if strategy == "rightmost":
         rng = reversed(rng)
-    elif strategy != "leftmost":
-        raise UsageError("unknown strategy %r" % (strategy,))
     for pos in rng:
-        if _rewrite_pair(seq[pos], seq[pos + 1], params, convention) is not None:
+        x, y = seq[pos], seq[pos + 1]
+        if y[0] == FACTOR_SCALAR or (ranks[x[0]], x[1:]) > (ranks[y[0]], y[1:]):
             return pos
     return None
 

@@ -63,6 +63,34 @@ def test_identity_check_deterministic(capsys):
     assert out1 == out2
 
 
+def test_identity_check_commutation_relations(capsys):
+    code, out, _ = run(capsys, ["--q", "3", "--json", "identity-check",
+                                "--id", "2.2", "--seed", "5", "--trials", "4"])
+    assert code == 0
+    assert json.loads(out) == {"command": "identity-check", "id": "2.2",
+                               "seed": 5, "trials": 4, "passed": 4,
+                               "failed_trials": []}
+
+
+def test_identity_check_reads_the_ring_relation_table(capsys, monkeypatch):
+    # identity 2.2 checks the table the rewriting engine uses: a wrong
+    # sign in one entry fails every trial
+    from carlitz import opring
+    table = opring._relation_table
+
+    def wrong_sign(params):
+        out = table(params)
+        s, g = out[opring.FACTOR_D, opring.FACTOR_TAU]
+        out[opring.FACTOR_D, opring.FACTOR_TAU] = (-s, g)
+        return out
+
+    monkeypatch.setattr(opring, "_relation_table", wrong_sign)
+    code, out, _ = run(capsys, ["--q", "3", "identity-check", "--id", "2.2",
+                                "--seed", "5", "--trials", "4"])
+    assert code == 1
+    assert out.strip() == "FAIL 0/4"
+
+
 def test_cauchy_solve_roundtrip(tmp_path, capsys):
     params = FieldParams.default(2)
     eq = hypergeometric_equation(params, [PerfSeries.x(params)],
@@ -259,3 +287,25 @@ def test_field_config_with_non_integer_key(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CARLITZ_FIELD_CONFIG", str(cfg))
     _assert_syntax_refusal(capsys, ["bracket", "--n", "1"],
                            "field-config key 'v' is not an integer")
+
+
+def test_problem_line_without_index_list(tmp_path, capsys):
+    params = FieldParams.default(2)
+    eq = hypergeometric_equation(params, [PerfSeries.monomial(params, 1)],
+                                 [PerfSeries.one(params)])
+    text = format_problem(eq, InitialData.delta(params, 1), 2, 2)
+    path = tmp_path / "problem.txt"
+    path.write_text(text.replace("\nEND", "\nP : x\nEND"))
+    _assert_syntax_refusal(capsys, ["cauchy-solve", str(path)],
+                           "payload line 'P' needs 2 fields")
+
+
+def test_function_line_without_index_list(tmp_path, capsys):
+    from carlitz.funcspace import MultiFunction
+    params = FieldParams.default(2)
+    text = MultiFunction(params, 1, 3, 3, {(0, 1): PerfSeries.one(params)}).to_text()
+    path = tmp_path / "f.txt"
+    path.write_text(text.replace("\nEND", "\ncoeff 0 : 1\nEND"))
+    _assert_syntax_refusal(
+        capsys, ["parse-roundtrip", "--kind", "function", "--file", str(path)],
+        "payload line 'coeff 0' needs 3 fields")

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from carlitz import FieldParams, PerfSeries, bracket
+from carlitz import FieldParams, PerfSeries, UsageError, bracket, opring
 from carlitz.funcspace import MultiFunction
 from carlitz.opring import (CONVENTIONS, D, TAU, NormalForm,
                             delta, fhat_monomial_count, gamma_dim, gk_fit,
@@ -86,6 +86,34 @@ def test_convention_round_trip(F3, rng):
         alt = std.convert("alt")
         assert alt == normalize(w, F3, "alt")
         assert alt.convert("standard") == std
+
+
+@pytest.fixture
+def no_rewriting(monkeypatch):
+    """Any rewrite fails the test: an unknown convention must be refused
+    before the first one."""
+    def fail(*args):
+        raise AssertionError("rewriting started")
+    monkeypatch.setattr(opring, "_rewrite_pair", fail)
+
+
+def test_normalize_refuses_unknown_convention(F2, no_rewriting):
+    with pytest.raises(UsageError, match="unknown convention 'bogus'"):
+        normalize(parse_operator("d*tau", F2, 1), F2, "bogus")
+
+
+def test_convert_refuses_unknown_convention(F2, no_rewriting):
+    std = NormalForm(F2, 1, "standard", {(1, 1, 1): PerfSeries.one(F2)})
+    with pytest.raises(UsageError, match="unknown convention 'bogus'"):
+        std.convert("bogus")
+
+
+def test_op_mul_refuses_unknown_convention(F2, no_rewriting):
+    # the constructor refuses it, so only a reassigned convention gets here
+    A = NormalForm(F2, 1, "standard", {(0, 1, 0): PerfSeries.one(F2)})
+    A.convention = "bogus"
+    with pytest.raises(UsageError, match="unknown convention 'bogus'"):
+        A.op_mul(A)
 
 
 # ---------------------------------------------------------------------------
