@@ -246,6 +246,8 @@ def cmd_identity_check(args):
 
 def _run_identity_trial(ident, params, rng, M):
     if ident in ("5.3", "5.4", "5.5", "5.6"):
+        if M < 1:
+            raise UsageError("identity %s draws m from 1..M; need M >= 1" % ident)
         a = sampling.random_series(rng, params, terms=(1, 2), lo=-1, hi=3)
         m = rng.randint(1, M)
         if ident == "5.3" and a.is_zero():

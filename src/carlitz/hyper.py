@@ -21,6 +21,15 @@ field-parameter one at bracket parameters up to the variable rescaling
 z -> rho z; rho is determined by the m = 0 coefficients and verified at
 every further index rather than assumed.
 
+Which path computes a coefficient: h_0, t_m, and every h_m whose
+parameters have finite precision are the quotient of the symbols, with
+the denominator inverted to relative precision R (the ``window``, or
+DEFAULT_INVERT_WINDOW).  For exact parameters, h_m with m > 0 comes from
+the recursion above, each step inverting its denominator to relative
+precision R/q, so h_m keeps relative precision R.  Both paths give the
+same terms and the same precision; the recursion costs O(M) small steps
+for h_0..h_M where the quotient rebuilds the symbols at every index.
+
 Residual checks apply the defining operators to the truncated series:
 
 * product form:  prod(Delta - a_i) - (prod(Delta - b_j)) d
@@ -46,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from typing import Optional
 
 from .brackets import (INFINITY, bracket, carlitz_D, pochhammer,
@@ -54,7 +64,7 @@ from .errors import (InadmissibleError, ParameterMismatchError,
                      PrecisionError, UsageError)
 from .ffield import FieldParams
 from .funcspace import LinearSeries
-from .series import INF, PerfSeries
+from .series import DEFAULT_INVERT_WINDOW, INF, PerfSeries
 
 
 def admissible_profile(b: PerfSeries) -> Fraction:
@@ -112,27 +122,90 @@ class HyperParams:
 def _coeff_quotient(params: FieldParams, m: int, upper, lower,
                     window) -> PerfSeries:
     """prod(upper) / (D_m * prod(lower)), the factors multiplied in order;
-    both coefficient families are this quotient of their symbols."""
-    num = PerfSeries.one(params)
-    for factor in upper:
-        num = num * factor
+    both coefficient families are this quotient of their symbols.
+
+    An exact non-monomial denominator is inverted to relative precision R
+    (``window``, or DEFAULT_INVERT_WINDOW), which caps the quotient's
+    relative precision at R.  So the numerator factors are cut to relative
+    precision R before they are multiplied, which changes neither a known
+    term nor the precision of the quotient."""
     den = carlitz_D(params, m)
     for factor in lower:
         den = den * factor
+    if den.is_exact() and len(den.terms) > 1:
+        rel = _relative_window(window)
+        upper = (f.truncate(f.valuation() + rel) if f.terms else f
+                 for f in upper)
+    num = PerfSeries.one(params)
+    for factor in upper:
+        num = num * factor
     return num * den.invert(window=window)
 
 
-def _linear_series(params: FieldParams, coeff, M: int) -> LinearSeries:
-    """The truncation sum_(m<=M) coeff(m) z^(q^m) of a coefficient family."""
-    return LinearSeries(params, {m: coeff(m) for m in range(M + 1)}, known=M)
+def _relative_window(window) -> Fraction:
+    """The relative precision R an exact non-monomial inverse is cut to."""
+    return Fraction(DEFAULT_INVERT_WINDOW if window is None else window)
+
+
+def _check_truncation(M: int):
+    if M < 0:
+        raise UsageError("need M >= 0")
+
+
+def _linear_series(params: FieldParams, coeffs, M: int) -> LinearSeries:
+    """The truncation sum_(m<=M) h_m z^(q^m) of a coefficient family
+    h_0, h_1, ..., read once from the iterable ``coeffs``."""
+    _check_truncation(M)
+    return LinearSeries(params, dict(zip(range(M + 1), coeffs)), known=M)
 
 
 def hyper_coeff(hp: HyperParams, m: int, window=None) -> PerfSeries:
-    """h_m = prod <a_i>_m / (prod <b_j>_m * D_m)."""
+    """h_m = prod <a_i>_m / (prod <b_j>_m * D_m).
+
+    h_0, and every h_m of parameters with finite precision, is that
+    quotient; h_m for m > 0 of exact parameters is read from the
+    recursion in :func:`_hyper_stream`, with the same terms and precision."""
     if m < 0:
         raise UsageError("need m >= 0")
-    return _coeff_quotient(hp.params, m, (pochhammer(a, m) for a in hp.a_list),
-                           (pochhammer(b, m) for b in hp.b_list), window)
+    if m == 0 or not _is_exact(hp):
+        return _coeff_quotient(hp.params, m,
+                               (pochhammer(a, m) for a in hp.a_list),
+                               (pochhammer(b, m) for b in hp.b_list), window)
+    return next(islice(_hyper_stream(hp, window), m, None))
+
+
+def _is_exact(hp: HyperParams) -> bool:
+    return all(s.is_exact() for s in hp.a_list + hp.b_list)
+
+
+def _hyper_stream(hp: HyperParams, window):
+    """The coefficients h_0, h_1, ... of one family, endlessly.
+
+    For exact parameters each step is the q-twisted recursion
+    h_(m+1) = (h_m * Q_m)^q with
+    Q_m = prod([m]-a_i) / (([m]-[-1]) * prod([m]-b_j)), whose denominator
+    is inverted to relative precision R/q: h_m carries relative precision R
+    (or is exact, at m = 0), so h_(m+1) carries exactly R, as the direct
+    quotient does, and every known term is a true one.  Parameters with
+    finite precision take the direct quotient at every index, because the
+    recursion would compound their precision loss from step to step.
+    Both paths call hyper_coeff through the module, so wrappers see it."""
+    if not _is_exact(hp):
+        for m in count():
+            yield hyper_coeff(hp, m, window=window)
+    params = hp.params
+    rel = _relative_window(window) / params.q
+    h = hyper_coeff(hp, 0, window=window)
+    for m in count():
+        yield h
+        b_m = bracket(params, m)
+        num = PerfSeries.one(params)
+        for a in hp.a_list:
+            num = num * (b_m - a)
+        den = b_m - bracket(params, -1)
+        for b in hp.b_list:
+            den = den * (b_m - b)
+        h = (h * num * den.invert(window=rel)).frobenius(1)
 
 
 def _tail_slope(hp: HyperParams) -> Fraction:
@@ -162,6 +235,7 @@ def hyper_eval(hp: HyperParams, z: PerfSeries, M: int, window=None) -> PerfSerie
     Refuses when val(z) is not strictly above the convergence threshold,
     since then the omitted tail carries no valuation guarantee.
     """
+    _check_truncation(M)
     params = hp.params
     if z.params != params:
         raise ParameterMismatchError("z over a different field")
@@ -185,8 +259,7 @@ def hyper_eval(hp: HyperParams, z: PerfSeries, M: int, window=None) -> PerfSerie
 
 def hyper_series(hp: HyperParams, M: int, window=None) -> LinearSeries:
     """The truncation of the function as an F_q-linear series in z."""
-    return _linear_series(hp.params,
-                          lambda m: hyper_coeff(hp, m, window=window), M)
+    return _linear_series(hp.params, _hyper_stream(hp, window), M)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +286,8 @@ def hyper_thakur_coeff(params: FieldParams, alphas, betas, m: int,
 def thakur_series(params: FieldParams, alphas, betas, M: int,
                   window=None) -> LinearSeries:
     return _linear_series(
-        params,
-        lambda m: hyper_thakur_coeff(params, alphas, betas, m, window=window), M)
+        params, (hyper_thakur_coeff(params, alphas, betas, m, window=window)
+                 for m in count()), M)
 
 
 def _bracket_params(params: FieldParams, integers):
@@ -241,12 +314,12 @@ def thakur_correspondence(params: FieldParams, alphas, betas, M: int,
 
     rho is computed from m = 0 and verified at every other index; an
     inconsistency is reported with the first failing index."""
+    _check_truncation(M)
     hp = HyperParams(params, _bracket_params(params, alphas),
                      _bracket_params(params, betas))
     rho = None
-    for m in range(M + 1):
+    for m, h_m in zip(range(M + 1), _hyper_stream(hp, window)):
         t_m = hyper_thakur_coeff(params, alphas, betas, m, window=window)
-        h_m = hyper_coeff(hp, m, window=window)
         if t_m.is_zero() or h_m.is_zero():
             raise UsageError(
                 "coefficient family vanishes at m = %d; rho is undetermined there" % m)
@@ -358,6 +431,7 @@ def contiguous_check(ident: str, params: FieldParams, *, a=None, b=None,
     if ident in ("5.7", "5.8"):
         if a is None or b is None or c is None or M is None:
             raise UsageError("identity %s needs a, b, c and M" % ident)
+        _check_truncation(M)
         return _function_check(ident, params, a, b, c, M, window)
     raise UsageError("unknown identity %r (have %s)" % (ident, CONTIGUOUS_IDS))
 
@@ -427,7 +501,7 @@ def _function_check(ident, params, a, b, c, M, window) -> CheckResult:
     inv_sa = shifted_a.invert(window=window)
     scale3 = c.frobenius(1) - b.frobenius(1)
     h = hyper_series(base, M, window=window).coefficient
-    h3 = hyper_series(third, M - 1, window=window).coefficient
+    h3 = hyper_series(third, M - 1, window=window).coefficient if M else None
     h4 = hyper_series(fourth, M, window=window).coefficient
     for m in range(M + 1):
         total = h(m)

@@ -297,6 +297,8 @@ def normalize(words, params: FieldParams, convention: str = "standard",
         raise UsageError("normalize needs at least the variable count; "
                          "got an empty word list (use NormalForm.zero)")
     n = words[0].n
+    if any(w.n != n for w in words):
+        raise ParameterMismatchError("words over different variable counts")
     items = [(PerfSeries.one(params), w.factors) for w in words]
     return _normalize_items(items, params, n, convention, strategy)
 

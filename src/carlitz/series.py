@@ -27,7 +27,9 @@ Precision bookkeeping follows non-Archimedean big-oh arithmetic:
   equals the relative precision P - w of the input, and absolute
   precision is (-w) + (P - w).  Exact non-monomial inputs have an
   infinite-series inverse, so a finite output precision must be chosen;
-  the default is valuation + DEFAULT_INVERT_WINDOW.
+  the default is valuation + DEFAULT_INVERT_WINDOW.  The coefficients
+  come from one pass of long division on the input's exponent grid,
+  visiting only the exponents that can carry a term.
 
 Equality compares coefficients at all exponents below the smaller of the
 two precisions, which makes identity checks decidable at stated precision.
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .errors import NotInvertibleError, ParameterMismatchError, UsageError
@@ -381,10 +384,9 @@ class PerfSeries:
         if rel_out != INF and rel_out <= 0:
             raise NotInvertibleError(
                 "requested precision leaves no known coefficients")
-        # u = self / (lead * x^v) = 1 + eps with val(eps) > 0.  The Newton
-        # steps below run on exact polynomial snapshots cut at the working
-        # window: precision min-propagation cannot see Newton's quadratic
-        # convergence, so the output precision is asserted from it instead.
+        # u = self / (lead * x^v) = 1 + eps with val(eps) > 0, known below
+        # rel_out; its inverse y is exact below rel_out because each y_k
+        # reads only u_j with j <= k.
         inv_lead = params.inv(lead)
         u_terms = {k - v_scaled: params.mul(c, inv_lead)
                    for k, c in self.terms.items()}
@@ -394,21 +396,34 @@ class PerfSeries:
             raise UsageError(
                 "exact inverse of a non-monomial series is an infinite "
                 "series; pass a finite prec")
-        u_poly = PerfSeries._make(params, u.dexp, dict(u.terms), INF)
-        one = PerfSeries.one(params)
-        # Newton iteration y <- y + y*(1 - u*y); the error 1 - u*y squares,
-        # so the correct relative window doubles each step
-        y = one
-        known = Fraction(min(k for k in u.terms if k > 0), q ** u.dexp) \
-            if len(u.terms) > 1 else rel_out
-        while known < rel_out:
-            known = min(rel_out, known * 2)
-            step = y + y * (one - u_poly * y)
-            bound = _grid_bound(known, q ** step.dexp)
-            cut = {k: c for k, c in step.terms.items() if k < bound}
-            y = PerfSeries._make(params, step.dexp, cut, INF)
-        # _make cuts y at rel_out on y's own grid
-        y = PerfSeries._make(params, y.dexp, y.terms, rel_out)
+        # Long division on u's grid: y_0 = 1 and y_k = -sum_(j>0) u_j y_(k-j).
+        # Every nonzero y_k is pushed forward to k + j for each step j in
+        # supp(eps), so only exponents reachable from 0 by such steps are
+        # visited, in increasing order, each once all its terms have arrived.
+        log, exp, add, neg = params._log, params._exp, params.add, params.neg
+        bound = _grid_bound(rel_out, q ** u.dexp)
+        steps = sorted((j, log[neg(c)]) for j, c in u.terms.items() if j > 0)
+        y = {}
+        pending = {0: params.one_idx}
+        heap = [0]
+        while heap:
+            k = heappop(heap)
+            c = pending.pop(k)
+            if not c:
+                continue
+            y[k] = c
+            lc = log[c]
+            for j, lu in steps:
+                t = k + j
+                if t >= bound:
+                    break
+                term = exp[lc + lu]
+                if t in pending:
+                    pending[t] = add(pending[t], term)
+                else:
+                    pending[t] = term
+                    heappush(heap, t)
+        y = PerfSeries._make(params, u.dexp, y, rel_out)
         # undo the normalization: 1/self = y * inv_lead * x^(-v)
         return y.scale(FFElement(params, inv_lead)).shift(-v)
 

@@ -309,3 +309,37 @@ def test_function_line_without_index_list(tmp_path, capsys):
     _assert_syntax_refusal(
         capsys, ["parse-roundtrip", "--kind", "function", "--file", str(path)],
         "payload line 'coeff 0' needs 3 fields")
+
+
+def _assert_usage_refusal(capsys, argv, what):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert "refused [usage]" in err and what in err
+    code, out, _ = run(capsys, ["--json"] + argv)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["ok"] is False and payload["reason"] == "usage"
+    assert what in payload["message"]
+
+
+def test_negative_truncation_order_is_a_usage_error(capsys):
+    for argv in (["hyper-eval", "--a", "x", "--b", "1", "--z", "x^20", "--M", "-3"],
+                 ["hyper-residual", "--a", "x", "--b", "1", "--M", "-1"],
+                 ["hyper-residual", "--form", "thakur", "--alpha", "2",
+                  "--beta", "1", "--M", "-1"],
+                 ["identity-check", "--id", "5.7", "--M", "-2"],
+                 ["identity-check", "--id", "5.8", "--M", "-1"]):
+        _assert_usage_refusal(capsys, ["--q", "2"] + argv, "need M >= 0")
+
+
+def test_symbol_identity_trials_need_a_positive_truncation(capsys):
+    # the trials draw m from 1..M
+    _assert_usage_refusal(capsys, ["--q", "2", "identity-check", "--id", "5.3",
+                                   "--M", "0"], "need M >= 1")
+
+
+def test_identity_58_at_truncation_zero(capsys):
+    code, out, _ = run(capsys, ["--q", "3", "identity-check", "--id", "5.8",
+                                "--M", "0", "--trials", "5"])
+    assert code == 0
+    assert out.strip() == "PASS 5/5"

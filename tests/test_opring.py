@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from carlitz import FieldParams, PerfSeries, UsageError, bracket, opring
+from carlitz import (FieldParams, ParameterMismatchError, PerfSeries,
+                     UsageError, bracket, opring)
 from carlitz.funcspace import MultiFunction
-from carlitz.opring import (CONVENTIONS, D, TAU, NormalForm,
+from carlitz.opring import (CONVENTIONS, D, TAU, NormalForm, OperatorWord,
                             delta, fhat_monomial_count, gamma_dim, gk_fit,
                             normalize, qh_lower_count)
 from carlitz.textio import parse_operator
@@ -114,6 +115,14 @@ def test_op_mul_refuses_unknown_convention(F2, no_rewriting):
     A.convention = "bogus"
     with pytest.raises(UsageError, match="unknown convention 'bogus'"):
         A.op_mul(A)
+
+
+def test_normalize_refuses_mixed_variable_counts(F2):
+    words = [OperatorWord(1, [TAU]), OperatorWord(2, [delta(2)])]
+    with pytest.raises(ParameterMismatchError, match="different variable counts"):
+        normalize(words, F2)
+    with pytest.raises(ParameterMismatchError, match="different variable counts"):
+        normalize(list(reversed(words)), F2)
 
 
 # ---------------------------------------------------------------------------
@@ -286,3 +295,4 @@ def test_gk_fit_degrees():
     # a prefix that settles onto a polynomial tail is tolerated
     tail = [(nu, nu ** 2) for nu in range(3, 10)]
     assert gk_fit([(0, 17), (1, 99), (2, 4)] + tail) == 2
+
