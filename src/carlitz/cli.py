@@ -9,6 +9,12 @@ reason code.
 Field configuration comes from --q/--m (shipped moduli), from explicit
 --p/--v/--m/--modulus, or from a config file given by --field-config or
 the CARLITZ_FIELD_CONFIG environment variable.
+
+Each run is a fresh interpreter that serves one verb, so this module
+imports at its top only what every verb uses (errors, ffield, series,
+brackets, textio).  A verb imports the modules it runs (cauchy, hyper,
+opring, funcspace, sampling) when it runs, and the parser imports none of
+them: ``bracket`` never loads the operator ring or the Cauchy solver.
 """
 
 from __future__ import annotations
@@ -16,17 +22,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
 from . import brackets as br
-from . import cauchy, hyper, opring, sampling, textio
+from . import textio
 from .errors import (CarlitzError, InadmissibleError, NotInvertibleError,
                      ParameterMismatchError, ParseError, PrecisionError,
                      UsageError)
 from .ffield import FieldParams
-from .funcspace import MultiFunction
-from .series import INF, PerfSeries
+from .series import PerfSeries
 
 REFUSAL_ERRORS = (InadmissibleError, PrecisionError, NotInvertibleError)
 USAGE_ERRORS = (ParameterMismatchError, ParseError, UsageError)
@@ -122,6 +126,7 @@ def cmd_pochhammer(args):
 
 
 def cmd_op_normalize(args):
+    from . import opring
     params = _field_params(args)
     words = textio.parse_operator(args.expr, params, args.vars)
     nf = opring.normalize(words, params, args.convention, args.strategy)
@@ -135,6 +140,8 @@ def cmd_op_normalize(args):
 
 
 def cmd_op_apply(args):
+    from . import opring
+    from .funcspace import MultiFunction
     params = _field_params(args)
     with open(args.function) as fh:
         f = MultiFunction.from_text(fh.read())
@@ -146,6 +153,7 @@ def cmd_op_apply(args):
 
 
 def cmd_cauchy_solve(args):
+    from . import cauchy
     with open(args.problem) as fh:
         eq, init, trunc_m, trunc_i = cauchy.parse_problem(fh.read())
     u = cauchy.cauchy_solve(eq, init, trunc_m, trunc_i, i_max=args.imax,
@@ -189,6 +197,7 @@ def _load_hyper_file(text):
 
 def _series_hyper_params(kind, upper, lower, params):
     """HyperParams of the read parameters, integers taken at their brackets."""
+    from . import hyper
     if kind == "integer":
         upper = hyper._bracket_params(params, upper)
         lower = hyper._bracket_params(params, lower)
@@ -196,6 +205,7 @@ def _series_hyper_params(kind, upper, lower, params):
 
 
 def cmd_hyper_eval(args):
+    from . import hyper
     params = _field_params(args)
     hp = _series_hyper_params(*_hyper_params_from_args(args, params))
     z = textio.parse_series(args.z, hp.params)
@@ -206,6 +216,7 @@ def cmd_hyper_eval(args):
 
 
 def cmd_hyper_residual(args):
+    from . import hyper
     params = _field_params(args)
     kind, upper, lower, params = _hyper_params_from_args(args, params)
     if args.form == "thakur":
@@ -226,6 +237,9 @@ def cmd_hyper_residual(args):
 
 
 def cmd_identity_check(args):
+    if args.trials < 1:
+        raise UsageError("need --trials >= 1")
+    import random
     params = _field_params(args)
     rng = random.Random(args.seed)
     passed = 0
@@ -245,6 +259,9 @@ def cmd_identity_check(args):
 
 
 def _run_identity_trial(ident, params, rng, M):
+    if ident == "2.2":
+        return _commutation_trial(params, rng)
+    from . import hyper, sampling
     if ident in ("5.3", "5.4", "5.5", "5.6"):
         if M < 1:
             raise UsageError("identity %s draws m from 1..M; need M >= 1" % ident)
@@ -265,8 +282,6 @@ def _run_identity_trial(ident, params, rng, M):
                 a = sampling.random_series(rng, params, terms=(1, 2), lo=0, hi=3)
                 c = sampling.random_admissible(rng, params, terms=(1, 2), lo=0, hi=3)
         return hyper.contiguous_check(ident, params, a=a, b=b, c=c, M=M).ok
-    if ident == "2.2":
-        return _commutation_trial(params, rng)
     raise UsageError("unknown identity id %r" % (ident,))
 
 
@@ -275,6 +290,7 @@ def shiftdown_is_zero(a):
 
 
 def _commutation_trial(params, rng):
+    from . import opring, sampling
     n = rng.randint(1, 2)
     f = sampling.random_multifunction(rng, params, n, 4, 4)
     j = rng.randint(1, n)
@@ -289,6 +305,11 @@ def _commutation_trial(params, rng):
 
 
 def cmd_dim_count(args):
+    if args.n < 1 or args.nu_max < 0:  # the counts' own refusal
+        raise UsageError("need n >= 1 and nu >= 0")
+    if args.step is not None and args.step < 1:
+        raise UsageError("need --step >= 1")
+    from . import opring
     fns = {"gamma": opring.gamma_dim, "qh": opring.qh_lower_count,
            "fhat": opring.fhat_monomial_count}
     fn = fns[args.kind]
@@ -313,17 +334,21 @@ def cmd_parse_roundtrip(args):
     if args.file:
         with open(args.file) as fh:
             text = fh.read()
+    elif text is None:
+        raise UsageError("pass the text to parse or --file")
     if args.kind == "series":
         value = textio.parse_series(text, params)
         printed = textio.format_series(value)
         stable = textio.parse_series(printed, params) == value
     elif args.kind == "operator":
+        from . import opring
         words = textio.parse_operator(text, params, args.vars)
         printed = textio.format_operator_words(words)
         reparsed = textio.parse_operator(printed, params, args.vars)
         stable = (opring.normalize(words, params)
                   == opring.normalize(reparsed, params))
     else:
+        from .funcspace import MultiFunction
         value = MultiFunction.from_text(text)
         printed = value.to_text()
         stable = MultiFunction.from_text(printed) == value
@@ -375,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("op-normalize", help="rewrite an operator expression")
     sp.add_argument("expr")
     sp.add_argument("--vars", type=int, default=1, help="number of deltas")
-    sp.add_argument("--convention", choices=opring.CONVENTIONS,
+    sp.add_argument("--convention", choices=("standard", "alt"),
                     default="standard")
     sp.add_argument("--strategy", choices=("leftmost", "rightmost"),
                     default="leftmost")

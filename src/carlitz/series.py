@@ -356,10 +356,13 @@ class PerfSeries:
         inverse's valuation); by default the output precision is
         prec_in - 2*valuation for truncated input, exact for an exact
         monomial, and valuation-relative DEFAULT_INVERT_WINDOW for an
-        exact multi-term input.
+        exact multi-term input.  ``prec=INF`` asks for the exact inverse:
+        an exact monomial has one, an exact multi-term input is refused
+        with UsageError, and a truncated input keeps its default precision.
         """
         if prec is not None and window is not None:
             raise UsageError("pass at most one of prec and window")
+        exact = prec == INF
         if window is not None and self.terms:
             prec = Fraction(window) - self._val_lb()
         if not self.terms:
@@ -372,13 +375,15 @@ class PerfSeries:
         v_scaled = min(self.terms)
         v = Fraction(v_scaled, q ** self.dexp)
         lead = self.terms[v_scaled]
-        if len(self.terms) == 1 and self.prec == INF and prec is None:
+        if len(self.terms) == 1 and self.prec == INF and (prec is None or exact):
             return PerfSeries._make(params, self.dexp,
                                     {-v_scaled: params.inv(lead)}, INF)
         # relative precision of the input (and the best achievable output)
         rel_in = INF if self.prec == INF else self.prec - v
         if prec is None:
             rel_out = rel_in if rel_in != INF else Fraction(DEFAULT_INVERT_WINDOW)
+        elif exact:
+            rel_out = rel_in
         else:
             rel_out = min(Fraction(prec) + v, rel_in)
         if rel_out != INF and rel_out <= 0:

@@ -1,10 +1,14 @@
+import argparse
 import json
+import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from carlitz import FieldParams, PerfSeries, bracket
 from carlitz.cauchy import InitialData, format_problem, hypergeometric_equation
-from carlitz.cli import main
+from carlitz.cli import build_parser, main
 
 
 def run(capsys, argv):
@@ -343,3 +347,46 @@ def test_identity_58_at_truncation_zero(capsys):
                                 "--M", "0", "--trials", "5"])
     assert code == 0
     assert out.strip() == "PASS 5/5"
+
+
+DIM = ["dim-count", "--kind", "gamma", "--n", "1", "--nu-max", "6"]
+
+
+@pytest.mark.parametrize("argv, what", [
+    (DIM + ["--step", "0"], "need --step >= 1"),
+    (DIM + ["--step", "-1"], "need --step >= 1"),
+    (["dim-count", "--kind", "qh", "--n", "1", "--nu-max", "-1"],
+     "need n >= 1 and nu >= 0"),
+    (["dim-count", "--kind", "fhat", "--n", "-1", "--nu-max", "6"],
+     "need n >= 1 and nu >= 0"),
+    (["parse-roundtrip", "--kind", "series"], "pass the text to parse or --file"),
+    (["identity-check", "--id", "5.7", "--trials", "-1"], "need --trials >= 1"),
+    (["identity-check", "--id", "5.7", "--trials", "0"], "need --trials >= 1"),
+], ids=["step-0", "step-negative", "nu-max-negative", "fhat-n-negative",
+        "roundtrip-no-input", "trials-negative", "trials-0"])
+def test_refusal_of_arguments_that_would_crash_or_pass_vacuously(argv, what, capsys):
+    _assert_usage_refusal(capsys, ["--q", "2"] + argv, what)
+
+
+HELP_CASES = json.loads(
+    (pathlib.Path(__file__).with_name("data") / "cli_help.json").read_text())
+
+
+@pytest.mark.parametrize("case", HELP_CASES, ids=lambda c: " ".join(c["argv"]))
+def test_help_texts_are_pinned(case, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(case["argv"])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out, out.err) == (case["code"], case["stdout"],
+                                                  case["stderr"])
+
+
+def test_convention_choices_are_the_ring_conventions():
+    from carlitz.opring import CONVENTIONS
+    parser = build_parser()
+    verbs = next(a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    choices = next(a.choices for a in verbs["op-normalize"]._actions
+                   if a.dest == "convention")
+    assert choices == CONVENTIONS

@@ -5,7 +5,8 @@ The field-parameter family of exact parameters is read from the q-twisted
 recursion h_(m+1) = (h_m * Q_m)^q.  Parameters with finite precision and
 the integer family take the direct quotient, which now cuts its numerator
 factors to the relative precision of its inverse.  The oracle is the
-former direct quotient prod(upper) / (D_m * prod(lower)), kept here only.  Every coefficient must match it exactly: same terms, same dexp,
+former direct quotient prod(upper) / (D_m * prod(lower)), kept only in
+``oracles``.  Every coefficient must match it exactly: same terms, same dexp,
 same prec (value and type), over every shipped (q, m), indices m <= 6 and
 windows None, 20 and 7.  A recursion that lost precision on truncated
 parameters (at q = 9, h_1 went from O(x^45) to O(x^18)) fails here.
@@ -16,45 +17,13 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from carlitz import (FieldParams, PerfSeries, bracket, carlitz_D, hyper,
-                     pochhammer, pochhammer_thakur, sampling)
+from carlitz import FieldParams, PerfSeries, bracket, hyper, sampling
 from carlitz.errors import CarlitzError, UsageError
+from oracles import assert_same, ref_hyper_coeff, ref_thakur_coeff
 
 SHIPPED = [(q, m) for q in (2, 3, 4, 5, 8, 9) for m in (1, 2)]
 FIELDS = [FieldParams.default(q, m) for q, m in SHIPPED]
 WINDOWS = (None, 20, 7)
-
-
-# ---------------------------------------------------------------------------
-# oracle: the direct quotient
-# ---------------------------------------------------------------------------
-
-def ref_coeff_quotient(params, m, upper, lower, window):
-    num = PerfSeries.one(params)
-    for factor in upper:
-        num = num * factor
-    den = carlitz_D(params, m)
-    for factor in lower:
-        den = den * factor
-    return num * den.invert(window=window)
-
-
-def ref_hyper_coeff(hp, m, window):
-    return ref_coeff_quotient(hp.params, m, [pochhammer(a, m) for a in hp.a_list],
-                              [pochhammer(b, m) for b in hp.b_list], window)
-
-
-def ref_thakur_coeff(params, alphas, betas, m, window):
-    return ref_coeff_quotient(
-        params, m, [pochhammer_thakur(params, alpha, m) for alpha in alphas],
-        [pochhammer_thakur(params, beta, m) for beta in betas], window)
-
-
-def assert_same(got, want):
-    assert got.terms == want.terms
-    assert got.dexp == want.dexp
-    assert got.prec == want.prec
-    assert type(got.prec) is type(want.prec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Differential tests: every formula that now has one implementation
 against the bodies it replaced.
 
-The oracles below are the former per-site copies, kept here and nowhere
-else: the direct coefficient products of both hypergeometric families, the
+The oracles are the former per-site copies, kept in the tests and nowhere
+else: the direct coefficient products of both hypergeometric families
+(shared with test_hyper_stream through ``oracles``), and below the
 hyper_eval summation loop, the two alpha/profile sums, the 5.8 check that
 recomputes h_(m-1), the per-convention op_apply, the merge-add and
 equality of each map-backed class, and the exponent-grid loop of
@@ -16,13 +17,13 @@ from fractions import Fraction
 
 import pytest
 
-from carlitz import (FieldParams, INF, PerfSeries, carlitz_D, pochhammer,
-                     pochhammer_thakur, shift_down, shift_up)
+from carlitz import FieldParams, INF, PerfSeries, shift_down, shift_up
 from carlitz import hyper, opring, sampling, textio
 from carlitz.cauchy import DeltaPoly, InitialData
 from carlitz.ffield import FFElement
 from carlitz.funcspace import LinearSeries, MultiFunction
 from carlitz.opring import NormalForm
+from oracles import ref_hyper_coeff, ref_thakur_coeff
 
 SHIPPED = [(q, m) for q in (2, 3, 4, 5, 8, 9) for m in (1, 2)]
 FIELDS = [FieldParams.default(q, m) for q, m in SHIPPED]
@@ -36,26 +37,6 @@ def fmt(s):
 # ---------------------------------------------------------------------------
 # oracles: the replaced bodies
 # ---------------------------------------------------------------------------
-
-def ref_hyper_coeff(hp, m, window=None):
-    num = PerfSeries.one(hp.params)
-    for a in hp.a_list:
-        num = num * pochhammer(a, m)
-    den = carlitz_D(hp.params, m)
-    for b in hp.b_list:
-        den = den * pochhammer(b, m)
-    return num * den.invert(window=window)
-
-
-def ref_thakur_coeff(params, alphas, betas, m, window=None):
-    num = PerfSeries.one(params)
-    for alpha in alphas:
-        num = num * pochhammer_thakur(params, alpha, m, prec=None)
-    den = carlitz_D(params, m)
-    for beta in betas:
-        den = den * pochhammer_thakur(params, beta, m)
-    return num * den.invert(window=window)
-
 
 def ref_convergence_bound(hp):
     q = hp.params.q

@@ -106,6 +106,24 @@ def test_invert_truncated_precision_rule(F2):
     assert a * inv == PerfSeries.one(F2)
 
 
+def test_invert_exact_precision_of_a_monomial(F3):
+    inv = S("2*x^(-3)", F3).invert(prec=INF)
+    assert inv.is_exact()
+    assert inv.terms == S("2*x^3", F3).terms and inv.dexp == 0
+
+
+def test_invert_exact_precision_of_a_non_monomial_is_refused(F2):
+    with pytest.raises(UsageError, match="infinite series"):
+        S("1 + x", F2).invert(prec=INF)
+
+
+def test_invert_exact_precision_of_truncated_input_is_the_default(F3):
+    a = S("x + 2*x^(4/3) + x^2 + O(x^9)", F3)
+    inv, default = a.invert(prec=INF), a.invert()
+    assert (inv.terms, inv.dexp, inv.prec) == (default.terms, default.dexp, default.prec)
+    assert type(inv.prec) is type(default.prec)
+
+
 def test_divide(F3):
     a = S("x^2 + 2*x^3", F3)
     b = S("x + x^2", F3)

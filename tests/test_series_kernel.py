@@ -18,6 +18,7 @@ from carlitz import ffield
 from carlitz.errors import CarlitzError
 from carlitz.ffield import FFElement
 from carlitz.series import DEFAULT_INVERT_WINDOW
+from oracles import assert_same
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +213,6 @@ def series(draw, params=None, min_terms=0):
 def pairs(draw):
     params = draw(st.sampled_from(FIELDS))
     return draw(series(params)), draw(series(params))
-
-
-def assert_same(got, want):
-    assert got.terms == want.terms
-    assert got.dexp == want.dexp
-    assert got.prec == want.prec
-    assert type(got.prec) is type(want.prec)
 
 
 # ---------------------------------------------------------------------------
