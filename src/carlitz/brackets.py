@@ -33,6 +33,9 @@ from .ffield import FieldParams
 #: Index value for the limit bracket [inf] = -x.
 INFINITY = INF
 
+# Memoize [n], D_n and L_n only for |n| up to this bound.
+_CACHE_LIMIT = 64
+
 
 def bracket(params: FieldParams, n) -> PerfSeries:
     """[n] = x^(q^n) - x for integer n (any sign); [inf] = -x; [0] = 0."""
@@ -46,7 +49,7 @@ def bracket(params: FieldParams, n) -> PerfSeries:
     from fractions import Fraction
     e = Fraction(params.q) ** n
     result = PerfSeries.from_terms(params, {e: 1}) - PerfSeries.x(params)
-    if abs(n) <= params.cache_limit:
+    if abs(n) <= _CACHE_LIMIT:
         cache[n] = result
     return result
 
@@ -62,7 +65,7 @@ def carlitz_D(params: FieldParams, n: int) -> PerfSeries:
         result = PerfSeries.one(params)
     else:
         result = bracket(params, n) * carlitz_D(params, n - 1).frobenius(1)
-    if n <= params.cache_limit:
+    if n <= _CACHE_LIMIT:
         cache[n] = result
     return result
 
@@ -78,7 +81,7 @@ def carlitz_L(params: FieldParams, n: int) -> PerfSeries:
         result = PerfSeries.one(params)
     else:
         result = bracket(params, n) * carlitz_L(params, n - 1)
-    if n <= params.cache_limit:
+    if n <= _CACHE_LIMIT:
         cache[n] = result
     return result
 

@@ -109,14 +109,14 @@ def cmd_factorial(args):
 
 def cmd_pochhammer(args):
     params = _field_params(args)
+    if (args.a is None) == (args.alpha is None):
+        raise UsageError("pass either --a SERIES or --alpha INT")
     if args.alpha is not None:
         value = br.pochhammer_thakur(params, args.alpha, args.n)
         text = textio.format_series(value)
         _emit(args, text, {"command": "pochhammer", "alpha": args.alpha,
                            "n": args.n, "value": text})
         return 0
-    if args.a is None:
-        raise UsageError("pass either --a SERIES or --alpha INT")
     a = textio.parse_series(args.a, params)
     value = br.pochhammer(a, args.n, mode=args.mode)
     text = textio.format_series(value)
@@ -162,10 +162,16 @@ def cmd_cauchy_solve(args):
 
 
 def _hyper_params_from_args(args, params):
+    series, integer = args.a or args.b, args.alpha or args.beta
     if args.params:
+        if series or integer:
+            raise UsageError("pass the parameters either in --params or as "
+                             "--a/--b/--alpha/--beta, not both")
         with open(args.params) as fh:
             return _load_hyper_file(fh.read())
-    if args.alpha or args.beta:
+    if integer:
+        if series:
+            raise UsageError("pass either --a/--b or --alpha/--beta, not both")
         return "integer", list(args.alpha or []), list(args.beta or []), params
     a_list = [textio.parse_series(s, params) for s in (args.a or [])]
     b_list = [textio.parse_series(s, params) for s in (args.b or [])]

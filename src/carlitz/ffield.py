@@ -8,6 +8,14 @@ table driven: a discrete-log/exp pair for multiplication and per-power
 Frobenius tables.  Fields this small (Q <= a few thousand) make the tables
 essentially free and every coefficient operation O(1).
 
+The table build is also the field check.  Z/p[x]/(modulus) is a field
+exactly when some element g has multiplicative order Q - 1: its powers are
+then Q - 1 distinct units, so every nonzero residue is a unit (and a field's
+unit group is cyclic).  The modulus is accepted exactly when the generator
+search finds such a g, g^(Q-1) = 1 with g^0..g^(Q-2) distinct, so that the
+log table is a bijection; otherwise it is refused as reducible before the
+log, addition and Frobenius tables are built.
+
 The q-power Frobenius ``frob`` is the central structural map: it permutes
 F_Q, so q-th roots always exist and are unique, which is what makes the
 perfection arithmetic in :mod:`carlitz.series` exact.
@@ -22,26 +30,9 @@ from .errors import UsageError
 _ADD_TABLE_LIMIT = 512
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 # ---------------------------------------------------------------------------
 # dense polynomial helpers over Z/p (used only for setup and validation)
 # ---------------------------------------------------------------------------
-
-def _poly_trim(a):
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
 
 def _poly_rem(a, mod, p):
     a = [c % p for c in a]
@@ -69,39 +60,6 @@ def _poly_mulmod(a, b, mod, p):
     return _poly_rem(res, mod, p)
 
 
-def _poly_powmod(base, e, mod, p):
-    r = _poly_rem([1], mod, p)
-    b = _poly_rem(list(base), mod, p)
-    while e:
-        if e & 1:
-            r = _poly_mulmod(r, b, mod, p)
-        b = _poly_mulmod(b, b, mod, p)
-        e >>= 1
-    return r
-
-
-def _poly_gcd(a, b, p):
-    a = _poly_trim([c % p for c in a])
-    b = _poly_trim([c % p for c in b])
-    while b != [0]:
-        dm = len(b) - 1
-        inv_lead = pow(b[-1], -1, p)
-        r = a[:]
-        while len(r) - 1 >= dm and r != [0]:
-            if r[-1] == 0:
-                r.pop()
-                r = r or [0]
-                continue
-            f = r[-1] * inv_lead % p
-            sh = len(r) - 1 - dm
-            for i, c in enumerate(b):
-                r[sh + i] = (r[sh + i] - f * c) % p
-            r.pop()
-            r = r or [0]
-        a, b = b, _poly_trim(r)
-    return a
-
-
 def _prime_factors(n):
     out = []
     d = 2
@@ -116,37 +74,9 @@ def _prime_factors(n):
     return out
 
 
-def _is_irreducible(mod, p):
-    """Rabin irreducibility test for a monic polynomial over Z/p.
-
-    Degree-1 polynomials are always irreducible; otherwise require
-    x^(p^n) = x mod f together with gcd(x^(p^(n/l)) - x, f) = 1 for every
-    prime l dividing n.  For degree <= 4 this in particular rules out
-    linear and quadratic factors, subsuming the no-roots quick check.
-    """
-    n = len(mod) - 1
-    if n == 1:
-        return True
-    # quick reject: a root in F_p gives a linear factor
-    for a in range(p):
-        if sum(c * pow(a, i, p) for i, c in enumerate(mod)) % p == 0:
-            return False
-    x = [0, 1]
-    xpn = _poly_powmod(x, p ** n, mod, p)
-    target = _poly_rem(x, mod, p)
-    if xpn != target:
-        return False
-    for ell in _prime_factors(n):
-        xq = _poly_powmod(x, p ** (n // ell), mod, p)
-        diff = _poly_trim([(c - t) % p for c, t in zip(xq, target)])
-        g = _poly_gcd(diff, mod, p)
-        if len(g) - 1 > 0:
-            return False
-    return True
-
-
 # Shipped moduli (ascending coefficients, monic) keyed by (p, degree).
-# All verified irreducible by _is_irreducible at import of the test suite.
+# The table build refuses a reducible one; the test suite also checks
+# each against a trial-division oracle.
 DEFAULT_MODULI = {
     (2, 1): (0, 1),
     (2, 2): (1, 1, 1),
@@ -177,11 +107,11 @@ class FieldParams:
         "p", "v", "m", "modulus", "q", "Q", "deg",
         "_exp", "_log", "_neg", "_frob", "_add_table",
         "zero_idx", "one_idx", "minus_one_idx", "gen_idx",
-        "d_cache", "l_cache", "bracket_cache", "cache_limit",
+        "d_cache", "l_cache", "bracket_cache",
     )
 
     def __init__(self, p: int, v: int, m: int, modulus=None):
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise UsageError("p must be prime, got %r" % (p,))
         if v < 1 or m < 1:
             raise UsageError("v and m must be positive integers")
@@ -205,14 +135,11 @@ class FieldParams:
         if modulus[-1] != 1:
             inv = pow(modulus[-1], -1, p)
             modulus = tuple(c * inv % p for c in modulus)
-        if not _is_irreducible(list(modulus), p):
-            raise UsageError("modulus %r is reducible over F_%d" % (modulus, p))
         self.modulus = modulus
         self._build_tables()
         self.d_cache = {}
         self.l_cache = {}
         self.bracket_cache = {}
-        self.cache_limit = 64
 
     # -- construction helpers ------------------------------------------------
 
@@ -263,7 +190,7 @@ class FieldParams:
         # find the least primitive element and build exp/log tables
         order_target = Q - 1
         factors = _prime_factors(order_target) if order_target > 1 else []
-        gen = None
+        gen = 0  # none found yet; zero fails the field check below
         for cand in range(1, Q):
             ok = True
             for ell in factors:
@@ -281,12 +208,16 @@ class FieldParams:
             if ok:
                 gen = cand
                 break
-        self.gen_idx = gen if gen is not None else 1
-        exp = [1] * max(order_target, 1)
+        exp = [1] * order_target
         cur = 1
         for k in range(1, order_target):
-            cur = mul_raw(cur, self.gen_idx)
+            cur = mul_raw(cur, gen)
             exp[k] = cur
+        # the field check (see the module docstring): g has order Q - 1
+        if mul_raw(cur, gen) != 1 or len(set(exp)) < order_target:
+            raise UsageError("modulus %r is reducible over F_%d"
+                             % (self.modulus, p))
+        self.gen_idx = gen
         log = [0] * Q
         for k, val in enumerate(exp):
             log[val] = k

@@ -60,6 +60,8 @@ class OperatorWord:
     __slots__ = ("n", "factors")
 
     def __init__(self, n: int, factors):
+        if n < 0:
+            raise UsageError("variable count must be >= 0, got %d" % n)
         factors = tuple(factors)
         for f in factors:
             if f[0] == FACTOR_DELTA and not 1 <= f[1] <= n:

@@ -359,7 +359,10 @@ class PerfSeries:
         exact multi-term input.  ``prec=INF`` asks for the exact inverse:
         an exact monomial has one, an exact multi-term input is refused
         with UsageError, and a truncated input keeps its default precision.
+        A ``window`` <= 0 is refused with UsageError.
         """
+        if window is not None and window <= 0:
+            raise UsageError("window must be positive, got %s" % (window,))
         if prec is not None and window is not None:
             raise UsageError("pass at most one of prec and window")
         exact = prec == INF

@@ -2,9 +2,13 @@
 
 The direct hypergeometric coefficient quotient prod(upper) / (D_m *
 prod(lower)), which the library replaced by the q-twisted recursion for
-exact field parameters, and the exact comparison of two series.  Each is
-kept here once and in no library module.
+exact field parameters; the exact comparison of two series; and
+trial-division irreducibility of a field modulus, which the library
+decides through its table build.  Each is kept here once and in no
+library module.
 """
+
+from itertools import product
 
 from carlitz import PerfSeries, carlitz_D, pochhammer, pochhammer_thakur
 
@@ -36,3 +40,20 @@ def assert_same(got, want):
     assert got.dexp == want.dexp
     assert got.prec == want.prec
     assert type(got.prec) is type(want.prec)
+
+
+def ref_is_irreducible(mod, p):
+    """Whether the monic ``mod`` (ascending coefficients) is irreducible over
+    Z/p: no monic divisor of degree 1..deg//2 leaves remainder zero."""
+    deg = len(mod) - 1
+    for d in range(1, deg // 2 + 1):
+        for low in product(range(p), repeat=d):
+            divisor = list(low) + [1]
+            rem = [c % p for c in mod]
+            for top in range(deg, d - 1, -1):
+                f = rem[top]
+                for i, c in enumerate(divisor):
+                    rem[top - d + i] = (rem[top - d + i] - f * c) % p
+            if not any(rem[:d]):
+                return False
+    return True

@@ -350,6 +350,9 @@ def test_identity_58_at_truncation_zero(capsys):
 
 
 DIM = ["dim-count", "--kind", "gamma", "--n", "1", "--nu-max", "6"]
+BENCH_DATA = pathlib.Path(__file__).parents[1] / "perfbench" / "data"
+HYPER_FILE, PROBLEM_N1 = str(BENCH_DATA / "hyper.txt"), str(BENCH_DATA / "problem_n1.txt")
+MIXED = "either in --params or as --a/--b/--alpha/--beta, not both"
 
 
 @pytest.mark.parametrize("argv, what", [
@@ -362,10 +365,47 @@ DIM = ["dim-count", "--kind", "gamma", "--n", "1", "--nu-max", "6"]
     (["parse-roundtrip", "--kind", "series"], "pass the text to parse or --file"),
     (["identity-check", "--id", "5.7", "--trials", "-1"], "need --trials >= 1"),
     (["identity-check", "--id", "5.7", "--trials", "0"], "need --trials >= 1"),
+    (["hyper-eval", "--params", HYPER_FILE, "--a", "x", "--z", "x^3"], MIXED),
+    (["hyper-eval", "--params", HYPER_FILE, "--beta", "1", "--z", "x^3"], MIXED),
+    (["hyper-eval", "--alpha", "1", "--b", "1", "--z", "x^3"],
+     "pass either --a/--b or --alpha/--beta, not both"),
+    (["hyper-residual", "--form", "thakur", "--alpha", "2", "--beta", "1",
+      "--a", "x"], "pass either --a/--b or --alpha/--beta, not both"),
+    (["pochhammer", "--a", "x", "--alpha", "2", "--n", "2"],
+     "pass either --a SERIES or --alpha INT"),
+    (["pochhammer", "--a", "x", "--alpha", "0", "--n", "2"],
+     "pass either --a SERIES or --alpha INT"),
+    (["op-normalize", "d*tau", "--vars", "-2"], "variable count must be >= 0"),
+    (["parse-roundtrip", "--kind", "operator", "d", "--vars", "-1"],
+     "variable count must be >= 0"),
+    (["hyper-eval", "--a", "x", "--b", "1", "--z", "x^3", "--window", "0"],
+     "window must be positive"),
+    (["hyper-eval", "--a", "x", "--b", "1", "--z", "x^3", "--window", "-5"],
+     "window must be positive"),
+    (["cauchy-solve", PROBLEM_N1, "--window", "0"], "window must be positive"),
 ], ids=["step-0", "step-negative", "nu-max-negative", "fhat-n-negative",
-        "roundtrip-no-input", "trials-negative", "trials-0"])
+        "roundtrip-no-input", "trials-negative", "trials-0",
+        "params-and-a", "params-and-beta", "alpha-and-b", "thakur-and-a",
+        "pochhammer-a-and-alpha", "pochhammer-a-and-alpha-0",
+        "op-normalize-vars-negative", "roundtrip-vars-negative",
+        "hyper-eval-window-0", "hyper-eval-window-negative",
+        "cauchy-solve-window-0"])
 def test_refusal_of_arguments_that_would_crash_or_pass_vacuously(argv, what, capsys):
     _assert_usage_refusal(capsys, ["--q", "2"] + argv, what)
+
+
+def test_field_flags_stay_allowed_with_a_params_file(capsys):
+    code, out, _ = run(capsys, ["--q", "3", "hyper-eval", "--params", HYPER_FILE,
+                                "--z", "x^3", "--M", "2"])
+    code2, out2, _ = run(capsys, ["hyper-eval", "--params", HYPER_FILE,
+                                  "--z", "x^3", "--M", "2"])
+    assert code == code2 == 0 and out == out2
+
+
+def test_zero_variable_count_keeps_its_normal_form(capsys):
+    code, out, _ = run(capsys, ["--q", "2", "op-normalize", "d*tau", "--vars", "0"])
+    assert code == 0
+    assert out.strip() == "(x^(1/2) + x) + (1)*tau*d"
 
 
 HELP_CASES = json.loads(

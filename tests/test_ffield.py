@@ -1,11 +1,19 @@
+import hashlib
+import itertools
+import json
+import pathlib
+
 import pytest
 
 from carlitz import FieldParams, UsageError
-from carlitz.ffield import DEFAULT_MODULI, _is_irreducible
+from carlitz.ffield import DEFAULT_MODULI
+from oracles import ref_is_irreducible
+
+SHIPPED = [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2),
+           (8, 1), (8, 2), (9, 1), (9, 2)]
 
 
-@pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1),
-                                 (4, 2), (5, 1), (5, 2), (8, 1), (8, 2), (9, 1), (9, 2)])
+@pytest.mark.parametrize("q,m", SHIPPED)
 def test_default_configs_construct(q, m):
     params = FieldParams.default(q, m)
     assert params.q == q
@@ -16,7 +24,44 @@ def test_default_configs_construct(q, m):
 @pytest.mark.parametrize("key,mod", sorted(DEFAULT_MODULI.items()))
 def test_shipped_moduli_irreducible(key, mod):
     p, _ = key
-    assert _is_irreducible(list(mod), p)
+    assert ref_is_irreducible(mod, p)
+
+
+@pytest.mark.parametrize("p,deg", [(2, d) for d in range(1, 7)]
+                         + [(3, d) for d in range(1, 5)]
+                         + [(5, 1), (5, 2), (7, 1), (7, 2)])
+def test_modulus_accepted_iff_irreducible(p, deg):
+    for low in itertools.product(range(p), repeat=deg):
+        mod = low + (1,)
+        if ref_is_irreducible(mod, p):
+            assert FieldParams(p, deg, 1, mod).modulus == mod
+        else:
+            with pytest.raises(UsageError, match="reducible"):
+                FieldParams(p, deg, 1, mod)
+
+
+def test_reducible_modulus_refused_before_log_add_and_frobenius_tables():
+    params = object.__new__(FieldParams)
+    params.p, params.v, params.m = 2, 2, 1
+    params.q, params.Q, params.deg = 4, 4, 2
+    params.modulus = (1, 0, 1)  # (x + 1)^2
+    with pytest.raises(UsageError, match=r"modulus \(1, 0, 1\) is reducible over F_2"):
+        params._build_tables()
+    for table in ("_log", "_add_table", "_frob"):
+        assert not hasattr(params, table)
+
+
+FIELD_TABLES = json.loads(
+    (pathlib.Path(__file__).with_name("data") / "field_tables.json").read_text())
+
+
+@pytest.mark.parametrize("q,m", SHIPPED)
+def test_field_tables_are_pinned(q, m):
+    # every printed g^j coefficient reads these tables
+    params = FieldParams.default(q, m)
+    blob = json.dumps([params.gen_idx, params._exp, params._log, params._neg,
+                       params._add_table, params._frob])
+    assert hashlib.sha256(blob.encode()).hexdigest() == FIELD_TABLES["%d,%d" % (q, m)]
 
 
 def test_reducible_modulus_rejected():

@@ -125,6 +125,13 @@ def test_normalize_refuses_mixed_variable_counts(F2):
         normalize(list(reversed(words)), F2)
 
 
+def test_negative_variable_count_is_a_usage_error(F2):
+    for n in (-1, -2):
+        with pytest.raises(UsageError, match="variable count must be >= 0"):
+            OperatorWord(n, [D, TAU])
+    assert nf("d*tau", F2, n=0).n == 0
+
+
 # ---------------------------------------------------------------------------
 # ring operations
 # ---------------------------------------------------------------------------

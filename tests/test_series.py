@@ -131,6 +131,21 @@ def test_divide(F3):
     assert b * c == a
 
 
+@pytest.mark.parametrize("window", [0, -5, Fraction(-1, 2)])
+def test_invert_non_positive_window_is_a_usage_error(F2, window):
+    for s in (S("1 + x", F2), PerfSeries.zero(F2), S("x^3", F2)):
+        with pytest.raises(UsageError, match="window must be positive"):
+            s.invert(window=window)
+    # checked before the prec/window exclusivity
+    with pytest.raises(UsageError, match="window must be positive"):
+        S("1 + x", F2).invert(prec=3, window=window)
+
+
+def test_invert_non_positive_prec_stays_not_invertible(F2):
+    with pytest.raises(NotInvertibleError):
+        S("1 + x", F2).invert(prec=0)
+
+
 # ---------------------------------------------------------------------------
 # frobenius
 # ---------------------------------------------------------------------------
