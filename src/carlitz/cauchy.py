@@ -13,8 +13,11 @@ value [inf] = -x; since |[i] - [inf]| = q^(-q^i) -> 0, checking indices up
 to a finite bound together with every inf-pattern is sound at the working
 precision (the set of bracket values is compact and Q is continuous).
 
-The P/Q quotients are series inversions of exact bracket evaluations, so
-coefficient precision decays only through the configured inversion window.
+Each step is one call of the q-twisted kernel ``series._twisted_step``,
+the step the hypergeometric stream takes too: it divides P by Q at the
+brackets (long division, no inverse series) and applies the Frobenius.
+The P/Q quotients divide exact bracket evaluations, so coefficient
+precision decays only through the configured division window.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import (InadmissibleError, ParameterMismatchError,
 from .ffield import FieldParams
 from .funcspace import MultiFunction, _head_fields, _parse_keyed_lines
 from .opring import NormalForm
-from .series import INF, PerfSeries, _add_maps, _maps_equal
+from .series import INF, PerfSeries, _add_maps, _maps_equal, _twisted_step
 from . import textio
 
 
@@ -297,7 +300,7 @@ def cauchy_solve(eq: EvolutionEquation, init: InitialData, trunc_m: int,
                 raise PrecisionError(
                     "P/Q quotient indeterminate at indices %r"
                     % ((tuple(i + step for i in ivec)),))
-            c = -(pe.divide(qe, window=window) * c).frobenius(1)
+            c = -_twisted_step(c, [pe], [qe], window)
             step += 1
     return MultiFunction(params, eq.n, trunc_m, trunc_i, coeffs)
 

@@ -112,16 +112,19 @@ def cmd_pochhammer(args):
     if (args.a is None) == (args.alpha is None):
         raise UsageError("pass either --a SERIES or --alpha INT")
     if args.alpha is not None:
+        if args.mode is not None:
+            raise UsageError("--mode applies to --a only")
         value = br.pochhammer_thakur(params, args.alpha, args.n)
         text = textio.format_series(value)
         _emit(args, text, {"command": "pochhammer", "alpha": args.alpha,
                            "n": args.n, "value": text})
         return 0
     a = textio.parse_series(args.a, params)
-    value = br.pochhammer(a, args.n, mode=args.mode)
+    mode = args.mode or "direct"
+    value = br.pochhammer(a, args.n, mode=mode)
     text = textio.format_series(value)
     _emit(args, text, {"command": "pochhammer", "a": args.a, "n": args.n,
-                       "mode": args.mode, "value": text})
+                       "mode": mode, "value": text})
     return 0
 
 
@@ -400,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", default=None, help="series parameter")
     sp.add_argument("--alpha", type=int, default=None, help="integer parameter")
     sp.add_argument("--n", type=int, required=True, help="symbol index")
-    sp.add_argument("--mode", choices=("direct", "recurrent"), default="direct")
+    sp.add_argument("--mode", choices=("direct", "recurrent"), default=None)
     sp.set_defaults(fn=cmd_pochhammer)
 
     sp = sub.add_parser("op-normalize", help="rewrite an operator expression")

@@ -61,17 +61,18 @@ def _poly_mulmod(a, b, mod, p):
 
 
 def _prime_factors(n):
-    out = []
+    """The distinct prime factors of n, smallest first, found one at a
+    time: n is prime exactly when the first is n itself, so a composite is
+    told apart at its least divisor."""
     d = 2
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
+            yield d
             while n % d == 0:
                 n //= d
         d += 1
     if n > 1:
-        out.append(n)
-    return out
+        yield n
 
 
 # Shipped moduli (ascending coefficients, monic) keyed by (p, degree).
@@ -111,7 +112,7 @@ class FieldParams:
     )
 
     def __init__(self, p: int, v: int, m: int, modulus=None):
-        if _prime_factors(p) != [p]:
+        if next(_prime_factors(p), None) != p:
             raise UsageError("p must be prime, got %r" % (p,))
         if v < 1 or m < 1:
             raise UsageError("v and m must be positive integers")
@@ -189,7 +190,7 @@ class FieldParams:
 
         # find the least primitive element and build exp/log tables
         order_target = Q - 1
-        factors = _prime_factors(order_target) if order_target > 1 else []
+        factors = list(_prime_factors(order_target))
         gen = 0  # none found yet; zero fails the field check below
         for cand in range(1, Q):
             ok = True

@@ -22,13 +22,15 @@ z -> rho z; rho is determined by the m = 0 coefficients and verified at
 every further index rather than assumed.
 
 Which path computes a coefficient: h_0, t_m, and every h_m whose
-parameters have finite precision are the quotient of the symbols, with
-the denominator inverted to relative precision R (the ``window``, or
+parameters have finite precision are the quotient of the symbols, divided
+(``PerfSeries.divide``) to relative precision R (the ``window``, or
 DEFAULT_INVERT_WINDOW).  For exact parameters, h_m with m > 0 comes from
-the recursion above, each step inverting its denominator to relative
-precision R/q, so h_m keeps relative precision R.  Both paths give the
-same terms and the same precision; the recursion costs O(M) small steps
-for h_0..h_M where the quotient rebuilds the symbols at every index.
+the recursion above, each step one call of the q-twisted kernel
+``series._twisted_step`` (shared with the Cauchy solver) that divides by
+the factors of its denominator to relative precision R/q, so h_m keeps
+relative precision R.  Both paths give the same terms and the same
+precision; the recursion costs O(M) small steps for h_0..h_M where the
+quotient rebuilds the symbols at every index.
 
 Residual checks apply the defining operators to the truncated series:
 
@@ -64,7 +66,7 @@ from .errors import (InadmissibleError, ParameterMismatchError,
                      PrecisionError, UsageError)
 from .ffield import FieldParams
 from .funcspace import LinearSeries
-from .series import DEFAULT_INVERT_WINDOW, INF, PerfSeries
+from .series import DEFAULT_INVERT_WINDOW, INF, PerfSeries, _twisted_step
 
 
 def admissible_profile(b: PerfSeries) -> Fraction:
@@ -124,8 +126,8 @@ def _coeff_quotient(params: FieldParams, m: int, upper, lower,
     """prod(upper) / (D_m * prod(lower)), the factors multiplied in order;
     both coefficient families are this quotient of their symbols.
 
-    An exact non-monomial denominator is inverted to relative precision R
-    (``window``, or DEFAULT_INVERT_WINDOW), which caps the quotient's
+    Dividing by an exact non-monomial denominator keeps relative precision
+    R (``window``, or DEFAULT_INVERT_WINDOW), which caps the quotient's
     relative precision at R.  So the numerator factors are cut to relative
     precision R before they are multiplied, which changes neither a known
     term nor the precision of the quotient."""
@@ -139,7 +141,7 @@ def _coeff_quotient(params: FieldParams, m: int, upper, lower,
     num = PerfSeries.one(params)
     for factor in upper:
         num = num * factor
-    return num * den.invert(window=window)
+    return num.divide(den, window=window)
 
 
 def _relative_window(window) -> Fraction:
@@ -183,8 +185,9 @@ def _hyper_stream(hp: HyperParams, window):
 
     For exact parameters each step is the q-twisted recursion
     h_(m+1) = (h_m * Q_m)^q with
-    Q_m = prod([m]-a_i) / (([m]-[-1]) * prod([m]-b_j)), whose denominator
-    is inverted to relative precision R/q: h_m carries relative precision R
+    Q_m = prod([m]-a_i) / (([m]-[-1]) * prod([m]-b_j)), one call of
+    series._twisted_step with the factors of Q_m, whose denominator is
+    divided to relative precision R/q: h_m carries relative precision R
     (or is exact, at m = 0), so h_(m+1) carries exactly R, as the direct
     quotient does, and every known term is a true one.  Parameters with
     finite precision take the direct quotient at every index, because the
@@ -195,17 +198,13 @@ def _hyper_stream(hp: HyperParams, window):
             yield hyper_coeff(hp, m, window=window)
     params = hp.params
     rel = _relative_window(window) / params.q
+    minus_one = bracket(params, -1)
     h = hyper_coeff(hp, 0, window=window)
     for m in count():
         yield h
         b_m = bracket(params, m)
-        num = PerfSeries.one(params)
-        for a in hp.a_list:
-            num = num * (b_m - a)
-        den = b_m - bracket(params, -1)
-        for b in hp.b_list:
-            den = den * (b_m - b)
-        h = (h * num * den.invert(window=rel)).frobenius(1)
+        h = _twisted_step(h, [b_m - a for a in hp.a_list],
+                          [b_m - minus_one] + [b_m - b for b in hp.b_list], rel)
 
 
 def _tail_slope(hp: HyperParams) -> Fraction:
@@ -233,7 +232,9 @@ def hyper_eval(hp: HyperParams, z: PerfSeries, M: int, window=None) -> PerfSerie
     """Truncated evaluation sum_(m<=M) h_m z^(q^m) with a certified tail cap.
 
     Refuses when val(z) is not strictly above the convergence threshold,
-    since then the omitted tail carries no valuation guarantee.
+    since then the omitted tail carries no valuation guarantee.  Terms are
+    read only until the tail bound reaches the precision of the sum, which
+    leaves the result as it is: a larger M costs nothing more from there.
     """
     _check_truncation(M)
     params = hp.params
@@ -253,8 +254,18 @@ def hyper_eval(hp: HyperParams, z: PerfSeries, M: int, window=None) -> PerfSerie
         raise InadmissibleError(
             "z outside the certified convergence region: val(z) = %s <= %s"
             % (val_z, threshold))
-    return hyper_series(hp, M, window=window).evaluate(
-        z, tail_prec=_tail_valuation(hp, val_z, M + 1))
+    # The known terms of the term of index m sit at or above
+    # _tail_valuation(m), and its precision is at least that bound, which
+    # increases with m.  Once the bound reaches the precision of the sum so
+    # far, no later term can change a kept term or the precision, so the
+    # stream is read no further: M is a limit, not a work count.
+    acc = PerfSeries.zero(params)
+    coeffs = _hyper_stream(hp, window)
+    for m in range(M + 1):
+        if _tail_valuation(hp, val_z, m) >= acc.prec:
+            break
+        acc = acc + next(coeffs) * z.frobenius(m)
+    return acc.truncate(_tail_valuation(hp, val_z, M + 1))
 
 
 def hyper_series(hp: HyperParams, M: int, window=None) -> LinearSeries:

@@ -27,9 +27,18 @@ Precision bookkeeping follows non-Archimedean big-oh arithmetic:
   equals the relative precision P - w of the input, and absolute
   precision is (-w) + (P - w).  Exact non-monomial inputs have an
   infinite-series inverse, so a finite output precision must be chosen;
-  the default is valuation + DEFAULT_INVERT_WINDOW.  The coefficients
-  come from one pass of long division on the input's exponent grid,
-  visiting only the exponents that can carry a term.
+  the default is valuation + DEFAULT_INVERT_WINDOW.
+* ``a.divide(b)``  terms and precision of ``a * b.invert()``, and
+  ``invert`` is the quotient of one.  The inverse is never built: the
+  quotient comes from one pass of long division on the common exponent
+  grid, seeded with the dividend's terms and visiting only the exponents
+  that can carry a term.
+
+The q-twisted step (c * prod(num) / prod(den))^q of the hypergeometric
+stream and of the Cauchy solver, :func:`_twisted_step`, runs through the
+same long division: it multiplies by each numerator factor, divides by
+each denominator factor and writes the Frobenius image directly, with the
+output precision worked out once from grid-integer valuations.
 
 Equality compares coefficients at all exponents below the smaller of the
 two precisions, which makes identity checks decidable at stated precision.
@@ -42,7 +51,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from .errors import NotInvertibleError, ParameterMismatchError, UsageError
@@ -267,32 +276,9 @@ class PerfSeries:
         self._check(other)
         prec = min(self.prec + other._val_lb(), other.prec + self._val_lb())
         d, ta, tb = self._aligned(other)
-        params = self.params
-        # coefficients multiply as exp[log a + log b] (the exp table is
-        # doubled, so the sum needs no reduction) and add by table lookup
-        log, exp = params._log, params._exp
-        add, add_table = params.add, params._add_table
-        bound = _grid_bound(prec, params.q ** d) if prec != INF else INF
-        out = {}
-        for ka, ca in ta.items():
-            la = log[ca]
-            for kb, cb in tb.items():
-                k = ka + kb
-                if k >= bound:
-                    continue
-                c = exp[la + log[cb]]
-                if k in out:
-                    if add_table is not None:
-                        s = add_table[out[k]][c]
-                    else:
-                        s = add(out[k], c)
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-                else:
-                    out[k] = c
-        return PerfSeries._make(params, d, out, prec)
+        bound = _grid_bound(prec, self.params.q ** d) if prec != INF else INF
+        return PerfSeries._make(self.params, d,
+                                _product_terms(self.params, ta, tb, bound), prec)
 
     def scale(self, c) -> "PerfSeries":
         """Multiply by a coefficient-field element."""
@@ -348,7 +334,8 @@ class PerfSeries:
         return result
 
     def invert(self, prec=None, window=None) -> "PerfSeries":
-        """Multiplicative inverse, exact to the documented precision.
+        """Multiplicative inverse, exact to the documented precision: the
+        quotient of one by this series through :meth:`divide`.
 
         Raises NotInvertibleError when the series has no term below its
         precision.  ``prec`` overrides the output's absolute precision and
@@ -361,84 +348,17 @@ class PerfSeries:
         with UsageError, and a truncated input keeps its default precision.
         A ``window`` <= 0 is refused with UsageError.
         """
-        if window is not None and window <= 0:
-            raise UsageError("window must be positive, got %s" % (window,))
-        if prec is not None and window is not None:
-            raise UsageError("pass at most one of prec and window")
-        exact = prec == INF
-        if window is not None and self.terms:
-            prec = Fraction(window) - self._val_lb()
-        if not self.terms:
-            if self.prec == INF:
-                raise NotInvertibleError("exact zero series is not invertible")
-            raise NotInvertibleError(
-                "not invertible at this precision (zero below %s)" % self.prec)
-        params = self.params
-        q = params.q
-        v_scaled = min(self.terms)
-        v = Fraction(v_scaled, q ** self.dexp)
-        lead = self.terms[v_scaled]
-        if len(self.terms) == 1 and self.prec == INF and (prec is None or exact):
-            return PerfSeries._make(params, self.dexp,
-                                    {-v_scaled: params.inv(lead)}, INF)
-        # relative precision of the input (and the best achievable output)
-        rel_in = INF if self.prec == INF else self.prec - v
-        if prec is None:
-            rel_out = rel_in if rel_in != INF else Fraction(DEFAULT_INVERT_WINDOW)
-        elif exact:
-            rel_out = rel_in
-        else:
-            rel_out = min(Fraction(prec) + v, rel_in)
-        if rel_out != INF and rel_out <= 0:
-            raise NotInvertibleError(
-                "requested precision leaves no known coefficients")
-        # u = self / (lead * x^v) = 1 + eps with val(eps) > 0, known below
-        # rel_out; its inverse y is exact below rel_out because each y_k
-        # reads only u_j with j <= k.
-        inv_lead = params.inv(lead)
-        u_terms = {k - v_scaled: params.mul(c, inv_lead)
-                   for k, c in self.terms.items()}
-        u = PerfSeries._make(params, self.dexp, u_terms,
-                             rel_out if rel_out != INF else INF)
-        if rel_out == INF and len(u.terms) > 1:
-            raise UsageError(
-                "exact inverse of a non-monomial series is an infinite "
-                "series; pass a finite prec")
-        # Long division on u's grid: y_0 = 1 and y_k = -sum_(j>0) u_j y_(k-j).
-        # Every nonzero y_k is pushed forward to k + j for each step j in
-        # supp(eps), so only exponents reachable from 0 by such steps are
-        # visited, in increasing order, each once all its terms have arrived.
-        log, exp, add, neg = params._log, params._exp, params.add, params.neg
-        bound = _grid_bound(rel_out, q ** u.dexp)
-        steps = sorted((j, log[neg(c)]) for j, c in u.terms.items() if j > 0)
-        y = {}
-        pending = {0: params.one_idx}
-        heap = [0]
-        while heap:
-            k = heappop(heap)
-            c = pending.pop(k)
-            if not c:
-                continue
-            y[k] = c
-            lc = log[c]
-            for j, lu in steps:
-                t = k + j
-                if t >= bound:
-                    break
-                term = exp[lc + lu]
-                if t in pending:
-                    pending[t] = add(pending[t], term)
-                else:
-                    pending[t] = term
-                    heappush(heap, t)
-        y = PerfSeries._make(params, u.dexp, y, rel_out)
-        # undo the normalization: 1/self = y * inv_lead * x^(-v)
-        return y.scale(FFElement(params, inv_lead)).shift(-v)
+        return PerfSeries.one(self.params).divide(self, prec=prec, window=window)
 
     def divide(self, other, prec=None, window=None) -> "PerfSeries":
-        """self / other with the same precision conventions as invert()."""
+        """self / other by long division seeded with self's terms.
+
+        Terms and precision are those of ``self * other.invert(prec=prec,
+        window=window)``, whose conventions (and refusals) ``prec`` and
+        ``window`` follow, but the inverse is never built."""
         self._check(other)
-        return self * other.invert(prec=prec, window=window)
+        d, terms, prec = _quotient(self, (), (other,), prec, window)
+        return PerfSeries._make(self.params, d, terms, prec)
 
     # -- comparison -------------------------------------------------------------
 
@@ -466,6 +386,197 @@ class PerfSeries:
     def __repr__(self):
         from .textio import format_series
         return format_series(self)
+
+
+# ---------------------------------------------------------------------------
+# the product and quotient kernels on the exponent grid
+# ---------------------------------------------------------------------------
+
+def _product_terms(params: FieldParams, ta: dict, tb: dict, bound) -> dict:
+    """The terms below ``bound`` of the product of two term maps on one
+    grid.  Coefficients multiply as exp[log a + log b] (the exp table is
+    doubled, so the sum needs no reduction) and add by table lookup."""
+    log, exp = params._log, params._exp
+    add, add_table = params.add, params._add_table
+    out = {}
+    for ka, ca in ta.items():
+        la = log[ca]
+        for kb, cb in tb.items():
+            k = ka + kb
+            if k >= bound:
+                continue
+            c = exp[la + log[cb]]
+            if k in out:
+                if add_table is not None:
+                    s = add_table[out[k]][c]
+                else:
+                    s = add(out[k], c)
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+            else:
+                out[k] = c
+    return out
+
+
+def _long_division(params: FieldParams, seeds: dict, steps, bound) -> dict:
+    """The terms below ``bound`` of seeds / (1 + eps), in one pass of long
+    division: w_k = seeds_k - sum_(j>0) eps_j w_(k-j).  ``steps`` holds
+    (j, log(-eps_j)) for the terms of eps, in increasing j.  Every nonzero
+    w_k is pushed forward to k + j for each step, so only exponents
+    reachable from a seed by such steps are visited, in increasing order,
+    each once all its terms have arrived."""
+    log, exp = params._log, params._exp
+    add, add_table = params.add, params._add_table
+    pending = {k: c for k, c in seeds.items() if k < bound}
+    heap = list(pending)
+    heapify(heap)
+    out = {}
+    while heap:
+        k = heappop(heap)
+        c = pending.pop(k)
+        if not c:
+            continue
+        out[k] = c
+        lc = log[c]
+        for j, lu in steps:
+            t = k + j
+            if t >= bound:
+                break
+            term = exp[lc + lu]
+            if t in pending:
+                if add_table is not None:
+                    pending[t] = add_table[pending[t]][term]
+                else:
+                    pending[t] = add(pending[t], term)
+            else:
+                pending[t] = term
+                heappush(heap, t)
+    return out
+
+
+def _quotient(c: PerfSeries, num, den, prec, window):
+    """c * prod(num) / prod(den) as (dexp, terms, prec), with the terms,
+    precision and refusals of ``c * prod(num) * prod(den).invert(prec=prec,
+    window=window)`` but no inverse built.
+
+    A product's precision is the least, over its factors, of a factor's
+    precision plus the valuations of the others, in any order, when every
+    factor has terms.  So the factors of ``num`` and ``den`` have terms and
+    are exact, or there is at most one on each side, and c has terms
+    unless ``num`` is empty.  Each factor is moved to valuation 0 on one
+    grid; c's terms, seeded at the quotient's valuation, are multiplied by
+    each numerator and long-divided by each denominator, every pass cut at
+    the quotient's precision."""
+    if window is not None and window <= 0:
+        raise UsageError("window must be positive, got %s" % (window,))
+    if prec is not None and window is not None:
+        raise UsageError("pass at most one of prec and window")
+    for f in den:
+        if not f.terms:
+            if f.prec == INF:
+                raise NotInvertibleError("exact zero series is not invertible")
+            raise NotInvertibleError(
+                "not invertible at this precision (zero below %s)" % f.prec)
+    params = c.params
+    q = params.q
+    d = max(f.dexp for f in (c, *num, *den))
+    scale = q ** d
+
+    def on_grid(f):
+        s = q ** (d - f.dexp)
+        return f.terms if s == 1 else {k * s: x for k, x in f.terms.items()}
+
+    dens = [on_grid(f) for f in den]
+    v = sum(min(t) for t in dens)  # valuation of prod(den), on the grid
+    # the relative precision of prod(den), and the one its inverse keeps
+    rel_in = min((f.prec - f._val_lb() for f in den if f.prec != INF),
+                 default=INF)
+    if window is not None:
+        rel_out = min(Fraction(window), rel_in)
+    elif prec is None or prec == INF:
+        if rel_in != INF:
+            rel_out = rel_in
+        elif all(len(t) == 1 for t in dens):
+            rel_out = INF  # the exact inverse of a monomial
+        elif prec is None:
+            rel_out = Fraction(DEFAULT_INVERT_WINDOW)
+        else:
+            raise UsageError(
+                "exact inverse of a non-monomial series is an infinite "
+                "series; pass a finite prec")
+    else:
+        rel_out = min(Fraction(prec) + Fraction(v, scale), rel_in)
+        if rel_out <= 0:
+            raise NotInvertibleError(
+                "requested precision leaves no known coefficients")
+    if not c.terms:
+        # rel_out > 0, so c's own term is the least
+        return 0, {}, c.prec - Fraction(v, scale)
+
+    c_terms = on_grid(c)
+    c_val = min(c_terms)
+    offset = -v
+    nums = []
+    for f in num:
+        t = on_grid(f)
+        k0 = min(t)
+        offset += k0
+        nums.append((f.prec, k0, {k - k0: x for k, x in t.items()}))
+    val = c_val + offset  # valuation of the quotient, on the grid
+    out_prec = rel_out + Fraction(val, scale)  # the term of the inverse
+    for p, k0 in [(c.prec, c_val)] + [(p, k0) for p, k0, _ in nums]:
+        if p != INF:
+            out_prec = min(out_prec, p + Fraction(val - k0, scale))
+    bound = _grid_bound(out_prec, scale) if out_prec != INF else INF
+
+    log, exp, neg = params._log, params._exp, params._neg
+    n = params.Q - 1
+    lead_log = 0
+    divisors = []
+    for t in dens:
+        k0 = min(t)
+        ll = log[t[k0]]
+        lead_log -= ll
+        divisors.append(sorted((k - k0, (log[neg[x]] - ll) % n)
+                               for k, x in t.items() if k > k0))
+    lead_log %= n
+    terms = {k + offset: exp[log[x] + lead_log] for k, x in c_terms.items()}
+    for _, _, t in nums:
+        terms = _product_terms(params, terms, t, bound)
+    for steps in divisors:
+        terms = _long_division(params, terms, steps, bound)
+    return d, terms, out_prec
+
+
+def _twisted_step(c: PerfSeries, num, den, window) -> PerfSeries:
+    """(c * prod(num) / prod(den))^q, the q-twisted step shared by the
+    hypergeometric stream and the Cauchy solver, with the terms and
+    precision of ``(c * prod(num)).divide(prod(den), window=window)
+    .frobenius(1)``.  That expression is the path when c or a factor has
+    no terms, or when truncated factors come more than one to a side;
+    otherwise one :func:`_quotient` pass computes the quotient, and its
+    Frobenius image is written directly."""
+    params = c.params
+    factors = (*num, *den)
+    if (c.terms and all(f.terms for f in factors)
+            and (len(num) <= 1 and len(den) <= 1
+                 or all(f.prec == INF for f in factors))):
+        d, terms, prec = _quotient(c, num, den, None, window)
+        # x^(k/q^d) goes to x^(k/q^(d-1)), or to x^(kq) on the integer grid
+        q, frob = params.q, params._frob[1 % params.m]
+        s = 1 if d else q
+        return PerfSeries._make(params, max(d - 1, 0),
+                                {k * s: frob[x] for k, x in terms.items()},
+                                prec * q)
+    product = PerfSeries.one(params)
+    for f in num:
+        product = product * f
+    divisor = den[0]
+    for f in den[1:]:
+        divisor = divisor * f
+    return (c * product).divide(divisor, window=window).frobenius(1)
 
 
 # ---------------------------------------------------------------------------

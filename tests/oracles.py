@@ -2,15 +2,24 @@
 
 The direct hypergeometric coefficient quotient prod(upper) / (D_m *
 prod(lower)), which the library replaced by the q-twisted recursion for
-exact field parameters; the exact comparison of two series; and
-trial-division irreducibility of a field modulus, which the library
-decides through its table build.  Each is kept here once and in no
-library module.
+exact field parameters; the exact comparison of two series; trial-division
+irreducibility of a field modulus, which the library decides through its
+table build; and quotients through a built inverse: the long-division
+inverse, the quotient as a product with it, and the q-twisted steps of the
+hypergeometric stream and of the Cauchy solver on top of them, which the
+library replaced by long division seeded with the dividend.  Each is kept
+here once and in no library module.
 """
 
+from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import product
 
 from carlitz import PerfSeries, carlitz_D, pochhammer, pochhammer_thakur
+from carlitz.cauchy import _index_values
+from carlitz.errors import NotInvertibleError, PrecisionError, UsageError
+from carlitz.ffield import FFElement
+from carlitz.series import DEFAULT_INVERT_WINDOW, INF, _grid_bound
 
 
 def ref_coeff_quotient(params, m, upper, lower, window):
@@ -20,7 +29,7 @@ def ref_coeff_quotient(params, m, upper, lower, window):
     den = carlitz_D(params, m)
     for factor in lower:
         den = den * factor
-    return num * den.invert(window=window)
+    return num * ref_invert(den, window=window)
 
 
 def ref_hyper_coeff(hp, m, window=None):
@@ -57,3 +66,113 @@ def ref_is_irreducible(mod, p):
             if not any(rem[:d]):
                 return False
     return True
+
+
+def ref_invert(s, prec=None, window=None):
+    """The inverse as a series of its own: one pass of long division on the
+    input's grid, normalised to 1 + eps."""
+    if window is not None and window <= 0:
+        raise UsageError("window must be positive, got %s" % (window,))
+    if prec is not None and window is not None:
+        raise UsageError("pass at most one of prec and window")
+    exact = prec == INF
+    if window is not None and s.terms:
+        prec = Fraction(window) - s._val_lb()
+    if not s.terms:
+        if s.prec == INF:
+            raise NotInvertibleError("exact zero series is not invertible")
+        raise NotInvertibleError(
+            "not invertible at this precision (zero below %s)" % s.prec)
+    params = s.params
+    q = params.q
+    v_scaled = min(s.terms)
+    v = Fraction(v_scaled, q ** s.dexp)
+    lead = s.terms[v_scaled]
+    if len(s.terms) == 1 and s.prec == INF and (prec is None or exact):
+        return PerfSeries._make(params, s.dexp, {-v_scaled: params.inv(lead)}, INF)
+    rel_in = INF if s.prec == INF else s.prec - v
+    if prec is None:
+        rel_out = rel_in if rel_in != INF else Fraction(DEFAULT_INVERT_WINDOW)
+    elif exact:
+        rel_out = rel_in
+    else:
+        rel_out = min(Fraction(prec) + v, rel_in)
+    if rel_out != INF and rel_out <= 0:
+        raise NotInvertibleError("requested precision leaves no known coefficients")
+    inv_lead = params.inv(lead)
+    u_terms = {k - v_scaled: params.mul(c, inv_lead) for k, c in s.terms.items()}
+    u = PerfSeries._make(params, s.dexp, u_terms, rel_out if rel_out != INF else INF)
+    if rel_out == INF and len(u.terms) > 1:
+        raise UsageError(
+            "exact inverse of a non-monomial series is an infinite "
+            "series; pass a finite prec")
+    log, exp, add, neg = params._log, params._exp, params.add, params.neg
+    bound = _grid_bound(rel_out, q ** u.dexp)
+    steps = sorted((j, log[neg(c)]) for j, c in u.terms.items() if j > 0)
+    y = {}
+    pending = {0: params.one_idx}
+    heap = [0]
+    while heap:
+        k = heappop(heap)
+        c = pending.pop(k)
+        if not c:
+            continue
+        y[k] = c
+        lc = log[c]
+        for j, lu in steps:
+            t = k + j
+            if t >= bound:
+                break
+            term = exp[lc + lu]
+            if t in pending:
+                pending[t] = add(pending[t], term)
+            else:
+                pending[t] = term
+                heappush(heap, t)
+    y = PerfSeries._make(params, u.dexp, y, rel_out)
+    return y.scale(FFElement(params, inv_lead)).shift(-v)
+
+
+def ref_divide(a, b, prec=None, window=None):
+    a._check(b)
+    return a * ref_invert(b, prec=prec, window=window)
+
+
+def ref_stream_step(h, num, den, window):
+    """h_(m+1) = (h_m * num * den^-1)^q, num and den multiplied out first."""
+    n = PerfSeries.one(h.params)
+    for f in num:
+        n = n * f
+    d = den[0]
+    for f in den[1:]:
+        d = d * f
+    return (h * n * ref_invert(d, window=window)).frobenius(1)
+
+
+def ref_cauchy_step(c, pe, qe, window):
+    """c_(m+1, i+1) = -(P/Q * c_(m, i))^q at the brackets of i."""
+    return -(ref_divide(pe, qe, window=window) * c).frobenius(1)
+
+
+def ref_cauchy_coeffs(eq, init, trunc_m, trunc_i, window=None):
+    """The coefficients cauchy_solve fills once the admissibility check has
+    passed: each prescribed c_(0, i) walked along the diagonal."""
+    coeffs = {}
+    for ivec, c in init.values.items():
+        if any(i > trunc_i for i in ivec):
+            continue
+        step = 0
+        while True:
+            coeffs[(step,) + tuple(i + step for i in ivec)] = c
+            if step + 1 > trunc_m or any(i + step + 1 > trunc_i for i in ivec):
+                break
+            values = _index_values(eq.params, [i + step for i in ivec])
+            pe = eq.P.eval_at(values)
+            qe = eq.Q.eval_at(values)
+            if qe.is_zero_at_prec():
+                raise PrecisionError(
+                    "P/Q quotient indeterminate at indices %r"
+                    % ((tuple(i + step for i in ivec)),))
+            c = ref_cauchy_step(c, pe, qe, window)
+            step += 1
+    return coeffs

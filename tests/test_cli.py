@@ -44,6 +44,13 @@ def test_pochhammer_modes_agree(capsys):
     assert out1 == out2
 
 
+def test_pochhammer_json_reports_the_default_mode(capsys):
+    code, out, _ = run(capsys, ["--q", "3", "--json", "pochhammer", "--a",
+                                "x + 2*x^2", "--n", "4"])
+    assert code == 0
+    assert json.loads(out)["mode"] == "direct"
+
+
 def test_op_normalize_json(capsys):
     code, out, _ = run(capsys, ["--q", "2", "--json", "op-normalize",
                                 "d*tau - tau*d"])
@@ -375,6 +382,8 @@ MIXED = "either in --params or as --a/--b/--alpha/--beta, not both"
      "pass either --a SERIES or --alpha INT"),
     (["pochhammer", "--a", "x", "--alpha", "0", "--n", "2"],
      "pass either --a SERIES or --alpha INT"),
+    (["pochhammer", "--alpha", "2", "--n", "2", "--mode", "recurrent"],
+     "--mode applies to --a only"),
     (["op-normalize", "d*tau", "--vars", "-2"], "variable count must be >= 0"),
     (["parse-roundtrip", "--kind", "operator", "d", "--vars", "-1"],
      "variable count must be >= 0"),
@@ -387,6 +396,7 @@ MIXED = "either in --params or as --a/--b/--alpha/--beta, not both"
         "roundtrip-no-input", "trials-negative", "trials-0",
         "params-and-a", "params-and-beta", "alpha-and-b", "thakur-and-a",
         "pochhammer-a-and-alpha", "pochhammer-a-and-alpha-0",
+        "pochhammer-alpha-and-mode",
         "op-normalize-vars-negative", "roundtrip-vars-negative",
         "hyper-eval-window-0", "hyper-eval-window-negative",
         "cauchy-solve-window-0"])

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -71,6 +72,14 @@ def test_reducible_modulus_rejected():
         FieldParams(4, 1, 1)  # 4 is not prime
     with pytest.raises(UsageError):
         FieldParams(2, 1, 2, (1, 1))  # degree 1 != v*m = 2
+
+
+def test_composite_p_refused_at_its_least_divisor():
+    # 2 * 100000000000031: factoring the cofactor would take seconds
+    start = time.perf_counter()
+    with pytest.raises(UsageError, match="p must be prime"):
+        FieldParams(200000000000062, 1, 1)
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("q,m", [(2, 1), (3, 1), (4, 1), (9, 1), (4, 2), (9, 2)])
