@@ -33,7 +33,8 @@ from .errors import (InadmissibleError, ParameterMismatchError,
 from .ffield import FieldParams
 from .funcspace import MultiFunction, _head_fields, _parse_keyed_lines
 from .opring import NormalForm
-from .series import INF, PerfSeries, _add_maps, _maps_equal, _twisted_step
+from .series import (INF, PerfSeries, _add_maps, _maps_equal, _sub_maps,
+                     _twisted_step)
 from . import textio
 
 
@@ -84,7 +85,8 @@ class DeltaPoly:
                          {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return DeltaPoly(self.params, self.n, _sub_maps(self.coeffs, other.coeffs))
 
     def __mul__(self, other):
         self._check(other)

@@ -39,7 +39,7 @@ from __future__ import annotations
 from .brackets import bracket, carlitz_D
 from .errors import ParameterMismatchError, ParseError, UsageError
 from .ffield import FieldParams
-from .series import PerfSeries, _add_maps, _maps_equal
+from .series import PerfSeries, _add_maps, _maps_equal, _sub_maps
 from . import textio
 
 
@@ -82,7 +82,9 @@ class LinearSeries:
                             self.known)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return LinearSeries(self.params, _sub_maps(self.coeffs, other.coeffs),
+                            self._common_known(other))
 
     def scale(self, s: PerfSeries) -> "LinearSeries":
         """Multiply the function by the scalar s."""
@@ -247,7 +249,11 @@ class MultiFunction:
         return MultiFunction(self.params, self.n, self.trunc_m, self.trunc_i, out)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        tm = min(self.trunc_m, other.trunc_m)
+        ti = min(self.trunc_i, other.trunc_i)
+        return MultiFunction(self.params, self.n, tm, ti,
+                             _sub_maps(self.coeffs, other.coeffs))
 
     # -- inspection ---------------------------------------------------------------
 

@@ -23,8 +23,12 @@ every further index rather than assumed.
 
 Which path computes a coefficient: h_0, t_m, and every h_m whose
 parameters have finite precision are the quotient of the symbols, divided
-(``PerfSeries.divide``) to relative precision R (the ``window``, or
-DEFAULT_INVERT_WINDOW).  For exact parameters, h_m with m > 0 comes from
+to relative precision R (the ``window``, or DEFAULT_INVERT_WINDOW).  When
+every symbol is exact the quotient divides factor by factor: one pass of
+the quotient kernel ``series._quotient`` long-divides by D_m and by each
+lower symbol in turn, cut at the quotient's precision, so the product of
+the symbols, whose terms reach far above the R units the quotient keeps,
+is never built.  For exact parameters, h_m with m > 0 comes from
 the recursion above, each step one call of the q-twisted kernel
 ``series._twisted_step`` (shared with the Cauchy solver) that divides by
 the factors of its denominator to relative precision R/q, so h_m keeps
@@ -66,7 +70,8 @@ from .errors import (InadmissibleError, ParameterMismatchError,
                      PrecisionError, UsageError)
 from .ffield import FieldParams
 from .funcspace import LinearSeries
-from .series import DEFAULT_INVERT_WINDOW, INF, PerfSeries, _twisted_step
+from .series import (DEFAULT_INVERT_WINDOW, INF, PerfSeries, _quotient,
+                     _twisted_step)
 
 
 def admissible_profile(b: PerfSeries) -> Fraction:
@@ -123,15 +128,25 @@ class HyperParams:
 
 def _coeff_quotient(params: FieldParams, m: int, upper, lower,
                     window) -> PerfSeries:
-    """prod(upper) / (D_m * prod(lower)), the factors multiplied in order;
-    both coefficient families are this quotient of their symbols.
+    """prod(upper) / (D_m * prod(lower)); both coefficient families are
+    this quotient of their symbols.
 
-    Dividing by an exact non-monomial denominator keeps relative precision
-    R (``window``, or DEFAULT_INVERT_WINDOW), which caps the quotient's
-    relative precision at R.  So the numerator factors are cut to relative
-    precision R before they are multiplied, which changes neither a known
-    term nor the precision of the quotient."""
-    den = carlitz_D(params, m)
+    When every symbol is exact and has terms, one pass of the quotient
+    kernel multiplies by each upper symbol and long-divides by D_m and by
+    each lower symbol in turn, each pass cut at the quotient's precision,
+    so no product of symbols is built.  Otherwise the factors are
+    multiplied in order and the products divided.  Dividing by an exact
+    non-monomial denominator keeps relative precision R (``window``, or
+    DEFAULT_INVERT_WINDOW), which caps the quotient's relative precision
+    at R, so there the numerator factors are cut to relative precision R
+    before they are multiplied, which changes neither a known term nor the
+    precision of the quotient."""
+    upper, lower = list(upper), list(lower)
+    D_m = carlitz_D(params, m)
+    if all(f.terms and f.is_exact() for f in upper + lower):
+        return PerfSeries._canonical(params, *_quotient(
+            PerfSeries.one(params), upper, [D_m] + lower, None, window))
+    den = D_m
     for factor in lower:
         den = den * factor
     if den.is_exact() and len(den.terms) > 1:
@@ -380,7 +395,8 @@ def hyper_residual(hp: HyperParams, M: int, form: str = "product",
         c = hp.b_list[0]
         du = series.d()
         ddu = du.d()
-        term2 = ddu.tau() - ddu.tau().tau()          # tau(1 - tau) d^2 u
+        tau_ddu = ddu.tau()
+        term2 = tau_ddu - tau_ddu.tau()              # tau(1 - tau) d^2 u
         coeff = bracket(params, -1).frobenius(1) + a + b
         term1 = du.tau().scale(coeff) - du.scale(c)  # {([-1]^q+a+b) tau - c} d u
         term0 = series.scale(a * b)

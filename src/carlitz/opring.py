@@ -35,7 +35,7 @@ from .brackets import bracket
 from .errors import ParameterMismatchError, UsageError
 from .ffield import FieldParams
 from .funcspace import MultiFunction
-from .series import PerfSeries, _add_maps, _maps_equal
+from .series import PerfSeries, _add_maps, _maps_equal, _sub_maps
 
 FACTOR_TAU = "tau"
 FACTOR_D = "d"
@@ -204,7 +204,9 @@ class NormalForm:
                           {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return NormalForm(self.params, self.n, self.convention,
+                          _sub_maps(self.terms, other.terms))
 
     def __eq__(self, other):
         if not isinstance(other, NormalForm):

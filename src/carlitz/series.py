@@ -16,6 +16,16 @@ are stored as integer indices into the parent
 :class:`~carlitz.ffield.FieldParams` tables, and products read the
 log/exp and addition tables directly.
 
+Every series is canonical: no zero coefficient, no term at or above
+``prec``, and the least ``dexp`` that holds its exponents (0 when it has
+no terms).  Terms that come from outside the kernels (``from_terms``,
+``truncate``, and a sum or difference whose sides differ in precision)
+go through ``PerfSeries._make``, which drops zero coefficients and terms
+at or above ``prec``; its tail ``PerfSeries._canonical`` only lowers
+``dexp``.  Products, quotients, Frobenius images, shifts, q-twisted steps
+and sums of equally precise sides produce nonzero terms below their
+precision by construction, so they take the tail alone.
+
 Precision bookkeeping follows non-Archimedean big-oh arithmetic:
 
 * ``a + b``        prec = min(prec_a, prec_b)
@@ -110,23 +120,32 @@ class PerfSeries:
 
     @classmethod
     def _make(cls, params, dexp, terms, prec):
-        q = params.q
+        """A series from terms that may hold zero coefficients or exponents
+        at or above ``prec``: drops those, then :meth:`_canonical`."""
         if prec != INF:
-            bound = _grid_bound(prec, q ** dexp)
+            bound = _grid_bound(prec, params.q ** dexp)
             terms = {k: c for k, c in terms.items() if c != 0 and k < bound}
         else:
             terms = {k: c for k, c in terms.items() if c != 0}
-        # canonical minimal denominator exponent
-        while dexp > 0 and all(k % q == 0 for k in terms):
-            terms = {k // q: c for k, c in terms.items()}
-            dexp -= 1
-        if not terms:
-            dexp = 0
+        return cls._canonical(params, dexp, terms, prec)
+
+    @classmethod
+    def _canonical(cls, params, dexp, terms, prec):
+        """A series from nonzero terms below ``prec``: lowers ``dexp`` to
+        the least grid that holds every exponent (0 when there is none)."""
+        if dexp:
+            q = params.q
+            f = 1
+            while dexp and all(k % (f * q) == 0 for k in terms):
+                f *= q
+                dexp -= 1
+            if f > 1:
+                terms = {k // f: c for k, c in terms.items()}
         return cls(params, dexp, terms, prec)
 
     @classmethod
     def zero(cls, params: FieldParams, prec=INF) -> "PerfSeries":
-        return cls._make(params, 0, {}, prec)
+        return cls(params, 0, {}, prec)
 
     @classmethod
     def from_terms(cls, params: FieldParams, items, prec=INF) -> "PerfSeries":
@@ -157,11 +176,11 @@ class PerfSeries:
 
     @classmethod
     def one(cls, params: FieldParams) -> "PerfSeries":
-        return cls._make(params, 0, {0: params.one_idx}, INF)
+        return cls(params, 0, {0: params.one_idx}, INF)
 
     @classmethod
     def x(cls, params: FieldParams) -> "PerfSeries":
-        return cls._make(params, 0, {1: params.one_idx}, INF)
+        return cls(params, 0, {1: params.one_idx}, INF)
 
     @classmethod
     def constant(cls, params: FieldParams, c) -> "PerfSeries":
@@ -229,7 +248,7 @@ class PerfSeries:
             return self
         prec = Fraction(prec)
         new_prec = min(self.prec, prec)
-        return PerfSeries._make(self.params, self.dexp, dict(self.terms), new_prec)
+        return PerfSeries._make(self.params, self.dexp, self.terms, new_prec)
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -249,11 +268,24 @@ class PerfSeries:
         return d, ta, tb
 
     def __add__(self, other):
+        return self._merge(other, False)
+
+    def __sub__(self, other):
+        return self._merge(other, True)
+
+    def _merge(self, other, negate):
+        """self + other, or self - other when ``negate``: other's terms,
+        negated as they are read, merge into a copy of self's.  Only terms
+        of the more precise side can lie at or above the sum's precision,
+        so the sum is filtered only when the precisions differ."""
         self._check(other)
         d, ta, tb = self._aligned(other)
+        params = self.params
+        add, neg = params.add, params._neg
         out = dict(ta)
-        add = self.params.add
         for k, c in tb.items():
+            if negate:
+                c = neg[c]
             if k in out:
                 s = add(out[k], c)
                 if s:
@@ -262,29 +294,30 @@ class PerfSeries:
                     del out[k]
             else:
                 out[k] = c
-        return PerfSeries._make(self.params, d, out, min(self.prec, other.prec))
+        prec = min(self.prec, other.prec)
+        if self.prec == other.prec:
+            return PerfSeries._canonical(params, d, out, prec)
+        return PerfSeries._make(params, d, out, prec)
 
     def __neg__(self):
-        neg = self.params.neg
+        neg = self.params._neg
         return PerfSeries(self.params, self.dexp,
-                          {k: neg(c) for k, c in self.terms.items()}, self.prec)
-
-    def __sub__(self, other):
-        return self + (-other)
+                          {k: neg[c] for k, c in self.terms.items()}, self.prec)
 
     def __mul__(self, other):
         self._check(other)
         prec = min(self.prec + other._val_lb(), other.prec + self._val_lb())
         d, ta, tb = self._aligned(other)
         bound = _grid_bound(prec, self.params.q ** d) if prec != INF else INF
-        return PerfSeries._make(self.params, d,
-                                _product_terms(self.params, ta, tb, bound), prec)
+        return PerfSeries._canonical(self.params, d,
+                                     _product_terms(self.params, ta, tb, bound),
+                                     prec)
 
     def scale(self, c) -> "PerfSeries":
         """Multiply by a coefficient-field element."""
         idx = c.idx if isinstance(c, FFElement) else self.params.from_int(c)
         if idx == 0:
-            return PerfSeries._make(self.params, 0, {}, INF)
+            return PerfSeries(self.params, 0, {}, INF)
         mul = self.params.mul
         return PerfSeries(self.params, self.dexp,
                           {k: mul(c0, idx) for k, c0 in self.terms.items()},
@@ -301,7 +334,7 @@ class PerfSeries:
         fa = q ** (d - self.dexp)
         terms = {kk * fa + off: c for kk, c in self.terms.items()}
         prec = self.prec if self.prec == INF else self.prec + e
-        return PerfSeries._make(self.params, d, terms, prec)
+        return PerfSeries._canonical(self.params, d, terms, prec)
 
     def frobenius(self, e: int) -> "PerfSeries":
         """tau^e: exponents (and prec) scale by q^e, coefficients map through
@@ -309,16 +342,16 @@ class PerfSeries:
         F_Q are unique because the Frobenius permutes the field."""
         params = self.params
         q = params.q
-        frob = params.frob
+        frob = params._frob[e % params.m]
         if e >= 0:
             f = q ** e
-            terms = {k * f: frob(c, e) for k, c in self.terms.items()}
+            terms = {k * f: frob[c] for k, c in self.terms.items()}
             dexp = self.dexp
         else:
-            terms = {k: frob(c, e) for k, c in self.terms.items()}
+            terms = {k: frob[c] for k, c in self.terms.items()}
             dexp = self.dexp - e  # e < 0 deepens the denominator
         prec = self.prec if self.prec == INF else self.prec * Fraction(q) ** e
-        return PerfSeries._make(params, dexp, terms, prec)
+        return PerfSeries._canonical(params, dexp, terms, prec)
 
     def pow(self, k: int) -> "PerfSeries":
         """k-th power for small non-negative k (binary powering)."""
@@ -357,8 +390,8 @@ class PerfSeries:
         window=window)``, whose conventions (and refusals) ``prec`` and
         ``window`` follow, but the inverse is never built."""
         self._check(other)
-        d, terms, prec = _quotient(self, (), (other,), prec, window)
-        return PerfSeries._make(self.params, d, terms, prec)
+        return PerfSeries._canonical(
+            self.params, *_quotient(self, (), (other,), prec, window))
 
     # -- comparison -------------------------------------------------------------
 
@@ -459,7 +492,8 @@ def _long_division(params: FieldParams, seeds: dict, steps, bound) -> dict:
 def _quotient(c: PerfSeries, num, den, prec, window):
     """c * prod(num) / prod(den) as (dexp, terms, prec), with the terms,
     precision and refusals of ``c * prod(num) * prod(den).invert(prec=prec,
-    window=window)`` but no inverse built.
+    window=window)`` but no inverse built.  The terms are nonzero and
+    below prec; dexp may not yet be the least.
 
     A product's precision is the least, over its factors, of a factor's
     precision plus the valuations of the others, in any order, when every
@@ -567,9 +601,9 @@ def _twisted_step(c: PerfSeries, num, den, window) -> PerfSeries:
         # x^(k/q^d) goes to x^(k/q^(d-1)), or to x^(kq) on the integer grid
         q, frob = params.q, params._frob[1 % params.m]
         s = 1 if d else q
-        return PerfSeries._make(params, max(d - 1, 0),
-                                {k * s: frob[x] for k, x in terms.items()},
-                                prec * q)
+        return PerfSeries._canonical(params, max(d - 1, 0),
+                                     {k * s: frob[x] for k, x in terms.items()},
+                                     prec * q)
     product = PerfSeries.one(params)
     for f in num:
         product = product * f
@@ -589,6 +623,15 @@ def _add_maps(a: dict, b: dict) -> dict:
     out = dict(a)
     for k, c in b.items():
         out[k] = out[k] + c if k in out else c
+    return out
+
+
+def _sub_maps(a: dict, b: dict) -> dict:
+    """Keywise difference of two maps to PerfSeries, a missing key reading
+    as exact zero; every caller's constructor drops exact-zero values."""
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out[k] - c if k in out else -c
     return out
 
 

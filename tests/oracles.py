@@ -7,8 +7,11 @@ irreducibility of a field modulus, which the library decides through its
 table build; and quotients through a built inverse: the long-division
 inverse, the quotient as a product with it, and the q-twisted steps of the
 hypergeometric stream and of the Cauchy solver on top of them, which the
-library replaced by long division seeded with the dividend.  Each is kept
-here once and in no library module.
+library replaced by long division seeded with the dividend; and the series
+operations as they were when every result went through one filtering
+constructor, ``MakePath``, which the library replaced by results that are
+canonical by construction.  Each is kept here once and in no library
+module.
 """
 
 from fractions import Fraction
@@ -19,7 +22,9 @@ from carlitz import PerfSeries, carlitz_D, pochhammer, pochhammer_thakur
 from carlitz.cauchy import _index_values
 from carlitz.errors import NotInvertibleError, PrecisionError, UsageError
 from carlitz.ffield import FFElement
-from carlitz.series import DEFAULT_INVERT_WINDOW, INF, _grid_bound
+from carlitz.series import (DEFAULT_INVERT_WINDOW, INF, _grid_bound,
+                            _grid_depth, _p_power_denominator, _product_terms,
+                            _quotient)
 
 
 def ref_coeff_quotient(params, m, upper, lower, window):
@@ -176,3 +181,138 @@ def ref_cauchy_coeffs(eq, init, trunc_m, trunc_i, window=None):
             c = ref_cauchy_step(c, pe, qe, window)
             step += 1
     return coeffs
+
+
+class MakePath:
+    """The series operations with every result re-filtered and re-scanned
+    by one constructor, ``make``: zero coefficients and terms at or above
+    the precision dropped, then the exponent grid lowered one q-power at a
+    time.  The kernels (products, quotients, alignment) are the library's;
+    only the way a result is formed differs."""
+
+    @staticmethod
+    def make(params, dexp, terms, prec):
+        q = params.q
+        if prec != INF:
+            bound = _grid_bound(prec, q ** dexp)
+            terms = {k: c for k, c in terms.items() if c != 0 and k < bound}
+        else:
+            terms = {k: c for k, c in terms.items() if c != 0}
+        while dexp > 0 and all(k % q == 0 for k in terms):
+            terms = {k // q: c for k, c in terms.items()}
+            dexp -= 1
+        if not terms:
+            dexp = 0
+        return PerfSeries(params, dexp, terms, prec)
+
+    @staticmethod
+    def add(a, b):
+        a._check(b)
+        d, ta, tb = a._aligned(b)
+        out = dict(ta)
+        add = a.params.add
+        for k, c in tb.items():
+            if k in out:
+                s = add(out[k], c)
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+            else:
+                out[k] = c
+        return MakePath.make(a.params, d, out, min(a.prec, b.prec))
+
+    @staticmethod
+    def neg(a):
+        neg = a.params.neg
+        return PerfSeries(a.params, a.dexp,
+                          {k: neg(c) for k, c in a.terms.items()}, a.prec)
+
+    @staticmethod
+    def sub(a, b):
+        return MakePath.add(a, MakePath.neg(b))
+
+    @staticmethod
+    def mul(a, b):
+        a._check(b)
+        prec = min(a.prec + b._val_lb(), b.prec + a._val_lb())
+        d, ta, tb = a._aligned(b)
+        bound = _grid_bound(prec, a.params.q ** d) if prec != INF else INF
+        return MakePath.make(a.params, d,
+                             _product_terms(a.params, ta, tb, bound), prec)
+
+    @staticmethod
+    def scale(a, c):
+        idx = c.idx if isinstance(c, FFElement) else a.params.from_int(c)
+        if idx == 0:
+            return MakePath.make(a.params, 0, {}, INF)
+        mul = a.params.mul
+        return PerfSeries(a.params, a.dexp,
+                          {k: mul(c0, idx) for k, c0 in a.terms.items()}, a.prec)
+
+    @staticmethod
+    def shift(a, exponent):
+        e = Fraction(exponent)
+        if not _p_power_denominator(e, a.params.p):
+            raise UsageError("shift exponent %s is not in Z[1/q]" % e)
+        q = a.params.q
+        d = max(a.dexp, _grid_depth(e, q))
+        off = int(e * q ** d)
+        fa = q ** (d - a.dexp)
+        terms = {kk * fa + off: c for kk, c in a.terms.items()}
+        prec = a.prec if a.prec == INF else a.prec + e
+        return MakePath.make(a.params, d, terms, prec)
+
+    @staticmethod
+    def frobenius(a, e):
+        params = a.params
+        q = params.q
+        frob = params.frob
+        if e >= 0:
+            f = q ** e
+            terms = {k * f: frob(c, e) for k, c in a.terms.items()}
+            dexp = a.dexp
+        else:
+            terms = {k: frob(c, e) for k, c in a.terms.items()}
+            dexp = a.dexp - e
+        prec = a.prec if a.prec == INF else a.prec * Fraction(q) ** e
+        return MakePath.make(params, dexp, terms, prec)
+
+    @staticmethod
+    def truncate(a, prec):
+        if prec == INF:
+            return a
+        prec = Fraction(prec)
+        return MakePath.make(a.params, a.dexp, dict(a.terms), min(a.prec, prec))
+
+    @staticmethod
+    def divide(a, b, prec=None, window=None):
+        a._check(b)
+        return MakePath.make(a.params, *_quotient(a, (), (b,), prec, window))
+
+    @staticmethod
+    def invert(a, prec=None, window=None):
+        return MakePath.divide(MakePath.make(a.params, 0, {0: a.params.one_idx}, INF),
+                               a, prec=prec, window=window)
+
+    @staticmethod
+    def twisted_step(c, num, den, window):
+        params = c.params
+        factors = (*num, *den)
+        if (c.terms and all(f.terms for f in factors)
+                and (len(num) <= 1 and len(den) <= 1
+                     or all(f.prec == INF for f in factors))):
+            d, terms, prec = _quotient(c, num, den, None, window)
+            q, frob = params.q, params._frob[1 % params.m]
+            s = 1 if d else q
+            return MakePath.make(params, max(d - 1, 0),
+                                 {k * s: frob[x] for k, x in terms.items()},
+                                 prec * q)
+        product = MakePath.make(params, 0, {0: params.one_idx}, INF)
+        for f in num:
+            product = MakePath.mul(product, f)
+        divisor = den[0]
+        for f in den[1:]:
+            divisor = MakePath.mul(divisor, f)
+        return MakePath.frobenius(
+            MakePath.divide(MakePath.mul(c, product), divisor, window=window), 1)

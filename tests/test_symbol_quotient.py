@@ -1,0 +1,97 @@
+"""Differential tests of the symbol quotient prod(upper) / (D_m * prod(lower)).
+
+When every symbol is exact and has terms, ``hyper._coeff_quotient`` hands
+the numerator symbols and D_m followed by the lower symbols to the
+quotient kernel ``series._quotient``, which long-divides by each factor up
+to the quotient's precision and never builds the product.  Otherwise it
+multiplies the symbols out and divides.  The oracle multiplies both sides
+out and multiplies by the built inverse of the denominator
+(``oracles.ref_coeff_quotient``); every coefficient must match it exactly
+(terms, dexp, prec value and type).  The cases: exact monomial
+denominators (m = 0), exact non-monomial ones (the field family at m >= 1
+and the integer family with alpha >= 1), truncated parameters, and
+negative alpha, whose symbols hold truncated inverses of L; windows None,
+an int and a Fraction.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from carlitz import hyper, pochhammer, pochhammer_thakur
+from oracles import assert_same, ref_hyper_coeff, ref_thakur_coeff
+from test_hyper_stream import FIELDS, families
+
+WINDOWS = (None, 9, Fraction(23, 2))
+
+
+def _kernel_calls(monkeypatch):
+    """Count the calls hyper makes of the quotient kernel."""
+    calls = []
+    kernel = hyper._quotient
+
+    def counted(*args):
+        calls.append(None)
+        return kernel(*args)
+    monkeypatch.setattr(hyper, "_quotient", counted)
+    return calls
+
+
+def _divides_factor_by_factor(symbols):
+    return all(s.terms and s.is_exact() for s in symbols)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(families(), st.integers(0, 5), st.sampled_from(WINDOWS))
+def test_field_family_symbol_quotient(hp, m, window):
+    params = hp.params
+    upper = [pochhammer(a, m) for a in hp.a_list]
+    lower = [pochhammer(b, m) for b in hp.b_list]
+    want = ref_hyper_coeff(hp, m, window)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _kernel_calls(mp)
+        assert_same(hyper._coeff_quotient(params, m, upper, lower, window), want)
+    assert len(calls) == _divides_factor_by_factor(upper + lower)
+    if m == 0 or not hyper._is_exact(hp):
+        assert_same(hyper.hyper_coeff(hp, m, window=window), want)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(FIELDS),
+       st.lists(st.integers(-4, 3), min_size=1, max_size=2),
+       st.lists(st.integers(1, 3), max_size=2),
+       st.integers(0, 5), st.sampled_from(WINDOWS))
+def test_integer_family_symbol_quotient(params, alphas, betas, m, window):
+    symbols = [pochhammer_thakur(params, k, m) for k in alphas + betas]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _kernel_calls(mp)
+        got = hyper.hyper_thakur_coeff(params, alphas, betas, m, window=window)
+    assert_same(got, ref_thakur_coeff(params, alphas, betas, m, window))
+    assert len(calls) == _divides_factor_by_factor(symbols)
+
+
+@pytest.mark.parametrize("params", FIELDS, ids=repr)
+@pytest.mark.parametrize("window", WINDOWS)
+def test_each_kind_of_symbol(params, window, monkeypatch):
+    # (alphas, betas, m, divides factor by factor): a monomial denominator,
+    # non-monomial ones, the truncated inverses of L that negative alpha
+    # gives at m = 0, and a vanishing numerator symbol
+    cases = [([1], [1], 0, True),
+             ([2], [1, 3], 3, True),
+             ([3, 1], [2], 4, True),
+             ([-2], [1], 2, True),
+             ([-1], [2], 0, False),
+             ([-2, 2], [1], 0, False),
+             ([-1], [1], 2, False)]
+    for alphas, betas, m, fast in cases:
+        symbols = [pochhammer_thakur(params, k, m) for k in alphas + betas]
+        assert _divides_factor_by_factor(symbols) == fast
+        calls = _kernel_calls(monkeypatch)
+        got = hyper.hyper_thakur_coeff(params, alphas, betas, m, window=window)
+        monkeypatch.undo()
+        assert len(calls) == fast
+        assert_same(got, ref_thakur_coeff(params, alphas, betas, m, window))
+    # D_0 (1)_0 = 1: the quotient of monomials is exact unless a window cuts it
+    assert hyper.hyper_thakur_coeff(params, [1], [1], 0, window=window).is_exact() \
+        == (window is None)
