@@ -333,6 +333,8 @@ class FieldParams:
         return "g" if j == 1 else "g^%d" % j
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, FieldParams)
                 and (self.p, self.v, self.m, self.modulus)
                 == (other.p, other.v, other.m, other.modulus))

@@ -23,9 +23,9 @@ every further index rather than assumed.
 
 Which path computes a coefficient: h_0, t_m, and every h_m whose
 parameters have finite precision are the quotient of the symbols, divided
-to relative precision R (the ``window``, or DEFAULT_INVERT_WINDOW).  When
-every symbol is exact the quotient divides factor by factor: one pass of
-the quotient kernel ``series._quotient`` long-divides by D_m and by each
+to relative precision R (the ``window``, or DEFAULT_INVERT_WINDOW).  That
+quotient divides factor by factor, whatever the symbols: one pass of the
+quotient kernel ``series._quotient`` long-divides by D_m and by each
 lower symbol in turn, cut at the quotient's precision, so the product of
 the symbols, whose terms reach far above the R units the quotient keeps,
 is never built.  For exact parameters, h_m with m > 0 comes from
@@ -131,37 +131,14 @@ def _coeff_quotient(params: FieldParams, m: int, upper, lower,
     """prod(upper) / (D_m * prod(lower)); both coefficient families are
     this quotient of their symbols.
 
-    When every symbol is exact and has terms, one pass of the quotient
-    kernel multiplies by each upper symbol and long-divides by D_m and by
-    each lower symbol in turn, each pass cut at the quotient's precision,
-    so no product of symbols is built.  Otherwise the factors are
-    multiplied in order and the products divided.  Dividing by an exact
-    non-monomial denominator keeps relative precision R (``window``, or
-    DEFAULT_INVERT_WINDOW), which caps the quotient's relative precision
-    at R, so there the numerator factors are cut to relative precision R
-    before they are multiplied, which changes neither a known term nor the
-    precision of the quotient."""
-    upper, lower = list(upper), list(lower)
-    D_m = carlitz_D(params, m)
-    if all(f.terms and f.is_exact() for f in upper + lower):
-        return PerfSeries._canonical(params, *_quotient(
-            PerfSeries.one(params), upper, [D_m] + lower, None, window))
-    den = D_m
-    for factor in lower:
-        den = den * factor
-    if den.is_exact() and len(den.terms) > 1:
-        rel = _relative_window(window)
-        upper = (f.truncate(f.valuation() + rel) if f.terms else f
-                 for f in upper)
-    num = PerfSeries.one(params)
-    for factor in upper:
-        num = num * factor
-    return num.divide(den, window=window)
-
-
-def _relative_window(window) -> Fraction:
-    """The relative precision R an exact non-monomial inverse is cut to."""
-    return Fraction(DEFAULT_INVERT_WINDOW if window is None else window)
+    One pass of the quotient kernel multiplies by each upper symbol and
+    long-divides by D_m and by each lower symbol in turn, each pass cut at
+    the quotient's precision, so no product of symbols is built.  Dividing
+    by an exact non-monomial denominator keeps relative precision R
+    (``window``, or DEFAULT_INVERT_WINDOW)."""
+    return PerfSeries._canonical(params, *_quotient(
+        PerfSeries.one(params), tuple(upper), [carlitz_D(params, m), *lower],
+        None, window))
 
 
 def _check_truncation(M: int):
@@ -212,7 +189,8 @@ def _hyper_stream(hp: HyperParams, window):
         for m in count():
             yield hyper_coeff(hp, m, window=window)
     params = hp.params
-    rel = _relative_window(window) / params.q
+    rel = Fraction(DEFAULT_INVERT_WINDOW if window is None
+                   else window) / params.q
     minus_one = bracket(params, -1)
     h = hyper_coeff(hp, 0, window=window)
     for m in count():

@@ -45,10 +45,12 @@ Precision bookkeeping follows non-Archimedean big-oh arithmetic:
   that can carry a term.
 
 The q-twisted step (c * prod(num) / prod(den))^q of the hypergeometric
-stream and of the Cauchy solver, :func:`_twisted_step`, runs through the
-same long division: it multiplies by each numerator factor, divides by
-each denominator factor and writes the Frobenius image directly, with the
-output precision worked out once from grid-integer valuations.
+stream and of the Cauchy solver, :func:`_twisted_step`, and the symbol
+quotients of :mod:`carlitz.hyper` run through the same long division,
+:func:`_quotient`, for any factors, exact or truncated, several to a side:
+it multiplies by each numerator factor and divides by each denominator
+factor, with the output precision worked out once from grid-integer
+valuations, and the step writes the Frobenius image directly.
 
 Equality compares coefficients at all exponents below the smaller of the
 two precisions, which makes identity checks decidable at stated precision.
@@ -489,30 +491,40 @@ def _long_division(params: FieldParams, seeds: dict, steps, bound) -> dict:
     return out
 
 
+def _product_prec(factors):
+    """The precision of prod(factors): the least, over the factors, of a
+    factor's precision plus the valuation lower bounds of the others, which
+    is what multiplying them in any order gives."""
+    lbs = [f._val_lb() for f in factors]
+    return min(f.prec + sum(lbs[:i] + lbs[i + 1:])
+               for i, f in enumerate(factors))
+
+
 def _quotient(c: PerfSeries, num, den, prec, window):
     """c * prod(num) / prod(den) as (dexp, terms, prec), with the terms,
     precision and refusals of ``c * prod(num) * prod(den).invert(prec=prec,
     window=window)`` but no inverse built.  The terms are nonzero and
     below prec; dexp may not yet be the least.
 
-    A product's precision is the least, over its factors, of a factor's
-    precision plus the valuations of the others, in any order, when every
-    factor has terms.  So the factors of ``num`` and ``den`` have terms and
-    are exact, or there is at most one on each side, and c has terms
-    unless ``num`` is empty.  Each factor is moved to valuation 0 on one
-    grid; c's terms, seeded at the quotient's valuation, are multiplied by
-    each numerator and long-divided by each denominator, every pass cut at
-    the quotient's precision."""
+    Any factors are allowed, exact or truncated, several to a side.  A
+    denominator factor without terms is refused as prod(den) would be; a
+    dividend factor without terms gives no terms, at the precision of the
+    dividend less the valuation of prod(den).  Otherwise the relative
+    precision of a product is the least of its factors', so the quotient
+    keeps the least of the numerators' and the inverse's.  Each factor is
+    moved to valuation 0 on one grid; c's terms, seeded at the quotient's
+    valuation, are multiplied by each numerator and long-divided by each
+    denominator, every pass cut at the quotient's precision."""
     if window is not None and window <= 0:
         raise UsageError("window must be positive, got %s" % (window,))
     if prec is not None and window is not None:
         raise UsageError("pass at most one of prec and window")
-    for f in den:
-        if not f.terms:
-            if f.prec == INF:
-                raise NotInvertibleError("exact zero series is not invertible")
-            raise NotInvertibleError(
-                "not invertible at this precision (zero below %s)" % f.prec)
+    if not all(f.terms for f in den):
+        den_prec = _product_prec(den)
+        if den_prec == INF:
+            raise NotInvertibleError("exact zero series is not invertible")
+        raise NotInvertibleError(
+            "not invertible at this precision (zero below %s)" % den_prec)
     params = c.params
     q = params.q
     d = max(f.dexp for f in (c, *num, *den))
@@ -545,9 +557,9 @@ def _quotient(c: PerfSeries, num, den, prec, window):
         if rel_out <= 0:
             raise NotInvertibleError(
                 "requested precision leaves no known coefficients")
-    if not c.terms:
-        # rel_out > 0, so c's own term is the least
-        return 0, {}, c.prec - Fraction(v, scale)
+    if not all(f.terms for f in (c, *num)):
+        # rel_out > 0, so the dividend's own term is the least
+        return 0, {}, _product_prec((c, *num)) - Fraction(v, scale)
 
     c_terms = on_grid(c)
     c_val = min(c_terms)
@@ -588,29 +600,16 @@ def _twisted_step(c: PerfSeries, num, den, window) -> PerfSeries:
     """(c * prod(num) / prod(den))^q, the q-twisted step shared by the
     hypergeometric stream and the Cauchy solver, with the terms and
     precision of ``(c * prod(num)).divide(prod(den), window=window)
-    .frobenius(1)``.  That expression is the path when c or a factor has
-    no terms, or when truncated factors come more than one to a side;
-    otherwise one :func:`_quotient` pass computes the quotient, and its
-    Frobenius image is written directly."""
+    .frobenius(1)``: one :func:`_quotient` pass computes the quotient, and
+    its Frobenius image is written directly."""
     params = c.params
-    factors = (*num, *den)
-    if (c.terms and all(f.terms for f in factors)
-            and (len(num) <= 1 and len(den) <= 1
-                 or all(f.prec == INF for f in factors))):
-        d, terms, prec = _quotient(c, num, den, None, window)
-        # x^(k/q^d) goes to x^(k/q^(d-1)), or to x^(kq) on the integer grid
-        q, frob = params.q, params._frob[1 % params.m]
-        s = 1 if d else q
-        return PerfSeries._canonical(params, max(d - 1, 0),
-                                     {k * s: frob[x] for k, x in terms.items()},
-                                     prec * q)
-    product = PerfSeries.one(params)
-    for f in num:
-        product = product * f
-    divisor = den[0]
-    for f in den[1:]:
-        divisor = divisor * f
-    return (c * product).divide(divisor, window=window).frobenius(1)
+    d, terms, prec = _quotient(c, num, den, None, window)
+    # x^(k/q^d) goes to x^(k/q^(d-1)), or to x^(kq) on the integer grid
+    q, frob = params.q, params._frob[1 % params.m]
+    s = 1 if d else q
+    return PerfSeries._canonical(params, max(d - 1, 0),
+                                 {k * s: frob[x] for k, x in terms.items()},
+                                 prec * q)
 
 
 # ---------------------------------------------------------------------------

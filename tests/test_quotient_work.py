@@ -1,0 +1,85 @@
+"""Work-count guards of the one quotient kernel.
+
+The q-twisted step ``series._twisted_step`` and the symbol quotient of
+``hyper.hyper_thakur_coeff`` each run one pass of ``series._quotient``
+for any factors: exact or truncated, several to a side, with terms or
+without.  Neither multiplies factors out, divides through
+``PerfSeries.divide`` or truncates a factor, which is what a
+multiply-then-divide path would do.  The values are checked against the
+oracles in ``test_quotient_kernel`` and ``test_symbol_quotient``.
+"""
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from carlitz import INF, PerfSeries, hyper, pochhammer_thakur
+from carlitz.brackets import carlitz_D
+from carlitz.series import _twisted_step
+from test_quotient_kernel import KINDS, SHIPPED_FIELDS, outcome
+from test_series_kernel import ref_make
+
+
+def _series_calls(monkeypatch):
+    """Count the calls of PerfSeries.__mul__, divide and truncate."""
+    calls = []
+    for name in ("__mul__", "divide", "truncate"):
+        method = getattr(PerfSeries, name)
+
+        def counted(*args, _name=name, _method=method, **kwargs):
+            calls.append(_name)
+            return _method(*args, **kwargs)
+        monkeypatch.setattr(PerfSeries, name, counted)
+    return calls
+
+
+def _one_of_each_kind(params):
+    """A series of each kind in test_quotient_kernel.KINDS, by name."""
+    q = params.q
+    return {"exact": ref_make(params, 0, {0: 1, 2: 1}, INF),
+            "truncated": ref_make(params, 1, {q: 1, q + 1: 1}, Fraction(9, 2)),
+            "zero-at-prec": ref_make(params, 0, {}, Fraction(3)),
+            "monomial": ref_make(params, 0, {1: 1}, INF),
+            "truncated-monomial": ref_make(params, 1, {1: 1}, Fraction(7, 2)),
+            "exact-zero": ref_make(params, 0, {}, INF)}
+
+
+@pytest.mark.parametrize("params", SHIPPED_FIELDS, ids=repr)
+@pytest.mark.parametrize("window", (None, 3, Fraction(7, 2)))
+def test_twisted_step_builds_no_product_or_quotient(params, window, monkeypatch):
+    kinds = _one_of_each_kind(params)
+    assert sorted(kinds) == sorted(KINDS)
+    series = list(kinds.values())
+    truncated = kinds["truncated"]
+    # every kind as c, as a numerator factor beside one without terms, and
+    # as a denominator factor beside a second truncated one
+    steps = [(c, [f, kinds["zero-at-prec"]], [g, truncated])
+             for c, f, g in product(series, repeat=3)]
+    steps += [(truncated, [f], [truncated, kinds["truncated-monomial"]])
+              for f in series]
+    calls = _series_calls(monkeypatch)
+    results = [outcome(_twisted_step, c, num, den, window) for c, num, den in steps]
+    assert calls == []
+    assert any(isinstance(r, PerfSeries) and r.terms for r in results)
+    assert any(isinstance(r, PerfSeries) and not r.terms for r in results)
+    assert any(isinstance(r, tuple) for r in results)
+
+
+@pytest.mark.parametrize("params", SHIPPED_FIELDS, ids=repr)
+@pytest.mark.parametrize("window", (None, 9))
+def test_thakur_coeff_builds_no_product_or_quotient(params, window, monkeypatch):
+    # negative alpha gives truncated inverses of L, or a vanishing symbol;
+    # the symbols are built before counting, since building L^-1 divides
+    cases = [(alphas, betas, m) for alphas in ([-2], [-1], [0], [-1, -2])
+             for betas in ([1], [1, 2]) for m in range(4)]
+    symbols = {(k, m): pochhammer_thakur(params, k, m)
+               for alphas, betas, m in cases for k in alphas + betas}
+    D = {m: carlitz_D(params, m) for m in range(4)}
+    monkeypatch.setattr(hyper, "pochhammer_thakur",
+                        lambda params, k, m: symbols[(k, m)])
+    monkeypatch.setattr(hyper, "carlitz_D", lambda params, m: D[m])
+    calls = _series_calls(monkeypatch)
+    for alphas, betas, m in cases:
+        hyper.hyper_thakur_coeff(params, alphas, betas, m, window=window)
+    assert calls == []

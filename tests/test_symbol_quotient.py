@@ -1,17 +1,17 @@
 """Differential tests of the symbol quotient prod(upper) / (D_m * prod(lower)).
 
-When every symbol is exact and has terms, ``hyper._coeff_quotient`` hands
-the numerator symbols and D_m followed by the lower symbols to the
-quotient kernel ``series._quotient``, which long-divides by each factor up
-to the quotient's precision and never builds the product.  Otherwise it
-multiplies the symbols out and divides.  The oracle multiplies both sides
-out and multiplies by the built inverse of the denominator
-(``oracles.ref_coeff_quotient``); every coefficient must match it exactly
-(terms, dexp, prec value and type).  The cases: exact monomial
-denominators (m = 0), exact non-monomial ones (the field family at m >= 1
-and the integer family with alpha >= 1), truncated parameters, and
-negative alpha, whose symbols hold truncated inverses of L; windows None,
-an int and a Fraction.
+``hyper._coeff_quotient`` hands the numerator symbols and D_m followed by
+the lower symbols to the quotient kernel ``series._quotient``, which
+long-divides by each factor up to the quotient's precision and never
+builds the product, whatever the symbols: exact or truncated, with terms
+or without.  The oracle multiplies both sides out and multiplies by the
+built inverse of the denominator (``oracles.ref_coeff_quotient``); every
+coefficient must match it exactly (terms, dexp, prec value and type), and
+every kind of symbol takes exactly one kernel call.  The cases: exact
+monomial denominators (m = 0), exact non-monomial ones (the field family
+at m >= 1 and the integer family with alpha >= 1), truncated parameters,
+and negative alpha, whose symbols hold truncated inverses of L; windows
+None, an int and a Fraction.
 """
 
 from fractions import Fraction
@@ -38,10 +38,6 @@ def _kernel_calls(monkeypatch):
     return calls
 
 
-def _divides_factor_by_factor(symbols):
-    return all(s.terms and s.is_exact() for s in symbols)
-
-
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(families(), st.integers(0, 5), st.sampled_from(WINDOWS))
 def test_field_family_symbol_quotient(hp, m, window):
@@ -52,7 +48,7 @@ def test_field_family_symbol_quotient(hp, m, window):
     with pytest.MonkeyPatch.context() as mp:
         calls = _kernel_calls(mp)
         assert_same(hyper._coeff_quotient(params, m, upper, lower, window), want)
-    assert len(calls) == _divides_factor_by_factor(upper + lower)
+    assert len(calls) == 1
     if m == 0 or not hyper._is_exact(hp):
         assert_same(hyper.hyper_coeff(hp, m, window=window), want)
 
@@ -63,20 +59,19 @@ def test_field_family_symbol_quotient(hp, m, window):
        st.lists(st.integers(1, 3), max_size=2),
        st.integers(0, 5), st.sampled_from(WINDOWS))
 def test_integer_family_symbol_quotient(params, alphas, betas, m, window):
-    symbols = [pochhammer_thakur(params, k, m) for k in alphas + betas]
     with pytest.MonkeyPatch.context() as mp:
         calls = _kernel_calls(mp)
         got = hyper.hyper_thakur_coeff(params, alphas, betas, m, window=window)
     assert_same(got, ref_thakur_coeff(params, alphas, betas, m, window))
-    assert len(calls) == _divides_factor_by_factor(symbols)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("params", FIELDS, ids=repr)
 @pytest.mark.parametrize("window", WINDOWS)
 def test_each_kind_of_symbol(params, window, monkeypatch):
-    # (alphas, betas, m, divides factor by factor): a monomial denominator,
-    # non-monomial ones, the truncated inverses of L that negative alpha
-    # gives at m = 0, and a vanishing numerator symbol
+    # (alphas, betas, m, every symbol exact with terms): a monomial
+    # denominator, non-monomial ones, the truncated inverses of L that
+    # negative alpha gives at m = 0, and a vanishing numerator symbol
     cases = [([1], [1], 0, True),
              ([2], [1, 3], 3, True),
              ([3, 1], [2], 4, True),
@@ -84,13 +79,13 @@ def test_each_kind_of_symbol(params, window, monkeypatch):
              ([-1], [2], 0, False),
              ([-2, 2], [1], 0, False),
              ([-1], [1], 2, False)]
-    for alphas, betas, m, fast in cases:
+    for alphas, betas, m, exact in cases:
         symbols = [pochhammer_thakur(params, k, m) for k in alphas + betas]
-        assert _divides_factor_by_factor(symbols) == fast
+        assert all(s.terms and s.is_exact() for s in symbols) == exact
         calls = _kernel_calls(monkeypatch)
         got = hyper.hyper_thakur_coeff(params, alphas, betas, m, window=window)
         monkeypatch.undo()
-        assert len(calls) == fast
+        assert len(calls) == 1
         assert_same(got, ref_thakur_coeff(params, alphas, betas, m, window))
     # D_0 (1)_0 = 1: the quotient of monomials is exact unless a window cuts it
     assert hyper.hyper_thakur_coeff(params, [1], [1], 0, window=window).is_exact() \
