@@ -98,40 +98,40 @@ def pochhammer_thakur(params: FieldParams, alpha: int, n: int,
     the L-index is positive; ``prec`` (absolute output precision) controls
     that inversion and defaults to the standard invert window.
     """
+    value, inverted = _thakur_factor(params, alpha, n)
+    return value.invert(prec=prec) if inverted else value
+
+
+def _thakur_factor(params: FieldParams, alpha: int, n: int):
+    """(alpha)_n as (s, inverted): the symbol is s, or 1/s when
+    ``inverted``, which is the middle case, s = (-1)^(n-alpha) L^(q^n).
+    A quotient of symbols divides by such an s instead of inverting it."""
     if n < 0:
         raise UsageError("(alpha)_n needs n >= 0")
     if alpha >= 1:
-        return carlitz_D(params, n + alpha - 1).frobenius(-(alpha - 1))
+        return carlitz_D(params, n + alpha - 1).frobenius(-(alpha - 1)), False
     if n > -alpha:
-        return PerfSeries.zero(params)
-    ell = carlitz_L(params, -alpha - n)
-    value = ell.frobenius(n).invert(prec=prec)
-    if (n - alpha) % 2:
-        value = -value
-    return value
+        return PerfSeries.zero(params), False
+    value = carlitz_L(params, -alpha - n).frobenius(n)
+    return (-value if (n - alpha) % 2 else value), True
 
 
 def pochhammer(a: PerfSeries, m: int, mode: str = "direct") -> PerfSeries:
     """The field-parameter symbol <a>_m; exact when ``a`` is exact.
 
-    mode="direct" multiplies the m Frobenius-twisted factors; with
-    mode="recurrent" the recurrence <a>_(m+1) = ([m]-a)^q <a>_m^q is
-    iterated instead.  The two must agree exactly.
+    Both modes, "direct" and "recurrent", multiply the m Frobenius-twisted
+    factors: iterating the recurrence <a>_(m+1) = ([m]-a)^q <a>_m^q gives
+    the same exact product, so one computation serves both.
     """
     if m < 0:
         raise UsageError("<a>_m needs m >= 0")
+    if mode not in ("direct", "recurrent"):
+        raise UsageError("mode must be 'direct' or 'recurrent', got %r" % (mode,))
     params = a.params
-    if mode == "direct":
-        result = PerfSeries.one(params)
-        for k in range(m):
-            result = result * (bracket(params, k) - a).frobenius(m - k)
-        return result
-    if mode == "recurrent":
-        result = PerfSeries.one(params)
-        for k in range(m):
-            result = (bracket(params, k) - a).frobenius(1) * result.frobenius(1)
-        return result
-    raise UsageError("mode must be 'direct' or 'recurrent', got %r" % (mode,))
+    result = PerfSeries.one(params)
+    for k in range(m):
+        result = result * (bracket(params, k) - a).frobenius(m - k)
+    return result
 
 
 def shift_up(a: PerfSeries) -> PerfSeries:

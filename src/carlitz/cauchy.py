@@ -33,12 +33,11 @@ from .errors import (InadmissibleError, ParameterMismatchError,
 from .ffield import FieldParams
 from .funcspace import MultiFunction, _head_fields, _parse_keyed_lines
 from .opring import NormalForm
-from .series import (INF, PerfSeries, _add_maps, _maps_equal, _sub_maps,
-                     _twisted_step)
+from .series import INF, PerfSeries, SeriesMap, _twisted_step
 from . import textio
 
 
-class DeltaPoly:
+class DeltaPoly(SeriesMap):
     """Polynomial in n commuting indeterminates with PerfSeries coefficients."""
 
     __slots__ = ("params", "n", "coeffs")
@@ -76,17 +75,8 @@ class DeltaPoly:
         if self.params != other.params or self.n != other.n:
             raise ParameterMismatchError("polynomials over different rings")
 
-    def __add__(self, other):
-        self._check(other)
-        return DeltaPoly(self.params, self.n, _add_maps(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return DeltaPoly(self.params, self.n,
-                         {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        self._check(other)
-        return DeltaPoly(self.params, self.n, _sub_maps(self.coeffs, other.coeffs))
+    def _join(self, other, coeffs):
+        return DeltaPoly(self.params, self.n, coeffs)
 
     def __mul__(self, other):
         self._check(other)
@@ -113,15 +103,6 @@ class DeltaPoly:
             acc = acc + term
         return acc
 
-    def __eq__(self, other):
-        if not isinstance(other, DeltaPoly):
-            return NotImplemented
-        if self.params != other.params or self.n != other.n:
-            return False
-        return _maps_equal(self.params, self.coeffs, other.coeffs)
-
-    __hash__ = None
-
 
 class EvolutionEquation:
     """The operator P(Delta_1..Delta_n) + Q(Delta_1..Delta_n) d."""
@@ -146,10 +127,11 @@ class EvolutionEquation:
         return NormalForm(self.params, self.n, "alt", terms)
 
 
-class InitialData:
+class InitialData(SeriesMap):
     """Prescribed m = 0 coefficients c_(0, i_1..i_n), finitely supported."""
 
     __slots__ = ("params", "n", "values")
+    _map = "values"
 
     def __init__(self, params: FieldParams, n: int, values: dict):
         self.params = params
@@ -168,10 +150,12 @@ class InitialData:
         """c_(0,0..0) = 1 and every other initial coefficient zero."""
         return cls(params, n, {(0,) * n: PerfSeries.one(params)})
 
-    def __add__(self, other):
+    def _check(self, other):
         if self.params != other.params or self.n != other.n:
             raise ParameterMismatchError("incompatible initial data")
-        return InitialData(self.params, self.n, _add_maps(self.values, other.values))
+
+    def _join(self, other, values):
+        return InitialData(self.params, self.n, values)
 
     def scale(self, s: PerfSeries) -> "InitialData":
         return InitialData(self.params, self.n,
@@ -244,7 +228,9 @@ def recommend_imax(eq: EvolutionEquation, probe: int = 4) -> int:
     values have valuation >= 1, so no negative-valuation amplification
     beyond the coefficients' own).  The returned bound folds in the worst
     coefficient valuation; it is a recommendation, the final choice stays
-    with the caller.
+    with the caller.  It stays apart from admissibility_check because a
+    probe estimate is no certificate: the scan's verdict, witness and mu
+    are those of the caller's index range, and no estimate may cut it short.
     """
     vmax = Fraction(0)
     for _, value in _q_values(eq, probe):
@@ -278,11 +264,7 @@ def cauchy_solve(eq: EvolutionEquation, init: InitialData, trunc_m: int,
     if trunc_m < 0 or trunc_i < 0 or trunc_m > trunc_i:
         raise UsageError("need 0 <= trunc_m <= trunc_i")
     report = admissibility_check(eq, trunc_i if i_max is None else i_max)
-    if report.status == "fail":
-        raise InadmissibleError("refusing to solve: " + report.describe(),
-                                witness=report.witness)
-    if report.status == "indeterminate":
-        raise PrecisionError("admissibility indeterminate: " + report.describe())
+    _refuse(report)
     params = eq.params
     coeffs = {}
     for ivec, c0 in init.values.items():
@@ -291,20 +273,30 @@ def cauchy_solve(eq: EvolutionEquation, init: InitialData, trunc_m: int,
         c = c0
         step = 0
         while True:
-            key = (step,) + tuple(i + step for i in ivec)
-            coeffs[key] = c
-            if step + 1 > trunc_m or any(i + step + 1 > trunc_i for i in ivec):
+            index = tuple(i + step for i in ivec)
+            coeffs[(step,) + index] = c
+            if step + 1 > trunc_m or any(i + 1 > trunc_i for i in index):
                 break
-            values = _index_values(params, [i + step for i in ivec])
+            values = _index_values(params, index)
             pe = eq.P.eval_at(values)
             qe = eq.Q.eval_at(values)
+            if qe.is_zero():  # beyond the scanned indices
+                _refuse(AdmissibilityReport("fail", None, index, report.i_max))
             if qe.is_zero_at_prec():
                 raise PrecisionError(
-                    "P/Q quotient indeterminate at indices %r"
-                    % ((tuple(i + step for i in ivec)),))
+                    "P/Q quotient indeterminate at indices %r" % (index,))
             c = -_twisted_step(c, [pe], [qe], window)
             step += 1
     return MultiFunction(params, eq.n, trunc_m, trunc_i, coeffs)
+
+
+def _refuse(report: AdmissibilityReport):
+    """Raise the refusal of a failed or indeterminate report."""
+    if report.status == "fail":
+        raise InadmissibleError("refusing to solve: " + report.describe(),
+                                witness=report.witness)
+    if report.status == "indeterminate":
+        raise PrecisionError("admissibility indeterminate: " + report.describe())
 
 
 def residual(eq: EvolutionEquation, u: MultiFunction) -> MultiFunction:

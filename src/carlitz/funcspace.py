@@ -39,11 +39,11 @@ from __future__ import annotations
 from .brackets import bracket, carlitz_D
 from .errors import ParameterMismatchError, ParseError, UsageError
 from .ffield import FieldParams
-from .series import PerfSeries, _add_maps, _maps_equal, _sub_maps
+from .series import PerfSeries, SeriesMap
 from . import textio
 
 
-class LinearSeries:
+class LinearSeries(SeriesMap):
     """F_q-linear series of one variable: sum of a_k t^(q^k), truncated."""
 
     __slots__ = ("params", "coeffs", "known")
@@ -72,19 +72,12 @@ class LinearSeries:
             return self.known
         return min(self.known, other.known)
 
-    def __add__(self, other):
-        self._check(other)
-        return LinearSeries(self.params, _add_maps(self.coeffs, other.coeffs),
-                            self._common_known(other))
+    def _join(self, other, coeffs):
+        return LinearSeries(self.params, coeffs, self._common_known(other))
 
-    def __neg__(self):
-        return LinearSeries(self.params, {k: -c for k, c in self.coeffs.items()},
-                            self.known)
-
-    def __sub__(self, other):
-        self._check(other)
-        return LinearSeries(self.params, _sub_maps(self.coeffs, other.coeffs),
-                            self._common_known(other))
+    def _compared(self, other):
+        known = self._common_known(other)
+        return None if known is None else lambda k: k <= known
 
     def scale(self, s: PerfSeries) -> "LinearSeries":
         """Multiply the function by the scalar s."""
@@ -138,17 +131,6 @@ class LinearSeries:
         return all(c.is_zero_at_prec() or k > self.known
                    for k, c in self.coeffs.items())
 
-    def __eq__(self, other):
-        if not isinstance(other, LinearSeries):
-            return NotImplemented
-        if self.params != other.params:
-            return False
-        known = self._common_known(other)
-        return _maps_equal(self.params, self.coeffs, other.coeffs,
-                           None if known is None else lambda k: k <= known)
-
-    __hash__ = None
-
     def __repr__(self):
         parts = ["(%s)*t^(q^%d)" % (textio.format_series(c), k)
                  for k, c in sorted(self.coeffs.items())]
@@ -158,7 +140,7 @@ class LinearSeries:
         return body
 
 
-class MultiFunction:
+class MultiFunction(SeriesMap):
     """Function of (z, s_1..s_n) in the basis described in the module doc."""
 
     __slots__ = ("params", "n", "trunc_m", "trunc_i", "coeffs")
@@ -193,6 +175,14 @@ class MultiFunction:
     def _check(self, other):
         if self.params != other.params or self.n != other.n:
             raise ParameterMismatchError("incompatible functions")
+
+    def _join(self, other, coeffs):
+        return MultiFunction(self.params, self.n, min(self.trunc_m, other.trunc_m),
+                             min(self.trunc_i, other.trunc_i), coeffs)
+
+    def _compared(self, other):
+        box = self._join(other, {})  # the common box
+        return lambda key: key[0] <= box.trunc_m and max(key[1:]) <= box.trunc_i
 
     # -- generator actions ----------------------------------------------------
 
@@ -235,26 +225,6 @@ class MultiFunction:
         out = {key: c * s for key, c in self.coeffs.items()}
         return MultiFunction(self.params, self.n, self.trunc_m, self.trunc_i, out)
 
-    # -- combination ------------------------------------------------------------
-
-    def __add__(self, other):
-        self._check(other)
-        tm = min(self.trunc_m, other.trunc_m)
-        ti = min(self.trunc_i, other.trunc_i)
-        return MultiFunction(self.params, self.n, tm, ti,
-                             _add_maps(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        out = {key: -c for key, c in self.coeffs.items()}
-        return MultiFunction(self.params, self.n, self.trunc_m, self.trunc_i, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        tm = min(self.trunc_m, other.trunc_m)
-        ti = min(self.trunc_i, other.trunc_i)
-        return MultiFunction(self.params, self.n, tm, ti,
-                             _sub_maps(self.coeffs, other.coeffs))
-
     # -- inspection ---------------------------------------------------------------
 
     def coefficient(self, m, *ivec) -> PerfSeries:
@@ -268,18 +238,6 @@ class MultiFunction:
 
     def is_zero_on_box(self) -> bool:
         return all(c.is_zero_at_prec() for c in self.coeffs.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiFunction):
-            return NotImplemented
-        if self.params != other.params or self.n != other.n:
-            return False
-        tm = min(self.trunc_m, other.trunc_m)
-        ti = min(self.trunc_i, other.trunc_i)
-        return _maps_equal(self.params, self.coeffs, other.coeffs,
-                           lambda key: key[0] <= tm and max(key[1:]) <= ti)
-
-    __hash__ = None
 
     def evaluate(self, z: PerfSeries, svec, tail_prec=None,
                  window=None) -> PerfSeries:

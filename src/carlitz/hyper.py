@@ -64,8 +64,8 @@ from fractions import Fraction
 from itertools import count, islice
 from typing import Optional
 
-from .brackets import (INFINITY, bracket, carlitz_D, pochhammer,
-                       pochhammer_thakur, shift_down, shift_up)
+from .brackets import (INFINITY, _thakur_factor, bracket, carlitz_D,
+                       pochhammer, shift_down, shift_up)
 from .errors import (InadmissibleError, ParameterMismatchError,
                      PrecisionError, UsageError)
 from .ffield import FieldParams
@@ -275,16 +275,21 @@ def hyper_thakur_coeff(params: FieldParams, alphas, betas, m: int,
     """t_m = prod (alpha_i)_m / (prod (beta_j)_m * D_m) with beta_j >= 1.
 
     Refuses lower parameters below 1, the only ones whose symbol can
-    vanish."""
+    vanish.  An upper symbol that is the inverse of a signed L^(q^m)
+    (alpha <= 0) puts that L^(q^m) among the divisors, so ``window``
+    governs its division too."""
     if m < 0:
         raise UsageError("need m >= 0")
     for beta in betas:
         if beta < 1:
             raise UsageError("lower parameters must be positive integers, got %r"
                              % (beta,))
-    return _coeff_quotient(
-        params, m, (pochhammer_thakur(params, alpha, m) for alpha in alphas),
-        (pochhammer_thakur(params, beta, m) for beta in betas), window)
+    upper, lower = [], []
+    for alpha in alphas:
+        value, inverted = _thakur_factor(params, alpha, m)
+        (lower if inverted else upper).append(value)
+    lower += [_thakur_factor(params, beta, m)[0] for beta in betas]
+    return _coeff_quotient(params, m, upper, lower, window)
 
 
 def thakur_series(params: FieldParams, alphas, betas, M: int,

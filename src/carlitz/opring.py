@@ -35,7 +35,7 @@ from .brackets import bracket
 from .errors import ParameterMismatchError, UsageError
 from .ffield import FieldParams
 from .funcspace import MultiFunction
-from .series import PerfSeries, _add_maps, _maps_equal, _sub_maps
+from .series import PerfSeries, SeriesMap
 
 FACTOR_TAU = "tau"
 FACTOR_D = "d"
@@ -147,7 +147,7 @@ def _act(f, factors):
     return f
 
 
-class NormalForm:
+class NormalForm(SeriesMap):
     """An operator as a unique finite sum in one of the two conventions.
 
     ``terms`` maps keys (l, mu, i_1..i_n) to scalar coefficients.  Keys
@@ -155,6 +155,7 @@ class NormalForm:
     """
 
     __slots__ = ("params", "n", "convention", "terms")
+    _map = "terms"
 
     def __init__(self, params: FieldParams, n: int, convention: str, terms: dict):
         _convention_order(convention)
@@ -194,29 +195,8 @@ class NormalForm:
     def is_zero(self) -> bool:
         return not self.terms or all(c.is_zero_at_prec() for c in self.terms.values())
 
-    def __add__(self, other):
-        self._check(other)
-        return NormalForm(self.params, self.n, self.convention,
-                          _add_maps(self.terms, other.terms))
-
-    def __neg__(self):
-        return NormalForm(self.params, self.n, self.convention,
-                          {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        self._check(other)
-        return NormalForm(self.params, self.n, self.convention,
-                          _sub_maps(self.terms, other.terms))
-
-    def __eq__(self, other):
-        if not isinstance(other, NormalForm):
-            return NotImplemented
-        if (self.params != other.params or self.n != other.n
-                or self.convention != other.convention):
-            return False
-        return _maps_equal(self.params, self.terms, other.terms)
-
-    __hash__ = None
+    def _join(self, other, terms):
+        return NormalForm(self.params, self.n, self.convention, terms)
 
     def key_factors(self, key):
         """Expand a term key into its generator word for this convention."""

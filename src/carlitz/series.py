@@ -57,6 +57,12 @@ two precisions, which makes identity checks decidable at stated precision.
 Zero-at-precision (no terms, finite prec) and exact zero are distinct
 observable states; ``valuation`` reports the former as an
 :class:`AtLeast` lower bound rather than pretending it is infinite.
+
+The other objects of the calculus (linear series, functions, operators in
+normal form, the P, Q and initial data of an evolution equation) are maps
+from keys to series: each is a :class:`SeriesMap`, whose keywise ``+``,
+``-``, negation and equality at common precision are written once, a
+missing key reading as exact zero.
 """
 
 from __future__ import annotations
@@ -613,32 +619,50 @@ def _twisted_step(c: PerfSeries, num, den, window) -> PerfSeries:
 
 
 # ---------------------------------------------------------------------------
-# maps from keys to series (the coefficient stores of the other modules)
+# maps from keys to series (the containers of the other modules)
 # ---------------------------------------------------------------------------
 
-def _add_maps(a: dict, b: dict) -> dict:
-    """Keywise sum of two maps to PerfSeries, a missing key reading as
-    exact zero; every caller's constructor drops exact-zero values."""
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = out[k] + c if k in out else c
-    return out
+class SeriesMap:
+    """A map from keys to PerfSeries in the attribute named ``_map``.  A
+    subclass says what two operands share (``_check`` raises
+    ParameterMismatchError, which ``==`` reads as False), builds a result
+    with its truncation joined with another operand's (``_join``), and may
+    limit the keys ``==`` compares (``_compared``, a predicate)."""
 
+    __slots__ = ()
+    _map = "coeffs"
 
-def _sub_maps(a: dict, b: dict) -> dict:
-    """Keywise difference of two maps to PerfSeries, a missing key reading
-    as exact zero; every caller's constructor drops exact-zero values."""
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = out[k] - c if k in out else -c
-    return out
+    def _compared(self, other):
+        return None
 
+    def __add__(self, other):
+        self._check(other)
+        out = dict(getattr(self, self._map))
+        for k, c in getattr(other, self._map).items():
+            out[k] = out[k] + c if k in out else c
+        return self._join(other, out)
 
-def _maps_equal(params: FieldParams, a: dict, b: dict, keep=None) -> bool:
-    """Keywise equality at common precision of two maps to PerfSeries, a
-    missing key reading as exact zero; keys failing ``keep`` are skipped."""
-    zero = PerfSeries.zero(params)
-    for k in set(a) | set(b):
-        if (keep is None or keep(k)) and a.get(k, zero) != b.get(k, zero):
+    def __sub__(self, other):
+        self._check(other)
+        out = dict(getattr(self, self._map))
+        for k, c in getattr(other, self._map).items():
+            out[k] = out[k] - c if k in out else -c
+        return self._join(other, out)
+
+    def __neg__(self):
+        return self._join(self, {k: -c for k, c in getattr(self, self._map).items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        try:
+            self._check(other)
+        except ParameterMismatchError:
             return False
-    return True
+        a, b = getattr(self, self._map), getattr(other, self._map)
+        keep = self._compared(other)
+        zero = PerfSeries.zero(self.params)
+        return all(a.get(k, zero) == b.get(k, zero) for k in set(a) | set(b)
+                   if keep is None or keep(k))
+
+    __hash__ = None  # equality is precision-relative, as for PerfSeries

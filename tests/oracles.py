@@ -4,21 +4,22 @@ The direct hypergeometric coefficient quotient prod(upper) / (D_m *
 prod(lower)), which the library replaced by the q-twisted recursion for
 exact field parameters; the exact comparison of two series; trial-division
 irreducibility of a field modulus, which the library decides through its
-table build; and quotients through a built inverse: the long-division
-inverse, the quotient as a product with it, and the q-twisted steps of the
-hypergeometric stream and of the Cauchy solver on top of them, which the
-library replaced by long division seeded with the dividend; and the series
-operations as they were when every result went through one filtering
-constructor, ``MakePath``, which the library replaced by results that are
-canonical by construction.  Each is kept here once and in no library
-module.
+table build; the recurrence for the Pochhammer symbol <a>_m, whose mode
+the library serves with the direct product; and quotients through a built
+inverse: the long-division inverse, the quotient as a product with it,
+and the q-twisted steps of the hypergeometric stream and of the Cauchy
+solver on top of them, which the library replaced by long division seeded
+with the dividend; and the series operations as they were when every
+result went through one filtering constructor, ``MakePath``, which the
+library replaced by results that are canonical by construction.  Each is
+kept here once and in no library module.
 """
 
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import product
 
-from carlitz import PerfSeries, carlitz_D, pochhammer, pochhammer_thakur
+from carlitz import PerfSeries, bracket, carlitz_D, pochhammer, pochhammer_thakur
 from carlitz.cauchy import _index_values
 from carlitz.errors import NotInvertibleError, PrecisionError, UsageError
 from carlitz.ffield import FFElement
@@ -35,6 +36,16 @@ def ref_coeff_quotient(params, m, upper, lower, window):
     for factor in lower:
         den = den * factor
     return num * ref_invert(den, window=window)
+
+
+def ref_pochhammer_recurrent(a, m):
+    """<a>_m by iterating <a>_(m+1) = ([m]-a)^q <a>_m^q, the body of the
+    recurrent mode that ``pochhammer`` now serves with its direct product."""
+    params = a.params
+    result = PerfSeries.one(params)
+    for k in range(m):
+        result = (bracket(params, k) - a).frobenius(1) * result.frobenius(1)
+    return result
 
 
 def ref_hyper_coeff(hp, m, window=None):

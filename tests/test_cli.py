@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -9,6 +10,8 @@ import pytest
 from carlitz import FieldParams, PerfSeries, bracket
 from carlitz.cauchy import InitialData, format_problem, hypergeometric_equation
 from carlitz.cli import build_parser, main
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, argv):
@@ -134,6 +137,20 @@ def test_cauchy_solve_refuses_inadmissible(tmp_path, capsys):
     assert "2" in payload["message"]
 
 
+def test_cauchy_solve_exact_zero_beyond_imax_is_inadmissible(tmp_path, capsys):
+    params = FieldParams.default(2)
+    eq = hypergeometric_equation(params, [PerfSeries.x(params)],
+                                 [bracket(params, 2)])
+    problem = tmp_path / "zero.txt"
+    problem.write_text(format_problem(eq, InitialData.delta(params, 1), 3, 3))
+    for imax in ([], ["--imax", "0"]):
+        code, out, err = run(capsys, ["--json", "cauchy-solve", str(problem)] + imax)
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {
+            "ok": False, "reason": "inadmissible",
+            "message": "refusing to solve: Q vanishes at indices (2)"}
+
+
 def test_usage_error_exit_code(capsys):
     code, out, err = run(capsys, ["--q", "2", "pochhammer", "--n", "3"])
     assert code == 2
@@ -205,7 +222,7 @@ def test_field_config_file(tmp_path, capsys, monkeypatch):
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "carlitz.cli", "--q", "2", "bracket", "--n", "-1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 0
     assert proc.stdout.strip() == "x^(1/2) + x"
 

@@ -14,8 +14,8 @@ from itertools import product
 
 import pytest
 
-from carlitz import INF, PerfSeries, hyper, pochhammer_thakur
-from carlitz.brackets import carlitz_D
+from carlitz import INF, PerfSeries, hyper
+from carlitz.brackets import _thakur_factor, carlitz_D
 from carlitz.series import _twisted_step
 from test_quotient_kernel import KINDS, SHIPPED_FIELDS, outcome
 from test_series_kernel import ref_make
@@ -69,15 +69,15 @@ def test_twisted_step_builds_no_product_or_quotient(params, window, monkeypatch)
 @pytest.mark.parametrize("params", SHIPPED_FIELDS, ids=repr)
 @pytest.mark.parametrize("window", (None, 9))
 def test_thakur_coeff_builds_no_product_or_quotient(params, window, monkeypatch):
-    # negative alpha gives truncated inverses of L, or a vanishing symbol;
-    # the symbols are built before counting, since building L^-1 divides
+    # negative alpha gives L as a divisor, or a vanishing symbol; the
+    # factors are built before counting, since building L multiplies
     cases = [(alphas, betas, m) for alphas in ([-2], [-1], [0], [-1, -2])
              for betas in ([1], [1, 2]) for m in range(4)]
-    symbols = {(k, m): pochhammer_thakur(params, k, m)
+    factors = {(k, m): _thakur_factor(params, k, m)
                for alphas, betas, m in cases for k in alphas + betas}
     D = {m: carlitz_D(params, m) for m in range(4)}
-    monkeypatch.setattr(hyper, "pochhammer_thakur",
-                        lambda params, k, m: symbols[(k, m)])
+    monkeypatch.setattr(hyper, "_thakur_factor",
+                        lambda params, k, m: factors[(k, m)])
     monkeypatch.setattr(hyper, "carlitz_D", lambda params, m: D[m])
     calls = _series_calls(monkeypatch)
     for alphas, betas, m in cases:

@@ -323,3 +323,13 @@ def test_hypothesis_canonical_grid(a):
     # minimal denominator exponent: either integral grid or some odd key
     assert a.dexp == 0 or any(k % a.params.q for k in a.terms)
     assert all(c != 0 for c in a.terms.values())
+
+
+def test_every_map_of_series_shares_one_arithmetic():
+    from carlitz import cauchy, funcspace, opring, series
+    for cls in (funcspace.LinearSeries, funcspace.MultiFunction,
+                opring.NormalForm, cauchy.DeltaPoly, cauchy.InitialData):
+        assert issubclass(cls, series.SeriesMap)
+        assert not {"__add__", "__sub__", "__neg__", "__eq__"} & set(vars(cls))
+        assert cls.__hash__ is None
+    assert not hasattr(series, "_add_maps")

@@ -10,8 +10,10 @@ coefficient must match it exactly (terms, dexp, prec value and type), and
 every kind of symbol takes exactly one kernel call.  The cases: exact
 monomial denominators (m = 0), exact non-monomial ones (the field family
 at m >= 1 and the integer family with alpha >= 1), truncated parameters,
-and negative alpha, whose symbols hold truncated inverses of L; windows
-None, an int and a Fraction.
+and negative alpha, whose symbols are inverses of L: the quotient divides
+by L, where the oracle multiplies by its truncated inverse; windows None,
+an int and a Fraction, all within the default invert window, and above
+it, where the quotient keeps the window's precision.
 """
 
 from fractions import Fraction
@@ -20,7 +22,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carlitz import hyper, pochhammer, pochhammer_thakur
-from oracles import assert_same, ref_hyper_coeff, ref_thakur_coeff
+from carlitz.series import DEFAULT_INVERT_WINDOW
+from oracles import (assert_same, ref_coeff_quotient, ref_hyper_coeff,
+                     ref_thakur_coeff)
 from test_hyper_stream import FIELDS, families
 
 WINDOWS = (None, 9, Fraction(23, 2))
@@ -90,3 +94,19 @@ def test_each_kind_of_symbol(params, window, monkeypatch):
     # D_0 (1)_0 = 1: the quotient of monomials is exact unless a window cuts it
     assert hyper.hyper_thakur_coeff(params, [1], [1], 0, window=window).is_exact() \
         == (window is None)
+
+
+@pytest.mark.parametrize("params", FIELDS[:4], ids=repr)
+@pytest.mark.parametrize("alpha, m", [(-2, 0), (-3, 1), (-3, 2)])
+def test_window_governs_the_division_by_L(params, alpha, m):
+    # alpha <= 0 divides by L^(q^m), so a window above the default invert
+    # window buys precision there too; the oracle inverts L far enough
+    base = hyper.hyper_thakur_coeff(params, [alpha], [1], m)
+    for window in (64, 200):
+        got = hyper.hyper_thakur_coeff(params, [alpha], [1], m, window=window)
+        assert got.prec == base.prec + window - DEFAULT_INVERT_WINDOW
+        assert_same(got.truncate(base.prec), base)
+        upper = pochhammer_thakur(params, alpha, m, prec=got.prec + 10)
+        want = ref_coeff_quotient(params, m, [upper],
+                                  [pochhammer_thakur(params, 1, m)], window)
+        assert_same(got, want)
