@@ -23,9 +23,8 @@ precision decays only through the configured division window.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .brackets import bracket, INFINITY
 from .errors import (InadmissibleError, ParameterMismatchError,
@@ -162,8 +161,7 @@ class InitialData(SeriesMap):
                            {k: c * s for k, c in self.values.items()})
 
 
-@dataclass
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     status: str                     # "ok" | "fail" | "indeterminate"
     mu_valuation: Optional[Fraction]  # max val of Q over checked tuples (ok only)
     witness: Optional[tuple]        # offending index tuple (fail/indeterminate)
@@ -307,8 +305,7 @@ def residual(eq: EvolutionEquation, u: MultiFunction) -> MultiFunction:
     return eq.as_normal_form().op_apply(u)
 
 
-@dataclass
-class GrowthReport:
+class GrowthReport(NamedTuple):
     ok: bool
     log_r: Fraction       # tightest exponent bound from the initial layer
     log_c: Fraction       # tightest remaining bound

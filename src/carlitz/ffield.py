@@ -19,9 +19,21 @@ log, addition and Frobenius tables are built.
 The q-power Frobenius ``frob`` is the central structural map: it permutes
 F_Q, so q-th roots always exist and are unique, which is what makes the
 perfection arithmetic in :mod:`carlitz.series` exact.
+
+A configuration read from text (a file header, a config file, the CLI's
+--p/--v/--m/--modulus) goes through :func:`_interned`, so every reader of
+one configuration shares one FieldParams, with its tables and its
+bracket, D and L caches.  It looks up a weak-valued table keyed by the
+normalised (p, v, m, modulus) before building anything, and hands out
+``FieldParams.default(q, m)`` itself for a shipped configuration; an entry
+lives as long as something uses it.  ``FieldParams(...)`` called directly
+still builds a new object, equal by value to every other of its
+configuration.
 """
 
 from __future__ import annotations
+
+import weakref
 
 from .errors import UsageError
 
@@ -95,6 +107,51 @@ _DEFAULT_QV = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2)}
 
 _params_cache: dict = {}
 
+# normalised (p, v, m, modulus) -> the FieldParams that _interned hands out
+_interned_params = weakref.WeakValueDictionary()
+
+
+def _configuration(p, v, m, modulus):
+    """The normalised (p, v, m, modulus) of a field configuration, the
+    modulus filled in from the shipped ones, reduced mod p and made monic;
+    refused with the UsageError of FieldParams, before any table is built."""
+    if next(_prime_factors(p), None) != p:
+        raise UsageError("p must be prime, got %r" % (p,))
+    if v < 1 or m < 1:
+        raise UsageError("v and m must be positive integers")
+    deg = v * m
+    if modulus is None:
+        try:
+            modulus = DEFAULT_MODULI[(p, deg)]
+        except KeyError:
+            raise UsageError(
+                "no shipped modulus for p=%d, degree %d; pass one explicitly"
+                % (p, deg))
+    modulus = tuple(c % p for c in modulus)
+    if len(modulus) != deg + 1 or modulus[-1] == 0:
+        raise UsageError("modulus must be monic of degree exactly %d" % deg)
+    if modulus[-1] != 1:
+        inv = pow(modulus[-1], -1, p)
+        modulus = tuple(c * inv % p for c in modulus)
+    return p, v, m, modulus
+
+
+def _interned(p, v, m, modulus) -> "FieldParams":
+    """The one FieldParams of a configuration read from text: the shipped
+    ``FieldParams.default(q, m)`` when it is that configuration, else the
+    object an earlier call built, while it is alive, else a new one."""
+    key = _configuration(p, v, m, modulus)
+    params = _interned_params.get(key)
+    if params is None:
+        q = p ** v
+        if (_DEFAULT_QV.get(q) == (p, v)
+                and DEFAULT_MODULI.get((p, v * m)) == key[3]):
+            params = FieldParams.default(q, m)
+        else:
+            params = FieldParams(*key)
+        _interned_params[key] = params
+    return params
+
 
 class FieldParams:
     """Field configuration: coefficient field F_Q with Carlitz parameter q.
@@ -108,35 +165,14 @@ class FieldParams:
         "p", "v", "m", "modulus", "q", "Q", "deg",
         "_exp", "_log", "_neg", "_frob", "_add_table",
         "zero_idx", "one_idx", "minus_one_idx", "gen_idx",
-        "d_cache", "l_cache", "bracket_cache",
+        "d_cache", "l_cache", "bracket_cache", "__weakref__",
     )
 
     def __init__(self, p: int, v: int, m: int, modulus=None):
-        if next(_prime_factors(p), None) != p:
-            raise UsageError("p must be prime, got %r" % (p,))
-        if v < 1 or m < 1:
-            raise UsageError("v and m must be positive integers")
-        self.p = p
-        self.v = v
-        self.m = m
+        self.p, self.v, self.m, self.modulus = _configuration(p, v, m, modulus)
         self.q = p ** v
         self.deg = v * m
         self.Q = p ** self.deg
-        if modulus is None:
-            try:
-                modulus = DEFAULT_MODULI[(p, self.deg)]
-            except KeyError:
-                raise UsageError(
-                    "no shipped modulus for p=%d, degree %d; pass one explicitly"
-                    % (p, self.deg))
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != self.deg + 1 or modulus[-1] == 0:
-            raise UsageError(
-                "modulus must be monic of degree exactly %d" % self.deg)
-        if modulus[-1] != 1:
-            inv = pow(modulus[-1], -1, p)
-            modulus = tuple(c * inv % p for c in modulus)
-        self.modulus = modulus
         self._build_tables()
         self.d_cache = {}
         self.l_cache = {}

@@ -59,10 +59,9 @@ every truncated evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .brackets import (INFINITY, _thakur_factor, bracket, carlitz_D,
                        pochhammer, shift_down, shift_up)
@@ -304,8 +303,7 @@ def _bracket_params(params: FieldParams, integers):
     return [bracket(params, -alpha) for alpha in integers]
 
 
-@dataclass
-class CorrespondenceResult:
+class CorrespondenceResult(NamedTuple):
     ok: bool
     rho: Optional[PerfSeries]
     first_bad_m: Optional[int]
@@ -403,8 +401,7 @@ def thakur_residual(params: FieldParams, alphas, betas, M: int,
 CONTIGUOUS_IDS = ("5.3", "5.4", "5.5", "5.6", "5.7", "5.8")
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     ident: str
     ok: bool
     residuals: list   # difference series, one per checked index

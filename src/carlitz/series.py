@@ -52,6 +52,16 @@ it multiplies by each numerator factor and divides by each denominator
 factor, with the output precision worked out once from grid-integer
 valuations, and the step writes the Frobenius image directly.
 
+Exact operands skip the precision arithmetic.  Every infinite precision
+is the one ``INF`` object (the constructor stores any other infinity as
+it), so exactness is an identity test.  Exact times exact is exact at
+once, with no valuation read; an exact factor times a truncated one adds
+only the exact side's valuation, one Fraction read on the common grid;
+the quotient kernel and ``_product_prec`` take no term from an exact
+factor's precision; and ``frobenius`` scales a Fraction prec by the
+integer q^|e|.  Each result has the value and type of prec the general
+rules give.
+
 Equality compares coefficients at all exponents below the smaller of the
 two precisions, which makes identity checks decidable at stated precision.
 Zero-at-precision (no terms, finite prec) and exact zero are distinct
@@ -118,11 +128,12 @@ class PerfSeries:
     def __init__(self, params: FieldParams, dexp: int, terms: dict, prec):
         """Low-level constructor; ``terms`` maps scaled exponents (integers,
         denominating q^dexp) to nonzero coefficient indices.  Use the
-        classmethod constructors for anything user-facing."""
+        classmethod constructors for anything user-facing.  An infinite
+        ``prec`` is stored as the INF object."""
         self.params = params
         self.dexp = dexp
         self.terms = terms
-        self.prec = prec
+        self.prec = INF if type(prec) is float and prec == INF else prec
 
     # -- constructors ---------------------------------------------------------
 
@@ -198,11 +209,11 @@ class PerfSeries:
     # -- inspection -----------------------------------------------------------
 
     def is_exact(self) -> bool:
-        return self.prec == INF
+        return self.prec is INF
 
     def is_zero(self) -> bool:
         """Exactly zero (no terms, infinite precision)."""
-        return not self.terms and self.prec == INF
+        return not self.terms and self.prec is INF
 
     def is_zero_at_prec(self) -> bool:
         """No known terms; may still hide nonzero content at or above prec."""
@@ -216,7 +227,7 @@ class PerfSeries:
         """
         if self.terms:
             return Fraction(min(self.terms), self.params.q ** self.dexp)
-        if self.prec == INF:
+        if self.prec is INF:
             return INF
         return AtLeast(self.prec)
 
@@ -313,10 +324,24 @@ class PerfSeries:
                           {k: neg[c] for k, c in self.terms.items()}, self.prec)
 
     def __mul__(self, other):
+        """The product, at min(prec_a + val(b), prec_b + val(a)); an exact
+        side contributes only its valuation, read on the common grid."""
         self._check(other)
-        prec = min(self.prec + other._val_lb(), other.prec + self._val_lb())
         d, ta, tb = self._aligned(other)
-        bound = _grid_bound(prec, self.params.q ** d) if prec != INF else INF
+        a_prec, b_prec = self.prec, other.prec
+        if a_prec is INF and b_prec is INF:
+            prec = bound = INF
+        elif a_prec is INF or b_prec is INF:
+            exact, prec = (ta, b_prec) if a_prec is INF else (tb, a_prec)
+            if exact:
+                scale = self.params.q ** d
+                prec = prec + Fraction(min(exact), scale)
+                bound = _grid_bound(prec, scale)
+            else:  # an exact zero
+                prec = bound = INF
+        else:
+            prec = min(a_prec + other._val_lb(), b_prec + self._val_lb())
+            bound = _grid_bound(prec, self.params.q ** d)
         return PerfSeries._canonical(self.params, d,
                                      _product_terms(self.params, ta, tb, bound),
                                      prec)
@@ -341,24 +366,31 @@ class PerfSeries:
         off = int(e * q ** d)
         fa = q ** (d - self.dexp)
         terms = {kk * fa + off: c for kk, c in self.terms.items()}
-        prec = self.prec if self.prec == INF else self.prec + e
+        prec = self.prec if self.prec is INF else self.prec + e
         return PerfSeries._canonical(self.params, d, terms, prec)
 
     def frobenius(self, e: int) -> "PerfSeries":
         """tau^e: exponents (and prec) scale by q^e, coefficients map through
         the q^e-power automorphism of F_Q.  e may be negative; q-th roots in
-        F_Q are unique because the Frobenius permutes the field."""
+        F_Q are unique because the Frobenius permutes the field.  A Fraction
+        prec is multiplied or divided by the integer q^|e|, which keeps its
+        type."""
         params = self.params
         q = params.q
         frob = params._frob[e % params.m]
+        prec = self.prec
         if e >= 0:
             f = q ** e
             terms = {k * f: frob[c] for k, c in self.terms.items()}
             dexp = self.dexp
         else:
+            f = q ** -e
             terms = {k: frob[c] for k, c in self.terms.items()}
             dexp = self.dexp - e  # e < 0 deepens the denominator
-        prec = self.prec if self.prec == INF else self.prec * Fraction(q) ** e
+        if isinstance(prec, Fraction):
+            prec = prec * f if e >= 0 else prec / f
+        elif prec is not INF:
+            prec = prec * Fraction(q) ** e
         return PerfSeries._canonical(params, dexp, terms, prec)
 
     def pow(self, k: int) -> "PerfSeries":
@@ -411,7 +443,7 @@ class PerfSeries:
             return False
         prec = min(self.prec, other.prec)
         d, ta, tb = self._aligned(other)
-        if prec == INF:
+        if prec is INF:
             return ta == tb
         bound = _grid_bound(prec, self.params.q ** d)
         for k, c in ta.items():
@@ -498,12 +530,16 @@ def _long_division(params: FieldParams, seeds: dict, steps, bound) -> dict:
 
 
 def _product_prec(factors):
-    """The precision of prod(factors): the least, over the factors, of a
-    factor's precision plus the valuation lower bounds of the others, which
-    is what multiplying them in any order gives."""
+    """The precision of prod(factors): the least, over the truncated
+    factors, of a factor's precision plus the valuation lower bounds of the
+    others, which is what multiplying them in any order gives; INF when
+    every factor is exact or one is an exact zero."""
+    if any(f.is_zero() for f in factors):
+        return INF
     lbs = [f._val_lb() for f in factors]
-    return min(f.prec + sum(lbs[:i] + lbs[i + 1:])
-               for i, f in enumerate(factors))
+    return min((f.prec + sum(lbs[:i] + lbs[i + 1:])
+                for i, f in enumerate(factors) if f.prec is not INF),
+               default=INF)
 
 
 def _quotient(c: PerfSeries, num, den, prec, window):
@@ -543,7 +579,7 @@ def _quotient(c: PerfSeries, num, den, prec, window):
     dens = [on_grid(f) for f in den]
     v = sum(min(t) for t in dens)  # valuation of prod(den), on the grid
     # the relative precision of prod(den), and the one its inverse keeps
-    rel_in = min((f.prec - f._val_lb() for f in den if f.prec != INF),
+    rel_in = min((f.prec - f._val_lb() for f in den if f.prec is not INF),
                  default=INF)
     if window is not None:
         rel_out = min(Fraction(window), rel_in)
@@ -565,7 +601,10 @@ def _quotient(c: PerfSeries, num, den, prec, window):
                 "requested precision leaves no known coefficients")
     if not all(f.terms for f in (c, *num)):
         # rel_out > 0, so the dividend's own term is the least
-        return 0, {}, _product_prec((c, *num)) - Fraction(v, scale)
+        out_prec = _product_prec((c, *num))
+        if out_prec is not INF:
+            out_prec -= Fraction(v, scale)
+        return 0, {}, out_prec
 
     c_terms = on_grid(c)
     c_val = min(c_terms)
@@ -577,11 +616,12 @@ def _quotient(c: PerfSeries, num, den, prec, window):
         offset += k0
         nums.append((f.prec, k0, {k - k0: x for k, x in t.items()}))
     val = c_val + offset  # valuation of the quotient, on the grid
-    out_prec = rel_out + Fraction(val, scale)  # the term of the inverse
+    # the term of the inverse, then of each truncated numerator
+    out_prec = INF if rel_out is INF else rel_out + Fraction(val, scale)
     for p, k0 in [(c.prec, c_val)] + [(p, k0) for p, k0, _ in nums]:
-        if p != INF:
+        if p is not INF:
             out_prec = min(out_prec, p + Fraction(val - k0, scale))
-    bound = _grid_bound(out_prec, scale) if out_prec != INF else INF
+    bound = INF if out_prec is INF else _grid_bound(out_prec, scale)
 
     log, exp, neg = params._log, params._exp, params._neg
     n = params.Q - 1

@@ -16,6 +16,12 @@ Operator expressions combine ``tau``, ``d``, ``delta1`` ... ``deltaN``,
 parenthesized series literals acting as scalars, ``*`` for composition,
 ``+``/``-``, and ``^k`` for repeated factors.  Parsing lowers an
 expression to a sum of operator words (no rewriting happens here).
+
+The file formats open with a field-config header (p, v, m, modulus).
+Every header of one configuration reads as the same FieldParams object,
+the shipped ``FieldParams.default(q, m)`` when it is that one, so parsed
+files share field tables and bracket, D and L caches instead of each
+building its own (see :mod:`carlitz.ffield`).
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .ffield import FieldParams
+from .ffield import FieldParams, _interned
 from .series import INF, PerfSeries, _grid_depth
 
 _TOKEN_RE = re.compile(r"""
@@ -368,13 +374,18 @@ def format_field_header(params: FieldParams):
 
 
 def parse_field_header(fields: dict) -> FieldParams:
+    """The FieldParams of a header's p, v, m and modulus keys.  Every
+    header of one configuration gives the same object (see
+    :func:`carlitz.ffield._interned`): ``FieldParams.default(q, m)`` for a
+    shipped one, so parsed series, functions and problems share its tables
+    and bracket, D and L caches with the rest of the process."""
     p, v, m = (_read_int(fields.get(k), "field-config key %r" % k)
                for k in ("p", "v", "m"))
     modulus = None
     if "modulus" in fields:
         modulus = tuple(_read_int(c, "modulus coefficient")
                         for c in fields["modulus"].split(","))
-    return FieldParams(p, v, m, modulus)
+    return _interned(p, v, m, modulus)
 
 
 def _read_int(text, what: str) -> int:

@@ -151,6 +151,16 @@ def test_cauchy_solve_exact_zero_beyond_imax_is_inadmissible(tmp_path, capsys):
             "message": "refusing to solve: Q vanishes at indices (2)"}
 
 
+def test_unreadable_file_is_a_usage_refusal_in_both_modes(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    why = "[Errno 2] No such file or directory: %r" % missing
+    code, out, err = run(capsys, ["--json", "cauchy-solve", missing])
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"ok": False, "reason": "usage", "message": why}
+    code, out, err = run(capsys, ["cauchy-solve", missing])
+    assert (code, out, err) == (2, "", "error: %s\n" % why)
+
+
 def test_usage_error_exit_code(capsys):
     code, out, err = run(capsys, ["--q", "2", "pochhammer", "--n", "3"])
     assert code == 2

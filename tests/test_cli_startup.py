@@ -4,7 +4,8 @@ Every ``carlitz`` run is a fresh interpreter serving one verb, and
 importing a module costs more than the work of the small verbs, so a verb
 imports the modules it runs when it runs.  Each case runs ``cli.main`` in
 a new interpreter and compares the ``carlitz`` modules it leaves in
-``sys.modules`` with the verb's footprint.
+``sys.modules`` with the verb's footprint.  No verb loads ``dataclasses``
+(and with it ``inspect``): the result types are named tuples.
 """
 
 import json
@@ -29,7 +30,8 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         code = cli.main(sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("carlitz."))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("carlitz.")),
+                  [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
 """
 
 #: What every verb loads: the package, the CLI and the modules at its top.
@@ -80,15 +82,33 @@ def files(tmp_path_factory):
     return str(path)
 
 
+_RUNS = {}
+
+
+def _child(argv, files):
+    """(exit code, carlitz modules, which of dataclasses and inspect were
+    loaded) of one verb in a new interpreter; each argv runs once per
+    session."""
+    key = tuple(argv)
+    if key not in _RUNS:
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("CARLITZ_FIELD_CONFIG", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD] + [a.replace("{dir}", files) for a in argv],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        _RUNS[key] = json.loads(proc.stdout.splitlines()[-1])
+    return _RUNS[key]
+
+
 @pytest.mark.parametrize("argv, code, extra", [c[1:] for c in CASES],
                          ids=[c[0] for c in CASES])
 def test_verb_loads_only_its_modules(argv, code, extra, files):
-    argv = [a.replace("{dir}", files) for a in argv]
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("CARLITZ_FIELD_CONFIG", None)
-    proc = subprocess.run([sys.executable, "-c", CHILD] + argv, env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    got_code, modules = json.loads(proc.stdout.splitlines()[-1])
+    got_code, modules, _ = _child(argv, files)
     assert got_code == code
     assert set(modules) == {"carlitz." + m for m in BASE | extra}
+
+
+@pytest.mark.parametrize("argv", [c[1] for c in CASES], ids=[c[0] for c in CASES])
+def test_no_verb_loads_dataclasses(argv, files):
+    assert _child(argv, files)[2] == []

@@ -1,13 +1,20 @@
+import gc
 import hashlib
 import itertools
 import json
 import pathlib
 import time
+import weakref
 
 import pytest
 
-from carlitz import FieldParams, UsageError
+from carlitz import FieldParams, PerfSeries, UsageError
+from carlitz.cauchy import (InitialData, format_problem, hypergeometric_equation,
+                            parse_problem)
+from carlitz.cli import _field_params, build_parser
 from carlitz.ffield import DEFAULT_MODULI
+from carlitz.funcspace import MultiFunction
+from carlitz.textio import format_field_header, parse_field_header
 from oracles import ref_is_irreducible
 
 SHIPPED = [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2),
@@ -167,3 +174,84 @@ def test_coeff_str_roundtrip_semantics():
     assert names[1] == "1"
     assert "g" in names
     assert len(set(names)) == params.Q
+
+
+# ---------------------------------------------------------------------------
+# one FieldParams per configuration read from text
+# ---------------------------------------------------------------------------
+
+def _header(params, **change):
+    fields = dict(line.split(" ", 1) for line in format_field_header(params))
+    fields.update(change)
+    return fields
+
+
+def _function_text(params):
+    return MultiFunction(params, 1, 1, 1, {(0, 1): PerfSeries.x(params)}).to_text()
+
+
+@pytest.mark.parametrize("q,m", SHIPPED)
+def test_parsed_default_header_is_the_default_params(q, m):
+    default = FieldParams.default(q, m)
+    built = FieldParams(default.p, default.v, m)
+    eq = hypergeometric_equation(built, [PerfSeries.x(built)], [PerfSeries.one(built)], 1)
+    problem = format_problem(eq, InitialData.delta(built, 1), 2, 2)
+    assert parse_problem(problem)[0].params is default
+    assert MultiFunction.from_text(_function_text(built)).params is default
+    without_modulus = _header(built)
+    del without_modulus["modulus"]
+    assert parse_field_header(without_modulus) is default
+
+
+def test_parsed_headers_share_one_params_while_it_lives():
+    direct = FieldParams(2, 1, 1, (1, 1))  # x + 1: not the shipped modulus
+    text = _function_text(direct)
+    first = MultiFunction.from_text(text).params
+    second = MultiFunction.from_text(text).params
+    assert first is second
+    assert first == direct and first is not direct
+    assert first is not FieldParams.default(2)
+    alive = weakref.ref(first)
+    del first, second
+    gc.collect()
+    assert alive() is None
+    again = MultiFunction.from_text(text).params
+    assert again == direct and again.bracket_cache == {}
+
+
+def test_headers_share_by_normalised_modulus():
+    base = {"p": "3", "v": "1", "m": "1"}
+    one = parse_field_header(dict(base, modulus="1,1"))
+    assert parse_field_header(dict(base, modulus="4,1")) is one
+    assert parse_field_header(dict(base, modulus="2,2")) is one  # made monic
+    assert parse_field_header(dict(base, modulus="0,2")) is FieldParams.default(3)
+
+
+def test_direct_construction_builds_a_new_object():
+    assert FieldParams(2, 1, 1) is not FieldParams(2, 1, 1)
+    assert FieldParams(2, 1, 1) is not FieldParams.default(2)
+    assert FieldParams(2, 1, 1) == FieldParams.default(2)
+
+
+@pytest.mark.parametrize("fields", [
+    {"p": "4", "v": "1", "m": "1"},
+    {"p": "2", "v": "0", "m": "1"},
+    {"p": "7", "v": "1", "m": "1"},
+    {"p": "2", "v": "2", "m": "1", "modulus": "1,1"},
+    {"p": "2", "v": "2", "m": "1", "modulus": "1,0,1"},
+], ids=["composite-p", "v-zero", "no-shipped-modulus", "wrong-degree", "reducible"])
+def test_parsed_header_refusals_match_direct_construction(fields):
+    modulus = (tuple(int(c) for c in fields["modulus"].split(","))
+               if "modulus" in fields else None)
+    with pytest.raises(UsageError) as direct:
+        FieldParams(int(fields["p"]), int(fields["v"]), int(fields["m"]), modulus)
+    for _ in range(2):
+        with pytest.raises(UsageError) as parsed:
+            parse_field_header(fields)
+        assert str(parsed.value) == str(direct.value)
+
+
+def test_cli_field_flags_share_the_default_params():
+    args = build_parser().parse_args(["--p", "3", "--v", "1", "--modulus", "0,1",
+                                      "bracket", "--n", "1"])
+    assert _field_params(args) is FieldParams.default(3)
