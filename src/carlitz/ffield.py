@@ -21,19 +21,16 @@ F_Q, so q-th roots always exist and are unique, which is what makes the
 perfection arithmetic in :mod:`carlitz.series` exact.
 
 A configuration read from text (a file header, a config file, the CLI's
---p/--v/--m/--modulus) goes through :func:`_interned`, so every reader of
-one configuration shares one FieldParams, with its tables and its
-bracket, D and L caches.  It looks up a weak-valued table keyed by the
-normalised (p, v, m, modulus) before building anything, and hands out
-``FieldParams.default(q, m)`` itself for a shipped configuration; an entry
-lives as long as something uses it.  ``FieldParams(...)`` called directly
-still builds a new object, equal by value to every other of its
-configuration.
+--p/--v/--m/--modulus) goes through :func:`_interned`.  When its
+normalised (p, v, m, modulus) is a shipped configuration it reads as
+``FieldParams.default(q, m)`` itself, so parsed files share that object's
+tables and bracket, D and L caches instead of each building its own; any
+other configuration builds a new FieldParams.  ``FieldParams(...)``
+called directly still builds a new object, equal by value to every other
+of its configuration.
 """
 
 from __future__ import annotations
-
-import weakref
 
 from .errors import UsageError
 
@@ -107,9 +104,6 @@ _DEFAULT_QV = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2)}
 
 _params_cache: dict = {}
 
-# normalised (p, v, m, modulus) -> the FieldParams that _interned hands out
-_interned_params = weakref.WeakValueDictionary()
-
 
 def _configuration(p, v, m, modulus):
     """The normalised (p, v, m, modulus) of a field configuration, the
@@ -137,20 +131,14 @@ def _configuration(p, v, m, modulus):
 
 
 def _interned(p, v, m, modulus) -> "FieldParams":
-    """The one FieldParams of a configuration read from text: the shipped
-    ``FieldParams.default(q, m)`` when it is that configuration, else the
-    object an earlier call built, while it is alive, else a new one."""
+    """The FieldParams of a configuration read from text: the shipped
+    ``FieldParams.default(q, m)`` itself when it is that configuration,
+    else a new one."""
     key = _configuration(p, v, m, modulus)
-    params = _interned_params.get(key)
-    if params is None:
-        q = p ** v
-        if (_DEFAULT_QV.get(q) == (p, v)
-                and DEFAULT_MODULI.get((p, v * m)) == key[3]):
-            params = FieldParams.default(q, m)
-        else:
-            params = FieldParams(*key)
-        _interned_params[key] = params
-    return params
+    q = p ** v
+    if _DEFAULT_QV.get(q) == (p, v) and DEFAULT_MODULI.get((p, v * m)) == key[3]:
+        return FieldParams.default(q, m)
+    return FieldParams(*key)
 
 
 class FieldParams:
@@ -165,7 +153,7 @@ class FieldParams:
         "p", "v", "m", "modulus", "q", "Q", "deg",
         "_exp", "_log", "_neg", "_frob", "_add_table",
         "zero_idx", "one_idx", "minus_one_idx", "gen_idx",
-        "d_cache", "l_cache", "bracket_cache", "__weakref__",
+        "d_cache", "l_cache", "bracket_cache",
     )
 
     def __init__(self, p: int, v: int, m: int, modulus=None):

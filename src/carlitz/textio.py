@@ -18,10 +18,9 @@ parenthesized series literals acting as scalars, ``*`` for composition,
 expression to a sum of operator words (no rewriting happens here).
 
 The file formats open with a field-config header (p, v, m, modulus).
-Every header of one configuration reads as the same FieldParams object,
-the shipped ``FieldParams.default(q, m)`` when it is that one, so parsed
-files share field tables and bracket, D and L caches instead of each
-building its own (see :mod:`carlitz.ffield`).
+A header of a shipped configuration reads as ``FieldParams.default(q, m)``
+itself, so parsed files share its field tables and bracket, D and L
+caches instead of each building its own (see :mod:`carlitz.ffield`).
 """
 
 from __future__ import annotations
@@ -374,11 +373,11 @@ def format_field_header(params: FieldParams):
 
 
 def parse_field_header(fields: dict) -> FieldParams:
-    """The FieldParams of a header's p, v, m and modulus keys.  Every
-    header of one configuration gives the same object (see
-    :func:`carlitz.ffield._interned`): ``FieldParams.default(q, m)`` for a
-    shipped one, so parsed series, functions and problems share its tables
-    and bracket, D and L caches with the rest of the process."""
+    """The FieldParams of a header's p, v, m and modulus keys.  A shipped
+    configuration gives ``FieldParams.default(q, m)`` itself (see
+    :func:`carlitz.ffield._interned`), so parsed series, functions and
+    problems share its tables and bracket, D and L caches with the rest of
+    the process."""
     p, v, m = (_read_int(fields.get(k), "field-config key %r" % k)
                for k in ("p", "v", "m"))
     modulus = None

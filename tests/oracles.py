@@ -60,11 +60,13 @@ def ref_thakur_coeff(params, alphas, betas, m, window=None):
 
 
 def assert_same(got, want):
-    """Same terms, same dexp, same prec, value and type."""
+    """Same terms, same dexp, same prec, value and type; an infinite prec
+    is ``INF`` itself."""
     assert got.terms == want.terms
     assert got.dexp == want.dexp
     assert got.prec == want.prec
     assert type(got.prec) is type(want.prec)
+    assert (got.prec is INF) == (want.prec == INF)
 
 
 def ref_is_irreducible(mod, p):

@@ -1,10 +1,8 @@
-import gc
 import hashlib
 import itertools
 import json
 import pathlib
 import time
-import weakref
 
 import pytest
 
@@ -203,28 +201,13 @@ def test_parsed_default_header_is_the_default_params(q, m):
     assert parse_field_header(without_modulus) is default
 
 
-def test_parsed_headers_share_one_params_while_it_lives():
-    direct = FieldParams(2, 1, 1, (1, 1))  # x + 1: not the shipped modulus
-    text = _function_text(direct)
-    first = MultiFunction.from_text(text).params
-    second = MultiFunction.from_text(text).params
-    assert first is second
-    assert first == direct and first is not direct
-    assert first is not FieldParams.default(2)
-    alive = weakref.ref(first)
-    del first, second
-    gc.collect()
-    assert alive() is None
-    again = MultiFunction.from_text(text).params
-    assert again == direct and again.bracket_cache == {}
-
-
-def test_headers_share_by_normalised_modulus():
+def test_headers_normalise_before_matching_a_shipped_configuration():
     base = {"p": "3", "v": "1", "m": "1"}
-    one = parse_field_header(dict(base, modulus="1,1"))
-    assert parse_field_header(dict(base, modulus="4,1")) is one
-    assert parse_field_header(dict(base, modulus="2,2")) is one  # made monic
-    assert parse_field_header(dict(base, modulus="0,2")) is FieldParams.default(3)
+    assert parse_field_header(dict(base, modulus="3,1")) is FieldParams.default(3)
+    assert parse_field_header(dict(base, modulus="0,2")) is FieldParams.default(3)  # made monic
+    other = parse_field_header(dict(base, modulus="4,1"))
+    assert other == FieldParams(3, 1, 1, (1, 1)) != FieldParams.default(3)
+    assert parse_field_header(dict(base, modulus="1,1")) is not other
 
 
 def test_direct_construction_builds_a_new_object():
