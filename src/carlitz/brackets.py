@@ -39,17 +39,19 @@ _CACHE_LIMIT = 64
 
 def bracket(params: FieldParams, n) -> PerfSeries:
     """[n] = x^(q^n) - x for integer n (any sign); [inf] = -x; [0] = 0."""
-    if n == INFINITY:
-        return PerfSeries.monomial(params, 1, -1)
-    if not isinstance(n, int):
+    infinite = n == INFINITY
+    if not infinite and not isinstance(n, int):
         raise UsageError("bracket index must be an integer or INFINITY")
     cache = params.bracket_cache
     if n in cache:
         return cache[n]
-    from fractions import Fraction
-    e = Fraction(params.q) ** n
-    result = PerfSeries.from_terms(params, {e: 1}) - PerfSeries.x(params)
-    if abs(n) <= _CACHE_LIMIT:
+    if infinite:
+        result = PerfSeries.monomial(params, 1, -1)
+    else:
+        from fractions import Fraction
+        e = Fraction(params.q) ** n
+        result = PerfSeries.from_terms(params, {e: 1}) - PerfSeries.x(params)
+    if infinite or abs(n) <= _CACHE_LIMIT:
         cache[n] = result
     return result
 

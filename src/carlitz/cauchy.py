@@ -283,7 +283,7 @@ def cauchy_solve(eq: EvolutionEquation, init: InitialData, trunc_m: int,
             if qe.is_zero_at_prec():
                 raise PrecisionError(
                     "P/Q quotient indeterminate at indices %r" % (index,))
-            c = -_twisted_step(c, [pe], [qe], window)
+            c = _twisted_step(c, [pe], [qe], window, negate=True)
             step += 1
     return MultiFunction(params, eq.n, trunc_m, trunc_i, coeffs)
 

@@ -22,9 +22,15 @@ no terms).  Terms that come from outside the kernels (``from_terms``,
 ``truncate``, and a sum or difference whose sides differ in precision)
 go through ``PerfSeries._make``, which drops zero coefficients and terms
 at or above ``prec``; its tail ``PerfSeries._canonical`` only lowers
-``dexp``.  Products, quotients, Frobenius images, shifts, q-twisted steps
-and sums of equally precise sides produce nonzero terms below their
-precision by construction, so they take the tail alone.
+``dexp``, by as many q-powers as divide the gcd of the exponents, read
+with one ``math.gcd``.  Products, quotients, shifts, q-twisted steps and
+sums of equally precise sides produce nonzero terms below their
+precision by construction, so they take the tail alone.  Frobenius
+images skip it as well: the image of a canonical series is canonical in
+closed form, except for e < 0 on the integer grid, which takes the tail.
+Two operands over one :class:`~carlitz.ffield.FieldParams` object, as
+every series of one field configuration is, pass the operand check by
+identity, with no comparison of field tuples.
 
 Precision bookkeeping follows non-Archimedean big-oh arithmetic:
 
@@ -50,7 +56,9 @@ quotients of :mod:`carlitz.hyper` run through the same long division,
 :func:`_quotient`, for any factors, exact or truncated, several to a side:
 it multiplies by each numerator factor and divides by each denominator
 factor, with the output precision worked out once from grid-integer
-valuations, and the step writes the Frobenius image directly.
+valuations, and the step writes the Frobenius image directly.  The
+Cauchy solver's step carries a minus sign, which the Frobenius keeps
+(it is additive), so the sign is taken inside the quotient.
 
 Exact operands skip the precision arithmetic.  Every infinite precision
 is the one ``INF`` object (the constructor stores any other infinity as
@@ -140,8 +148,11 @@ class PerfSeries:
     @classmethod
     def _make(cls, params, dexp, terms, prec):
         """A series from terms that may hold zero coefficients or exponents
-        at or above ``prec``: drops those, then :meth:`_canonical`."""
-        if prec != INF:
+        at or above ``prec``: drops those, then :meth:`_canonical`.  An
+        infinite ``prec`` of the caller's is stored as the INF object."""
+        if type(prec) is float and prec == INF:
+            prec = INF
+        if prec is not INF:
             bound = _grid_bound(prec, params.q ** dexp)
             terms = {k: c for k, c in terms.items() if c != 0 and k < bound}
         else:
@@ -151,11 +162,15 @@ class PerfSeries:
     @classmethod
     def _canonical(cls, params, dexp, terms, prec):
         """A series from nonzero terms below ``prec``: lowers ``dexp`` to
-        the least grid that holds every exponent (0 when there is none)."""
+        the least grid that holds every exponent (0 when there is none).
+        q^j divides every exponent exactly when it divides their gcd, which
+        is 0 when there is no term or only x^0."""
         if dexp:
             q = params.q
+            g = math.gcd(*terms)
             f = 1
-            while dexp and all(k % (f * q) == 0 for k in terms):
+            while dexp and g % q == 0:
+                g //= q
                 f *= q
                 dexp -= 1
             if f > 1:
@@ -263,21 +278,25 @@ class PerfSeries:
 
     def truncate(self, prec) -> "PerfSeries":
         """Forget everything at or above ``prec`` (no-op if already coarser)."""
-        if prec == INF:
+        if prec is INF or type(prec) is float and prec == INF:
             return self
         prec = Fraction(prec)
-        new_prec = min(self.prec, prec)
+        new_prec = prec if self.prec is INF else min(self.prec, prec)
         return PerfSeries._make(self.params, self.dexp, self.terms, new_prec)
 
     # -- arithmetic -------------------------------------------------------------
 
     def _check(self, other):
+        if type(other) is PerfSeries and other.params is self.params:
+            return
         if not isinstance(other, PerfSeries):
             raise UsageError("expected PerfSeries, got %r" % type(other))
         if other.params != self.params:
             raise ParameterMismatchError("series over different field configurations")
 
     def _aligned(self, other):
+        if self.dexp == other.dexp:
+            return self.dexp, self.terms, other.terms
         d = max(self.dexp, other.dexp)
         q = self.params.q
         fa = q ** (d - self.dexp)
@@ -313,8 +332,14 @@ class PerfSeries:
                     del out[k]
             else:
                 out[k] = c
-        prec = min(self.prec, other.prec)
-        if self.prec == other.prec:
+        a_prec, b_prec = self.prec, other.prec
+        if a_prec is INF or b_prec is INF:
+            prec = b_prec if a_prec is INF else a_prec
+            equal = a_prec is b_prec
+        else:
+            prec = min(a_prec, b_prec)
+            equal = a_prec == b_prec
+        if equal:
             return PerfSeries._canonical(params, d, out, prec)
         return PerfSeries._make(params, d, out, prec)
 
@@ -374,24 +399,35 @@ class PerfSeries:
         the q^e-power automorphism of F_Q.  e may be negative; q-th roots in
         F_Q are unique because the Frobenius permutes the field.  A Fraction
         prec is multiplied or divided by the integer q^|e|, which keeps its
-        type."""
+        type.
+
+        The image of a canonical series is canonical in closed form: for
+        e >= 0 the grid sheds min(e, dexp) of its q-powers and the exponents
+        take the rest; for e < 0 on dexp > 0 the exponents stay on a grid
+        deepened by |e|, where one of them is still prime to q.  Only e < 0
+        on the integer grid asks the exponents' gcd."""
         params = self.params
         q = params.q
         frob = params._frob[e % params.m]
         prec = self.prec
+        dexp = self.dexp
         if e >= 0:
-            f = q ** e
-            terms = {k * f: frob[c] for k, c in self.terms.items()}
-            dexp = self.dexp
+            drop = min(e, dexp)
+            s = q ** (e - drop)
+            terms = {k * s: frob[c] for k, c in self.terms.items()}
+            dexp -= drop
         else:
-            f = q ** -e
             terms = {k: frob[c] for k, c in self.terms.items()}
-            dexp = self.dexp - e  # e < 0 deepens the denominator
-        if isinstance(prec, Fraction):
-            prec = prec * f if e >= 0 else prec / f
-        elif prec is not INF:
-            prec = prec * Fraction(q) ** e
-        return PerfSeries._canonical(params, dexp, terms, prec)
+            dexp -= e  # e < 0 deepens the denominator
+        if prec is not INF:
+            if isinstance(prec, Fraction):
+                f = q ** abs(e)
+                prec = prec * f if e >= 0 else prec / f
+            else:
+                prec = prec * Fraction(q) ** e
+        if e < 0 and not self.dexp:
+            return PerfSeries._canonical(params, dexp, terms, prec)
+        return PerfSeries(params, dexp, terms, prec)
 
     def pow(self, k: int) -> "PerfSeries":
         """k-th power for small non-negative k (binary powering)."""
@@ -542,11 +578,12 @@ def _product_prec(factors):
                default=INF)
 
 
-def _quotient(c: PerfSeries, num, den, prec, window):
+def _quotient(c: PerfSeries, num, den, prec, window, negate=False):
     """c * prod(num) / prod(den) as (dexp, terms, prec), with the terms,
     precision and refusals of ``c * prod(num) * prod(den).invert(prec=prec,
-    window=window)`` but no inverse built.  The terms are nonzero and
-    below prec; dexp may not yet be the least.
+    window=window)`` but no inverse built; its negation when ``negate``,
+    at the cost of one logarithm.  The terms are nonzero and below prec;
+    dexp may not yet be the least.
 
     Any factors are allowed, exact or truncated, several to a side.  A
     denominator factor without terms is refused as prod(den) would be; a
@@ -563,7 +600,7 @@ def _quotient(c: PerfSeries, num, den, prec, window):
         raise UsageError("pass at most one of prec and window")
     if not all(f.terms for f in den):
         den_prec = _product_prec(den)
-        if den_prec == INF:
+        if den_prec is INF:
             raise NotInvertibleError("exact zero series is not invertible")
         raise NotInvertibleError(
             "not invertible at this precision (zero below %s)" % den_prec)
@@ -583,8 +620,8 @@ def _quotient(c: PerfSeries, num, den, prec, window):
                  default=INF)
     if window is not None:
         rel_out = min(Fraction(window), rel_in)
-    elif prec is None or prec == INF:
-        if rel_in != INF:
+    elif prec is None or prec is INF or type(prec) is float and prec == INF:
+        if rel_in is not INF:
             rel_out = rel_in
         elif all(len(t) == 1 for t in dens):
             rel_out = INF  # the exact inverse of a monomial
@@ -625,7 +662,7 @@ def _quotient(c: PerfSeries, num, den, prec, window):
 
     log, exp, neg = params._log, params._exp, params._neg
     n = params.Q - 1
-    lead_log = 0
+    lead_log = log[params.minus_one_idx] if negate else 0
     divisors = []
     for t in dens:
         k0 = min(t)
@@ -642,14 +679,16 @@ def _quotient(c: PerfSeries, num, den, prec, window):
     return d, terms, out_prec
 
 
-def _twisted_step(c: PerfSeries, num, den, window) -> PerfSeries:
+def _twisted_step(c: PerfSeries, num, den, window, negate=False) -> PerfSeries:
     """(c * prod(num) / prod(den))^q, the q-twisted step shared by the
     hypergeometric stream and the Cauchy solver, with the terms and
     precision of ``(c * prod(num)).divide(prod(den), window=window)
     .frobenius(1)``: one :func:`_quotient` pass computes the quotient, and
-    its Frobenius image is written directly."""
+    its Frobenius image is written directly.  With ``negate`` it is minus
+    that image, the Cauchy solver's step: the Frobenius is additive, so
+    the sign is taken inside the quotient and no negated copy is built."""
     params = c.params
-    d, terms, prec = _quotient(c, num, den, None, window)
+    d, terms, prec = _quotient(c, num, den, None, window, negate)
     # x^(k/q^d) goes to x^(k/q^(d-1)), or to x^(kq) on the integer grid
     q, frob = params.q, params._frob[1 % params.m]
     s = 1 if d else q

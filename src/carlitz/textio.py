@@ -138,7 +138,7 @@ def format_series(s: PerfSeries) -> str:
         else:
             xpart = "x" if e == 1 else "x^" + format_exponent(e)
             parts.append(xpart if cs == "1" else "%s*%s" % (cs, xpart))
-    if s.prec != INF:
+    if s.prec is not INF:
         parts.append("O(x^%s)" % format_exponent(Fraction(s.prec)))
     if not parts:
         return "0"

@@ -11,8 +11,10 @@ and the q-twisted steps of the hypergeometric stream and of the Cauchy
 solver on top of them, which the library replaced by long division seeded
 with the dividend; and the series operations as they were when every
 result went through one filtering constructor, ``MakePath``, which the
-library replaced by results that are canonical by construction.  Each is
-kept here once and in no library module.
+library replaced by results that are canonical by construction; and the
+scan that lowered a series' exponent grid one q-power at a time, which
+the library replaced by one gcd of the exponents.  Each is kept here once
+and in no library module.
 """
 
 from fractions import Fraction
@@ -194,6 +196,20 @@ def ref_cauchy_coeffs(eq, init, trunc_m, trunc_i, window=None):
             c = ref_cauchy_step(c, pe, qe, window)
             step += 1
     return coeffs
+
+
+def ref_canonical(params, dexp, terms, prec):
+    """PerfSeries._canonical as a scan: while q^(j+1) divides every
+    exponent, one more q-power leaves the grid."""
+    if dexp:
+        q = params.q
+        f = 1
+        while dexp and all(k % (f * q) == 0 for k in terms):
+            f *= q
+            dexp -= 1
+        if f > 1:
+            terms = {k // f: c for k, c in terms.items()}
+    return PerfSeries(params, dexp, terms, prec)
 
 
 class MakePath:

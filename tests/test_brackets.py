@@ -25,6 +25,7 @@ def test_bracket_zero_index(F2):
 
 def test_bracket_infinity(F3):
     assert bracket(F3, INFINITY) == S("2*x", F3)  # -x over F_3
+    assert bracket(F3, INFINITY) is bracket(F3, INFINITY)
 
 
 def test_bracket_small(F2):

@@ -169,7 +169,7 @@ def test_twisted_step_matches_the_stream_step(step, window):
        WINDOWS)
 def test_twisted_step_matches_the_cauchy_step(step, window):
     c, pe, qe = step
-    assert_same_outcome(outcome(lambda: -_twisted_step(c, [pe], [qe], window)),
+    assert_same_outcome(outcome(_twisted_step, c, [pe], [qe], window, negate=True),
                         outcome(ref_cauchy_step, c, pe, qe, window))
 
 

@@ -12,8 +12,16 @@ same terms, same dexp, same prec (value and type), same refusals.  The
 operands are exact, truncated, zero-at-precision and monomial series over
 every shipped (q, m) and the field without an addition table.
 
+``PerfSeries._canonical`` reads the least grid from one gcd of the
+exponents; it is compared with ``oracles.ref_canonical``, the scan one
+q-power at a time, over exponent sets that are empty, zero, negative and
+multiples of q^k.
+
 The work-count guards check that the kernels' results never pass through
-the filter, and that subtraction builds no negated series.
+the filter, that Frobenius images take no grid scan except for e < 0 on
+the integer grid, that operands over one FieldParams object compare no
+field tuples, and that subtraction, the hypergeometric series and the
+Cauchy solver build no negated series.
 """
 
 import random
@@ -22,11 +30,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carlitz import INF, PerfSeries, hyper, sampling
+from carlitz import INF, FieldParams, PerfSeries, hyper, sampling
+from carlitz.cauchy import InitialData, cauchy_solve, hypergeometric_equation
 from carlitz.series import _twisted_step
-from oracles import MakePath
-from test_quotient_kernel import (WINDOWS, assert_same_outcome, factors,
-                                  outcome, quotient_kwargs)
+from oracles import MakePath, assert_same, ref_canonical
+from test_quotient_kernel import (SHIPPED_FIELDS, WINDOWS, assert_same_outcome,
+                                  factors, outcome, quotient_kwargs)
 from test_series_kernel import FIELDS
 
 EXACT_KINDS = ("exact", "monomial", "exact-zero")
@@ -116,6 +125,26 @@ def test_twisted_step(step, window):
           outcome(MakePath.twisted_step, c, num, den, window))
 
 
+@st.composite
+def grid_terms(draw):
+    """A field, a dexp in 0..4 and nonzero terms whose exponents are
+    multiples of q^k: none, x^0, negative and positive ones."""
+    params = draw(st.sampled_from(SHIPPED_FIELDS))
+    dexp = draw(st.integers(0, 4))
+    step = params.q ** draw(st.integers(0, 5))
+    keys = draw(st.lists(st.integers(-20, 20), max_size=5, unique=True))
+    return params, dexp, {k * step: draw(st.integers(1, params.Q - 1)) for k in keys}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(grid_terms())
+def test_canonical_grid_matches_the_scan(drawn):
+    params, dexp, terms = drawn
+    got = PerfSeries._canonical(params, dexp, dict(terms), INF)
+    assert_same(got, ref_canonical(params, dexp, dict(terms), INF))
+    assert_canonical(got)
+
+
 def test_dexp_drops_when_fractional_terms_cancel(F2):
     # x^(1/2) + x  minus  x^(1/2): the difference lives on the integer grid
     a = PerfSeries.from_terms(F2, {Fraction(1, 2): 1, 1: 1})
@@ -167,6 +196,25 @@ def test_kernel_results_skip_the_filter(drawn, window):
         outcome(_twisted_step, a, [b], [b, a], window)
         outcome(_twisted_step, a, [], [b], window)
         assert made.calls == 0
+        # a Frobenius image is canonical in closed form, except for e < 0
+        # on the integer grid, where the exponents' gcd decides
+        scanned = Counted(mp, PerfSeries, "_canonical")
+        for e in range(-2, 3):
+            a.frobenius(e)
+        assert scanned.calls == (0 if a.dexp else 2)
+
+
+def test_shared_params_compare_by_identity(monkeypatch):
+    for params in FIELDS:
+        a = PerfSeries.x(params).frobenius(-1) + PerfSeries.one(params)
+        b = PerfSeries.x(params).truncate(5)
+        compared = Counted(monkeypatch, FieldParams, "__eq__")
+        for op in (PerfSeries.__add__, PerfSeries.__sub__, PerfSeries.__mul__,
+                   PerfSeries.divide):
+            op(a, b)
+            op(b, a)
+        assert compared.calls == 0
+        monkeypatch.undo()
 
 
 def test_exact_hyper_series_negates_nothing(monkeypatch):
@@ -179,4 +227,18 @@ def test_exact_hyper_series_negates_nothing(monkeypatch):
         series = hyper.hyper_series(hp, 4)
         assert negated.calls == 0
         assert series.known == 4
+        monkeypatch.undo()
+
+
+def test_cauchy_solve_negates_nothing(monkeypatch):
+    rng = random.Random(9)
+    for params in FIELDS:
+        a = sampling.random_series(rng, params, terms=(1, 3), lo=0, hi=3)
+        b = sampling.random_admissible(rng, params, terms=(1, 2), lo=0, hi=3)
+        eq = hypergeometric_equation(params, [a], [b], 2)
+        init = InitialData.delta(params, 2)
+        negated = Counted(monkeypatch, PerfSeries, "__neg__")
+        u = cauchy_solve(eq, init, 4, 4)
+        assert negated.calls == 0
+        assert len(u.coeffs) == 5
         monkeypatch.undo()
