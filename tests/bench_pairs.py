@@ -80,7 +80,7 @@ def report(metrics, parent, change):
 
 def seed_list(text):
     """'101-110' or '7,9,11' as a list of ints."""
-    if "-" in text.lstrip("-") and "," not in text:
+    if "-" in text:
         first, last = text.split("-")
         return list(range(int(first), int(last) + 1))
     return [int(s) for s in text.split(",")]
