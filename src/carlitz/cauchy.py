@@ -233,12 +233,12 @@ def recommend_imax(eq: EvolutionEquation, probe: int = 4) -> int:
     vmax = Fraction(0)
     for _, value in _q_values(eq, probe):
         lb = value._val_lb()
-        if lb != INF:
+        if lb is not INF:
             vmax = max(vmax, lb)
     slack = Fraction(0)
     for c in eq.Q.coeffs.values():
         lb = c._val_lb()
-        if lb != INF and lb < 0:
+        if lb is not INF and lb < 0:
             slack = max(slack, -lb)
     target = vmax + slack + 1
     i = probe
@@ -332,7 +332,7 @@ def growth_check(u: MultiFunction, log_r: Optional[Fraction] = None,
     slots = []
     for key, c in u.coeffs.items():
         v = c._val_lb()
-        if v == INF:
+        if v is INF:
             continue
         slots.append((key[0], key[1:], v))
     tight_r = Fraction(0)

@@ -29,7 +29,7 @@ from . import textio
 from .errors import (CarlitzError, InadmissibleError, NotInvertibleError,
                      ParameterMismatchError, ParseError, PrecisionError,
                      UsageError)
-from .ffield import FieldParams, _interned
+from .ffield import FieldParams
 from .series import PerfSeries
 
 REFUSAL_ERRORS = (InadmissibleError, PrecisionError, NotInvertibleError)
@@ -44,7 +44,7 @@ def _field_params(args) -> FieldParams:
         if args.modulus:
             modulus = tuple(textio._read_int(c, "--modulus coefficient")
                             for c in args.modulus.split(","))
-        return _interned(args.p, args.v, args.m, modulus)
+        return FieldParams(args.p, args.v, args.m, modulus)
     config = args.field_config or os.environ.get("CARLITZ_FIELD_CONFIG")
     if args.q is None and config:
         with open(config) as fh:

@@ -20,14 +20,16 @@ The q-power Frobenius ``frob`` is the central structural map: it permutes
 F_Q, so q-th roots always exist and are unique, which is what makes the
 perfection arithmetic in :mod:`carlitz.series` exact.
 
-A configuration read from text (a file header, a config file, the CLI's
---p/--v/--m/--modulus) goes through :func:`_interned`.  When its
-normalised (p, v, m, modulus) is a shipped configuration it reads as
-``FieldParams.default(q, m)`` itself, so parsed files share that object's
-tables and bracket, D and L caches instead of each building its own; any
-other configuration builds a new FieldParams.  ``FieldParams(...)``
-called directly still builds a new object, equal by value to every other
-of its configuration.
+There is one FieldParams object per configuration.  ``FieldParams(p, v,
+m, modulus)`` normalises its arguments (the modulus filled in from the
+shipped ones, reduced mod p and made monic) and returns the object stored
+for that configuration, building its tables only the first time; the
+object is kept for the life of the process, as ``FieldParams.default(q,
+m)`` objects always were, and ``default`` returns the same object.  So a
+configuration read from a file header, a config file or the CLI's
+--p/--v/--m/--modulus shares the tables and the bracket, D and L caches of
+every other use of it, and two FieldParams are the same field exactly
+when they are the same object.
 """
 
 from __future__ import annotations
@@ -102,6 +104,7 @@ DEFAULT_MODULI = {
 
 _DEFAULT_QV = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2)}
 
+# The one FieldParams of each normalised (p, v, m, modulus).
 _params_cache: dict = {}
 
 
@@ -130,22 +133,12 @@ def _configuration(p, v, m, modulus):
     return p, v, m, modulus
 
 
-def _interned(p, v, m, modulus) -> "FieldParams":
-    """The FieldParams of a configuration read from text: the shipped
-    ``FieldParams.default(q, m)`` itself when it is that configuration,
-    else a new one."""
-    key = _configuration(p, v, m, modulus)
-    q = p ** v
-    if _DEFAULT_QV.get(q) == (p, v) and DEFAULT_MODULI.get((p, v * m)) == key[3]:
-        return FieldParams.default(q, m)
-    return FieldParams(*key)
-
-
 class FieldParams:
     """Field configuration: coefficient field F_Q with Carlitz parameter q.
 
-    Immutable after construction.  Elements of F_Q are referred to by
-    integer index (base-p digits of the residue); the wrapper class
+    Immutable after construction, and one object per configuration (see
+    the module docstring).  Elements of F_Q are referred to by integer
+    index (base-p digits of the residue); the wrapper class
     :class:`FFElement` carries an index together with its params.
     """
 
@@ -156,31 +149,38 @@ class FieldParams:
         "d_cache", "l_cache", "bracket_cache",
     )
 
-    def __init__(self, p: int, v: int, m: int, modulus=None):
-        self.p, self.v, self.m, self.modulus = _configuration(p, v, m, modulus)
-        self.q = p ** v
-        self.deg = v * m
-        self.Q = p ** self.deg
-        self._build_tables()
-        self.d_cache = {}
-        self.l_cache = {}
-        self.bracket_cache = {}
+    def __new__(cls, p: int, v: int, m: int, modulus=None):
+        """The stored object of the normalised configuration, built and
+        stored on first use.  A build that loses a race to store its
+        configuration returns the stored object.  There is no ``__init__``,
+        so a repeated construction leaves the stored object as it is."""
+        key = _configuration(p, v, m, modulus)
+        params = _params_cache.get(key)
+        if params is None:
+            params = object.__new__(cls)
+            params.p, params.v, params.m, params.modulus = key
+            params.q = p ** v
+            params.deg = v * m
+            params.Q = p ** params.deg
+            params._build_tables()
+            params.d_cache = {}
+            params.l_cache = {}
+            params.bracket_cache = {}
+            params = _params_cache.setdefault(key, params)
+        return params
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
     def default(q: int, m: int = 1) -> "FieldParams":
         """The shipped configuration for Carlitz parameter q and extension m."""
-        key = (q, m)
-        if key not in _params_cache:
-            if q not in _DEFAULT_QV:
-                raise UsageError(
-                    "no shipped configuration for q=%d (have %s); "
-                    "construct FieldParams(p, v, m, modulus) directly"
-                    % (q, sorted(_DEFAULT_QV)))
-            p, v = _DEFAULT_QV[q]
-            _params_cache[key] = FieldParams(p, v, m)
-        return _params_cache[key]
+        if q not in _DEFAULT_QV:
+            raise UsageError(
+                "no shipped configuration for q=%d (have %s); "
+                "construct FieldParams(p, v, m, modulus) directly"
+                % (q, sorted(_DEFAULT_QV)))
+        p, v = _DEFAULT_QV[q]
+        return FieldParams(p, v, m)
 
     # -- table construction --------------------------------------------------
 
@@ -356,15 +356,10 @@ class FieldParams:
         j = self._log[idx]
         return "g" if j == 1 else "g^%d" % j
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (isinstance(other, FieldParams)
-                and (self.p, self.v, self.m, self.modulus)
-                == (other.p, other.v, other.m, other.modulus))
-
-    def __hash__(self):
-        return hash((self.p, self.v, self.m, self.modulus))
+    def __reduce__(self):
+        """Copies and unpickled objects are the stored object of the
+        configuration, as a construction is."""
+        return FieldParams, (self.p, self.v, self.m, self.modulus)
 
     def __repr__(self):
         return "FieldParams(p=%d, v=%d, m=%d)" % (self.p, self.v, self.m)

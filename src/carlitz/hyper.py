@@ -69,8 +69,7 @@ from .errors import (InadmissibleError, ParameterMismatchError,
                      PrecisionError, UsageError)
 from .ffield import FieldParams
 from .funcspace import LinearSeries
-from .series import (DEFAULT_INVERT_WINDOW, INF, PerfSeries, _quotient,
-                     _twisted_step)
+from .series import DEFAULT_INVERT_WINDOW, PerfSeries, _quotient, _twisted_step
 
 
 def admissible_profile(b: PerfSeries) -> Fraction:
@@ -204,8 +203,7 @@ def _tail_slope(hp: HyperParams) -> Fraction:
     bound of index m is k (q^m - 1)/(q - 1) + q^m val(z)."""
     alpha_sum = Fraction(0)
     for a in hp.a_list:
-        lb = a._val_lb()
-        alpha_sum += Fraction(1) if lb == INF else min(Fraction(1), Fraction(lb))
+        alpha_sum += min(Fraction(1), a._val_lb())
     return hp.params.q * (alpha_sum - sum(hp.profiles, Fraction(0))) - 1
 
 
@@ -236,11 +234,11 @@ def hyper_eval(hp: HyperParams, z: PerfSeries, M: int, window=None) -> PerfSerie
         return PerfSeries.zero(params)
     threshold = convergence_bound(hp)
     if z.is_zero_at_prec():
-        if Fraction(z.prec) <= threshold:
+        if z.prec <= threshold:
             raise InadmissibleError(
                 "z is zero at precision %s, below the convergence threshold %s"
                 % (z.prec, threshold))
-        return PerfSeries.zero(params, prec=Fraction(z.prec))
+        return PerfSeries.zero(params, prec=z.prec)
     val_z = z.valuation()
     if val_z <= threshold:
         raise InadmissibleError(

@@ -6,6 +6,14 @@ every coefficient at an exponent strictly below ``prec`` is known exactly,
 everything at or above it is unknown.  ``prec`` may be +infinity, in which
 case the series is an exact perfected Laurent polynomial.
 
+A precision has two forms: the ``INF`` object for +infinity, and a
+:class:`fractions.Fraction` for a finite bound, which may lie off the
+exponent grid (``O(x^(7/2))`` over F_3 is a valid bound).  A caller may
+pass an int, a Fraction, a finite float or any float infinity; the
+constructor, ``_make``, ``truncate`` and the quotient kernel's ``prec``
+argument convert it once with :func:`_precision`, so no other code tests
+the type of a precision.
+
 Internally exponents live on an integer grid num / q^dexp (minimal dexp),
 so exponent arithmetic is plain integer arithmetic; the public API speaks
 :class:`fractions.Fraction`.  ``prec`` stays a Fraction (or INF) at the
@@ -28,9 +36,8 @@ sums of equally precise sides produce nonzero terms below their
 precision by construction, so they take the tail alone.  Frobenius
 images skip it as well: the image of a canonical series is canonical in
 closed form, except for e < 0 on the integer grid, which takes the tail.
-Two operands over one :class:`~carlitz.ffield.FieldParams` object, as
-every series of one field configuration is, pass the operand check by
-identity, with no comparison of field tuples.
+Each field configuration is one :class:`~carlitz.ffield.FieldParams`
+object, so the operand check compares fields by identity.
 
 Precision bookkeeping follows non-Archimedean big-oh arithmetic:
 
@@ -61,13 +68,12 @@ Cauchy solver's step carries a minus sign, which the Frobenius keeps
 (it is additive), so the sign is taken inside the quotient.
 
 Exact operands skip the precision arithmetic.  Every infinite precision
-is the one ``INF`` object (the constructor stores any other infinity as
-it), so exactness is an identity test.  Exact times exact is exact at
-once, with no valuation read; an exact factor times a truncated one adds
-only the exact side's valuation, one Fraction read on the common grid;
-the quotient kernel and ``_product_prec`` take no term from an exact
-factor's precision; and ``frobenius`` scales a Fraction prec by the
-integer q^|e|.  Each result has the value and type of prec the general
+is the one ``INF`` object, so exactness is an identity test.  Exact times
+exact is exact at once, with no valuation read; an exact factor times a
+truncated one adds only the exact side's valuation, one Fraction read on
+the common grid; the quotient kernel and ``_product_prec`` take no term
+from an exact factor's precision; and ``frobenius`` scales a Fraction
+prec by the integer q^|e|.  Each result has the precision the general
 rules give.
 
 Equality compares coefficients at all exponents below the smaller of the
@@ -113,17 +119,27 @@ def _grid_bound(prec, scale: int) -> int:
     return -(-num * scale // den)
 
 
-def _p_power_denominator(frac: Fraction, p: int) -> bool:
-    d = frac.denominator
-    while d % p == 0:
-        d //= p
-    return d == 1
+def _precision(prec):
+    """``prec`` in its one form: the INF object for any float infinity,
+    and the exact Fraction of an int or a finite float.  A Fraction, or
+    INF itself, is already in form, and None stays None."""
+    if type(prec) is Fraction or prec is INF:
+        return prec
+    if isinstance(prec, float):
+        return INF if prec == INF else Fraction(prec)
+    return Fraction(prec) if isinstance(prec, int) else prec
 
 
-def _grid_depth(e: Fraction, q: int) -> int:
-    """The least k >= 0 with e * q^k an integer, for e in Z[1/q]."""
+def _grid_depth(den: int, q: int):
+    """The least k >= 0 such that q^k is a multiple of ``den``: the grid
+    depth of an exponent with denominator ``den``.  None when there is no
+    such k, that is, when the exponent is not in Z[1/q]."""
     k = 0
-    while (e * q ** k).denominator != 1:
+    while den > 1:
+        g = math.gcd(den, q)
+        if g == 1:
+            return None
+        den //= g
         k += 1
     return k
 
@@ -136,22 +152,22 @@ class PerfSeries:
     def __init__(self, params: FieldParams, dexp: int, terms: dict, prec):
         """Low-level constructor; ``terms`` maps scaled exponents (integers,
         denominating q^dexp) to nonzero coefficient indices.  Use the
-        classmethod constructors for anything user-facing.  An infinite
-        ``prec`` is stored as the INF object."""
+        classmethod constructors for anything user-facing.  ``prec`` is
+        stored in its one form (see :func:`_precision`)."""
         self.params = params
         self.dexp = dexp
         self.terms = terms
-        self.prec = INF if type(prec) is float and prec == INF else prec
+        # kernel results are already in form: test that without a call
+        self.prec = (prec if prec is INF or type(prec) is Fraction
+                     else _precision(prec))
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def _make(cls, params, dexp, terms, prec):
         """A series from terms that may hold zero coefficients or exponents
-        at or above ``prec``: drops those, then :meth:`_canonical`.  An
-        infinite ``prec`` of the caller's is stored as the INF object."""
-        if type(prec) is float and prec == INF:
-            prec = INF
+        at or above ``prec``: drops those, then :meth:`_canonical`."""
+        prec = _precision(prec)
         if prec is not INF:
             bound = _grid_bound(prec, params.q ** dexp)
             terms = {k: c for k, c in terms.items() if c != 0 and k < bound}
@@ -191,9 +207,10 @@ class PerfSeries:
         fracs = {}
         for e, c in items.items():
             e = Fraction(e)
-            if not _p_power_denominator(e, params.p):
+            k = _grid_depth(e.denominator, q)
+            if k is None:
                 raise UsageError("exponent %s is not in Z[1/q]" % e)
-            dexp = max(dexp, _grid_depth(e, q))
+            dexp = max(dexp, k)
             idx = c.idx if isinstance(c, FFElement) else params.from_int(c)
             fracs[e] = idx
         scaled = {}
@@ -278,20 +295,18 @@ class PerfSeries:
 
     def truncate(self, prec) -> "PerfSeries":
         """Forget everything at or above ``prec`` (no-op if already coarser)."""
-        if prec is INF or type(prec) is float and prec == INF:
+        prec = _precision(prec)
+        if prec is INF:
             return self
-        prec = Fraction(prec)
         new_prec = prec if self.prec is INF else min(self.prec, prec)
         return PerfSeries._make(self.params, self.dexp, self.terms, new_prec)
 
     # -- arithmetic -------------------------------------------------------------
 
     def _check(self, other):
-        if type(other) is PerfSeries and other.params is self.params:
-            return
         if not isinstance(other, PerfSeries):
             raise UsageError("expected PerfSeries, got %r" % type(other))
-        if other.params != self.params:
+        if other.params is not self.params:
             raise ParameterMismatchError("series over different field configurations")
 
     def _aligned(self, other):
@@ -384,10 +399,11 @@ class PerfSeries:
     def shift(self, exponent) -> "PerfSeries":
         """Multiply by the monomial x^exponent."""
         e = Fraction(exponent)
-        if not _p_power_denominator(e, self.params.p):
-            raise UsageError("shift exponent %s is not in Z[1/q]" % e)
         q = self.params.q
-        d = max(self.dexp, _grid_depth(e, q))
+        k = _grid_depth(e.denominator, q)
+        if k is None:
+            raise UsageError("shift exponent %s is not in Z[1/q]" % e)
+        d = max(self.dexp, k)
         off = int(e * q ** d)
         fa = q ** (d - self.dexp)
         terms = {kk * fa + off: c for kk, c in self.terms.items()}
@@ -397,9 +413,8 @@ class PerfSeries:
     def frobenius(self, e: int) -> "PerfSeries":
         """tau^e: exponents (and prec) scale by q^e, coefficients map through
         the q^e-power automorphism of F_Q.  e may be negative; q-th roots in
-        F_Q are unique because the Frobenius permutes the field.  A Fraction
-        prec is multiplied or divided by the integer q^|e|, which keeps its
-        type.
+        F_Q are unique because the Frobenius permutes the field.  A finite
+        prec is multiplied or divided by the integer q^|e|.
 
         The image of a canonical series is canonical in closed form: for
         e >= 0 the grid sheds min(e, dexp) of its q-powers and the exponents
@@ -420,11 +435,8 @@ class PerfSeries:
             terms = {k: frob[c] for k, c in self.terms.items()}
             dexp -= e  # e < 0 deepens the denominator
         if prec is not INF:
-            if isinstance(prec, Fraction):
-                f = q ** abs(e)
-                prec = prec * f if e >= 0 else prec / f
-            else:
-                prec = prec * Fraction(q) ** e
+            f = q ** abs(e)
+            prec = prec * f if e >= 0 else prec / f
         if e < 0 and not self.dexp:
             return PerfSeries._canonical(params, dexp, terms, prec)
         return PerfSeries(params, dexp, terms, prec)
@@ -475,9 +487,11 @@ class PerfSeries:
         """Equality at the smaller of the two precisions."""
         if not isinstance(other, PerfSeries):
             return NotImplemented
-        if self.params != other.params:
+        if self.params is not other.params:
             return False
-        prec = min(self.prec, other.prec)
+        a_prec, b_prec = self.prec, other.prec
+        prec = (b_prec if a_prec is INF else a_prec if b_prec is INF
+                else min(a_prec, b_prec))
         d, ta, tb = self._aligned(other)
         if prec is INF:
             return ta == tb
@@ -598,6 +612,7 @@ def _quotient(c: PerfSeries, num, den, prec, window, negate=False):
         raise UsageError("window must be positive, got %s" % (window,))
     if prec is not None and window is not None:
         raise UsageError("pass at most one of prec and window")
+    prec = _precision(prec)
     if not all(f.terms for f in den):
         den_prec = _product_prec(den)
         if den_prec is INF:
@@ -620,7 +635,7 @@ def _quotient(c: PerfSeries, num, den, prec, window, negate=False):
                  default=INF)
     if window is not None:
         rel_out = min(Fraction(window), rel_in)
-    elif prec is None or prec is INF or type(prec) is float and prec == INF:
+    elif prec is None or prec is INF:
         if rel_in is not INF:
             rel_out = rel_in
         elif all(len(t) == 1 for t in dens):
@@ -632,7 +647,7 @@ def _quotient(c: PerfSeries, num, den, prec, window, negate=False):
                 "exact inverse of a non-monomial series is an infinite "
                 "series; pass a finite prec")
     else:
-        rel_out = min(Fraction(prec) + Fraction(v, scale), rel_in)
+        rel_out = min(prec + Fraction(v, scale), rel_in)
         if rel_out <= 0:
             raise NotInvertibleError(
                 "requested precision leaves no known coefficients")

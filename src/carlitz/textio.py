@@ -8,19 +8,22 @@ marker ``O(x^e)``:
 
 Coefficients are integers over prime fields and powers ``g^j`` of the
 canonical generator over extension fields.  Exponents are integers or
-parenthesized rationals whose denominator must be a power of p (the
-exponent lattice of the perfection).  Canonical printing uses ascending
-exponents, drops zero terms, and prints an exact zero as ``0``.
+parenthesized rationals.  A term's exponent must have a power of q as its
+denominator (the exponent lattice of the perfection); the bound of a
+precision marker may be any rational, as a series' precision may lie off
+that lattice (``O(x^(7/2))`` over F_3), so every printed series parses
+back.  Canonical printing uses ascending exponents, drops zero terms, and
+prints an exact zero as ``0``.
 
 Operator expressions combine ``tau``, ``d``, ``delta1`` ... ``deltaN``,
 parenthesized series literals acting as scalars, ``*`` for composition,
 ``+``/``-``, and ``^k`` for repeated factors.  Parsing lowers an
 expression to a sum of operator words (no rewriting happens here).
 
-The file formats open with a field-config header (p, v, m, modulus).
-A header of a shipped configuration reads as ``FieldParams.default(q, m)``
-itself, so parsed files share its field tables and bracket, D and L
-caches instead of each building its own (see :mod:`carlitz.ffield`).
+The file formats open with a field-config header (p, v, m, modulus),
+which reads as the one FieldParams object of its configuration, so parsed
+files share its field tables and bracket, D and L caches with the rest of
+the process (see :mod:`carlitz.ffield`).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .ffield import FieldParams, _interned
+from .ffield import FieldParams
 from .series import INF, PerfSeries, _grid_depth
 
 _TOKEN_RE = re.compile(r"""
@@ -94,7 +97,10 @@ def format_exponent(e: Fraction) -> str:
     return "(%d/%d)" % (e.numerator, e.denominator)
 
 
-def _parse_exponent(cur: _Cursor, params: FieldParams) -> Fraction:
+def _parse_exponent(cur: _Cursor, params: FieldParams = None) -> Fraction:
+    """An integer or a parenthesized rational.  With ``params`` it is a
+    term's exponent, refused unless its denominator is a power of q;
+    without, a precision bound, which may be any rational."""
     if cur.at("int"):
         tok = cur.next()
         return Fraction(int(tok[1]))
@@ -114,10 +120,7 @@ def _parse_exponent(cur: _Cursor, params: FieldParams) -> Fraction:
         if den == 0:
             raise ParseError("zero exponent denominator", den_tok[2])
     cur.expect("op", ")")
-    d = den
-    while d % params.p == 0:
-        d //= params.p
-    if d != 1:
+    if params is not None and _grid_depth(den, params.q) is None:
         raise ParseError(
             "exponent denominator %d is not a power of q (token %r)"
             % (den, den_tok[1]), den_tok[2])
@@ -139,7 +142,7 @@ def format_series(s: PerfSeries) -> str:
             xpart = "x" if e == 1 else "x^" + format_exponent(e)
             parts.append(xpart if cs == "1" else "%s*%s" % (cs, xpart))
     if s.prec is not INF:
-        parts.append("O(x^%s)" % format_exponent(Fraction(s.prec)))
+        parts.append("O(x^%s)" % format_exponent(s.prec))
     if not parts:
         return "0"
     return " + ".join(parts)
@@ -173,7 +176,7 @@ def _parse_series_term(cur: _Cursor, params: FieldParams):
         e = Fraction(1)
         if cur.at("op", "^"):
             cur.next()
-            e = _parse_exponent(cur, params)
+            e = _parse_exponent(cur)
         cur.expect("op", ")")
         return ("prec", e)
     if cur.at("name", "x"):
@@ -229,13 +232,13 @@ def _parse_series_expr(cur: _Cursor, params: FieldParams) -> PerfSeries:
             sign = -1
         else:
             break
-    return acc.truncate(prec) if prec != INF else acc
+    return acc.truncate(prec)
 
 
 def _mono(params, e: Fraction, idx: int) -> PerfSeries:
     if idx == 0:
         return PerfSeries.zero(params)
-    k = _grid_depth(e, params.q)
+    k = _grid_depth(e.denominator, params.q)
     return PerfSeries._make(params, k, {int(e * params.q ** k): idx}, INF)
 
 
@@ -373,18 +376,16 @@ def format_field_header(params: FieldParams):
 
 
 def parse_field_header(fields: dict) -> FieldParams:
-    """The FieldParams of a header's p, v, m and modulus keys.  A shipped
-    configuration gives ``FieldParams.default(q, m)`` itself (see
-    :func:`carlitz.ffield._interned`), so parsed series, functions and
-    problems share its tables and bracket, D and L caches with the rest of
-    the process."""
+    """The FieldParams of a header's p, v, m and modulus keys: the one
+    object of that configuration, ``FieldParams.default(q, m)`` itself for
+    a shipped one."""
     p, v, m = (_read_int(fields.get(k), "field-config key %r" % k)
                for k in ("p", "v", "m"))
     modulus = None
     if "modulus" in fields:
         modulus = tuple(_read_int(c, "modulus coefficient")
                         for c in fields["modulus"].split(","))
-    return _interned(p, v, m, modulus)
+    return FieldParams(p, v, m, modulus)
 
 
 def _read_int(text, what: str) -> int:

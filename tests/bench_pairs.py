@@ -12,6 +12,8 @@ count for neither side), and whether the change's median is within the
 metric's bound of the parent's.  A gain is claimable when the change wins
 at least nine pairs in ten and the medians differ by more than the
 parent's interquartile spread; the last column says whether that holds.
+Each run's line and the summary also give the number of ops the run
+attempted, since ``peak_rss_mb`` grows with it.
 ``git stash create`` gives a ref for uncommitted changes to tracked files.
 """
 
@@ -109,8 +111,8 @@ def main(argv=None):
                 result = run_once(trees[side], args.workload, seed, seconds)
                 results[side].append(result)
                 values = result["metrics"]
-                print("seed %d %-6s correct=%s failed=%d  %s" % (
-                    seed, side, result["correct"], result["failed"],
+                print("seed %d %-6s correct=%s attempted=%d failed=%d  %s" % (
+                    seed, side, result["correct"], result["attempted"], result["failed"],
                     " ".join("%s=%.4g" % (m["name"], values[m["name"]]["value"])
                              for m in bench["end_to_end"])),
                     flush=True)
@@ -118,6 +120,9 @@ def main(argv=None):
           % (args.workload, len(args.seeds), seconds, args.parent, args.change))
     for line in report(bench["end_to_end"], results["parent"], results["change"]):
         print(line)
+    print("attempted ops, median: parent %g, change %g" % tuple(
+        statistics.median(r["attempted"] for r in results[side])
+        for side in ("parent", "change")))
     return 0
 
 

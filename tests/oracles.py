@@ -26,8 +26,7 @@ from carlitz.cauchy import _index_values
 from carlitz.errors import NotInvertibleError, PrecisionError, UsageError
 from carlitz.ffield import FFElement
 from carlitz.series import (DEFAULT_INVERT_WINDOW, INF, _grid_bound,
-                            _grid_depth, _p_power_denominator, _product_terms,
-                            _quotient)
+                            _product_terms, _quotient)
 
 
 def ref_coeff_quotient(params, m, upper, lower, window):
@@ -282,10 +281,16 @@ class MakePath:
     @staticmethod
     def shift(a, exponent):
         e = Fraction(exponent)
-        if not _p_power_denominator(e, a.params.p):
+        den = e.denominator
+        while den % a.params.p == 0:
+            den //= a.params.p
+        if den != 1:
             raise UsageError("shift exponent %s is not in Z[1/q]" % e)
         q = a.params.q
-        d = max(a.dexp, _grid_depth(e, q))
+        k = 0
+        while (e * q ** k).denominator != 1:
+            k += 1
+        d = max(a.dexp, k)
         off = int(e * q ** d)
         fa = q ** (d - a.dexp)
         terms = {kk * fa + off: c for kk, c in a.terms.items()}

@@ -220,6 +220,12 @@ def test_parse_roundtrip_series(capsys):
     assert "round-trip ok" in out
 
 
+def test_parse_roundtrip_precision_off_the_grid(capsys):
+    code, out, err = run(capsys, ["--q", "2", "parse-roundtrip", "--kind", "series",
+                                  "1 + O(x^(1/3))"])
+    assert (code, out, err) == (0, "1 + O(x^(1/3))\nround-trip ok\n", "")
+
+
 def test_field_config_file(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "field.cfg"
     cfg.write_text("p 3\nv 1\nm 1\nmodulus 0,1\n")

@@ -206,14 +206,15 @@ def test_headers_normalise_before_matching_a_shipped_configuration():
     assert parse_field_header(dict(base, modulus="3,1")) is FieldParams.default(3)
     assert parse_field_header(dict(base, modulus="0,2")) is FieldParams.default(3)  # made monic
     other = parse_field_header(dict(base, modulus="4,1"))
-    assert other == FieldParams(3, 1, 1, (1, 1)) != FieldParams.default(3)
-    assert parse_field_header(dict(base, modulus="1,1")) is not other
+    assert other is FieldParams(3, 1, 1, (1, 1)) is not FieldParams.default(3)
+    assert parse_field_header(dict(base, modulus="1,1")) is other
 
 
-def test_direct_construction_builds_a_new_object():
-    assert FieldParams(2, 1, 1) is not FieldParams(2, 1, 1)
-    assert FieldParams(2, 1, 1) is not FieldParams.default(2)
-    assert FieldParams(2, 1, 1) == FieldParams.default(2)
+def test_direct_construction_returns_the_stored_object():
+    assert FieldParams(2, 1, 1) is FieldParams(2, 1, 1)
+    assert FieldParams(2, 1, 1) is FieldParams.default(2)
+    assert FieldParams(3, 1, 2, (1, 0, 4)) is FieldParams.default(3, 2)  # reduced mod 3
+    assert FieldParams(2, 1, 1, (1, 1)) is not FieldParams.default(2)
 
 
 @pytest.mark.parametrize("fields", [

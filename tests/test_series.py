@@ -221,13 +221,13 @@ def test_params_mismatch_raises(F2, F3):
         PerfSeries.x(F2) * PerfSeries.x(F3)
 
 
-def test_params_compare_by_value():
-    # two FieldParams built apart are one field configuration; the same q
-    # with another modulus is not
+def test_params_of_one_configuration_are_one_object():
+    # two FieldParams built apart are one field configuration and one
+    # object; the same q with another modulus is not
     a = S("1 + x", FieldParams(2, 1, 1))
     b = S("x + x^3", FieldParams(2, 1, 1))
     other = S("x + x^3", FieldParams(2, 1, 1, (1, 1)))
-    assert a.params is not b.params and a.params.q == other.params.q
+    assert a.params is b.params and a.params.q == other.params.q
     for op in (PerfSeries.__add__, PerfSeries.__sub__, PerfSeries.__mul__,
                PerfSeries.divide):
         assert op(a, b) == op(a, S("x + x^3", a.params))

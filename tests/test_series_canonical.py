@@ -204,17 +204,17 @@ def test_kernel_results_skip_the_filter(drawn, window):
         assert scanned.calls == (0 if a.dexp else 2)
 
 
-def test_shared_params_compare_by_identity(monkeypatch):
+def test_shared_params_compare_by_identity():
+    # one object per configuration: FieldParams keeps the identity
+    # comparison of object, so no operand check compares field tuples
+    assert "__eq__" not in vars(FieldParams)
+    assert "__hash__" not in vars(FieldParams)
     for params in FIELDS:
         a = PerfSeries.x(params).frobenius(-1) + PerfSeries.one(params)
         b = PerfSeries.x(params).truncate(5)
-        compared = Counted(monkeypatch, FieldParams, "__eq__")
         for op in (PerfSeries.__add__, PerfSeries.__sub__, PerfSeries.__mul__,
                    PerfSeries.divide):
-            op(a, b)
-            op(b, a)
-        assert compared.calls == 0
-        monkeypatch.undo()
+            assert op(a, b).params is op(b, a).params is params
 
 
 def test_exact_hyper_series_negates_nothing(monkeypatch):

@@ -155,13 +155,15 @@ SHIPPED = [(q, m) for q in (2, 3, 4, 5, 8, 9) for m in (1, 2)]
 
 def _field_without_add_table():
     """F_9 as q = 3, m = 2, built with the addition table switched off, so
-    products take the FieldParams.add fallback of large fields."""
-    saved = ffield._ADD_TABLE_LIMIT
-    ffield._ADD_TABLE_LIMIT = 0
+    products take the FieldParams.add fallback of large fields.  It is
+    built against an empty configuration store, so it is a field object
+    of its own and the stored F_9 keeps its table."""
+    saved = ffield._ADD_TABLE_LIMIT, ffield._params_cache
+    ffield._ADD_TABLE_LIMIT, ffield._params_cache = 0, {}
     try:
         return FieldParams(3, 1, 2)
     finally:
-        ffield._ADD_TABLE_LIMIT = saved
+        ffield._ADD_TABLE_LIMIT, ffield._params_cache = saved
 
 
 FIELDS = [FieldParams.default(q, m) for q, m in SHIPPED] + [_field_without_add_table()]

@@ -74,6 +74,21 @@ def test_series_print_parse_roundtrip(q, m):
         if rng.random() < 0.4:
             s = s.truncate(sampling.random_exponent(rng, params, 2, 9))
         assert parse_series(format_series(s), params) == s
+        # a precision off the exponent grid prints and parses back as is
+        off = s.truncate(Fraction(rng.randint(-9, 40), rng.choice((3, 5, 7, 10))))
+        back = parse_series(format_series(off), params)
+        assert back == off and back.prec == off.prec
+        assert format_series(back) == format_series(off)
+
+
+def test_precision_of_an_inverse_off_the_grid_parses_back(F3):
+    inverse = (PerfSeries.one(F3) + PerfSeries.x(F3)).invert(window=Fraction(7, 2))
+    text = format_series(inverse)
+    assert text == "1 + 2*x + x^2 + 2*x^3 + O(x^(7/2))"
+    assert format_series(parse_series(text, F3)) == text
+    # a term's exponent keeps its Z[1/q] refusal
+    with pytest.raises(ParseError, match=r"exponent denominator 2 is not a power of q \(token '2'\)"):
+        parse_series("x^(1/2) + O(x^(7/2))", F3)
 
 
 def test_canonical_printing_is_ascending_and_zero_free(F2):
