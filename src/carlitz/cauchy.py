@@ -18,6 +18,9 @@ the step the hypergeometric stream takes too: it divides P by Q at the
 brackets (long division, no inverse series) and applies the Frobenius.
 The P/Q quotients divide exact bracket evaluations, so coefficient
 precision decays only through the configured division window.
+
+:func:`format_problem` and :func:`parse_problem` write and read the
+``PERFPROBLEM`` file through :mod:`carlitz.textio`, which owns its grammar.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .brackets import bracket, INFINITY
 from .errors import (InadmissibleError, ParameterMismatchError,
                      PrecisionError, UsageError)
 from .ffield import FieldParams
-from .funcspace import MultiFunction, _head_fields, _parse_keyed_lines
+from .funcspace import MultiFunction
 from .opring import NormalForm
 from .series import INF, PerfSeries, SeriesMap, _twisted_step
 from . import textio
@@ -389,41 +392,20 @@ def hypergeometric_equation(params: FieldParams, a_list, b_list,
 
 def format_problem(eq: EvolutionEquation, init: InitialData,
                    trunc_m: int, trunc_i: int) -> str:
-    lines = ["PERFPROBLEM 1"]
-    lines += textio.format_field_header(eq.params)
-    lines.append("n %d" % eq.n)
-    lines.append("truncM %d" % trunc_m)
-    lines.append("truncI %d" % trunc_i)
-    for name, poly in (("P", eq.P), ("Q", eq.Q)):
-        for e in sorted(poly.coeffs):
-            lines.append("%s %s : %s" % (name, ",".join(str(k) for k in e),
-                                         textio.format_series(poly.coeffs[e])))
-    for ivec in sorted(init.values):
-        lines.append("init %s : %s" % (",".join(str(i) for i in ivec),
-                                       textio.format_series(init.values[ivec])))
-    lines.append("END")
-    return "\n".join(lines) + "\n"
+    payload = [("%s %s" % (kind, ",".join(map(str, key))), value)
+               for kind, values in (("P", eq.P.coeffs), ("Q", eq.Q.coeffs),
+                                    ("init", init.values))
+               for key, value in sorted(values.items())]
+    return textio.format_file("PERFPROBLEM", eq.params, (eq.n, trunc_m, trunc_i),
+                              payload)
 
 
 def parse_problem(text: str):
     """Returns (equation, initial data, trunc_m, trunc_i)."""
-    fields, payload = _parse_keyed_lines(text, "PERFPROBLEM", ("P", "Q", "init"))
-    params = textio.parse_field_header(fields)
-    n, trunc_m, trunc_i = (textio._read_int(fields.get(k), "problem key %r" % k)
-                           for k in ("n", "truncM", "truncI"))
-    p_coeffs, q_coeffs, init_values = {}, {}, {}
-    for head, body in payload:
-        kind, indices = _head_fields(head, 2)
-        key = tuple(textio._read_int(t, "%s index" % kind)
-                    for t in indices.split(","))
-        value = textio.parse_series(body, params)
-        if kind == "P":
-            p_coeffs[key] = value
-        elif kind == "Q":
-            q_coeffs[key] = value
-        else:
-            init_values[key] = value
-    eq = EvolutionEquation(params, n, DeltaPoly(params, n, p_coeffs),
-                           DeltaPoly(params, n, q_coeffs))
-    init = InitialData(params, n, init_values)
-    return eq, init, trunc_m, trunc_i
+    params, (n, trunc_m, trunc_i), payload = textio.read_file(text, "PERFPROBLEM")
+    values = {"P": {}, "Q": {}, "init": {}}
+    for kind, key, value in payload:
+        values[kind][key] = value
+    eq = EvolutionEquation(params, n, DeltaPoly(params, n, values["P"]),
+                           DeltaPoly(params, n, values["Q"]))
+    return eq, InitialData(params, n, values["init"]), trunc_m, trunc_i

@@ -8,7 +8,8 @@ reason code.
 
 Field configuration comes from --q/--m (shipped moduli), from explicit
 --p/--v/--m/--modulus, or from a config file given by --field-config or
-the CARLITZ_FIELD_CONFIG environment variable.
+the CARLITZ_FIELD_CONFIG environment variable.  :mod:`carlitz.textio`
+reads the config file and the PERFFUNC, PERFPROBLEM and PERFHYPER files.
 
 Each run is a fresh interpreter that serves one verb, so this module
 imports at its top only what every verb uses (errors, ffield, series,
@@ -48,13 +49,7 @@ def _field_params(args) -> FieldParams:
     config = args.field_config or os.environ.get("CARLITZ_FIELD_CONFIG")
     if args.q is None and config:
         with open(config) as fh:
-            fields = {}
-            for line in fh:
-                line = line.strip()
-                if line and " " in line:
-                    k, v = line.split(None, 1)
-                    fields[k] = v.strip()
-        return textio.parse_field_header(fields)
+            return textio.parse_config(fh.read())
     q = args.q if args.q is not None else 2
     return FieldParams.default(q, args.m)
 
@@ -182,26 +177,15 @@ def _hyper_params_from_args(args, params):
 
 
 def _load_hyper_file(text):
-    from .funcspace import _parse_keyed_lines
-    fields, payload = _parse_keyed_lines(text, "PERFHYPER",
-                                         ("a", "b", "alpha", "beta"))
-    params = textio.parse_field_header(fields)
-    a_list, b_list, alphas, betas = [], [], [], []
-    for head, body in payload:
-        kind = head.split(None, 1)[0]
-        if kind == "a":
-            a_list.append(textio.parse_series(body, params))
-        elif kind == "b":
-            b_list.append(textio.parse_series(body, params))
-        elif kind == "alpha":
-            alphas.append(textio._read_int(body, "alpha"))
-        else:
-            betas.append(textio._read_int(body, "beta"))
-    if alphas or betas:
-        if a_list or b_list:
+    params, _, payload = textio.read_file(text, "PERFHYPER")
+    values = {"a": [], "b": [], "alpha": [], "beta": []}
+    for kind, _, value in payload:
+        values[kind].append(value)
+    if values["alpha"] or values["beta"]:
+        if values["a"] or values["b"]:
             raise ParseError("mix of series and integer parameters")
-        return "integer", alphas, betas, params
-    return "series", a_list, b_list, params
+        return "integer", values["alpha"], values["beta"], params
+    return "series", values["a"], values["b"], params
 
 
 def _series_hyper_params(kind, upper, lower, params):

@@ -32,12 +32,16 @@ m <= trunc_m, i_j <= trunc_i.  d shrinks the box by one in every index;
 tau and Delta_j preserve it (every box slot of the image is determined by
 box slots of the argument, or is exactly zero); sums intersect boxes.
 Nothing outside the known box is ever fabricated.
+
+:meth:`MultiFunction.to_text` and :meth:`MultiFunction.from_text` write
+and read the ``PERFFUNC`` file through :mod:`carlitz.textio`, which owns
+its grammar.
 """
 
 from __future__ import annotations
 
 from .brackets import bracket, carlitz_D
-from .errors import ParameterMismatchError, ParseError, UsageError
+from .errors import ParameterMismatchError, UsageError
 from .ffield import FieldParams
 from .series import PerfSeries, SeriesMap
 from . import textio
@@ -271,75 +275,17 @@ class MultiFunction(SeriesMap):
     # -- serialization --------------------------------------------------------------
 
     def to_text(self) -> str:
-        lines = ["PERFFUNC 1"]
-        lines += textio.format_field_header(self.params)
-        lines.append("n %d" % self.n)
-        lines.append("truncM %d" % self.trunc_m)
-        lines.append("truncI %d" % self.trunc_i)
-        for key in self.support():
-            m, ivec = key[0], key[1:]
-            lines.append("coeff %d %s : %s"
-                         % (m, ",".join(str(i) for i in ivec),
-                            textio.format_series(self.coeffs[key])))
-        lines.append("END")
-        return "\n".join(lines) + "\n"
+        return textio.format_file(
+            "PERFFUNC", self.params, (self.n, self.trunc_m, self.trunc_i),
+            [("coeff %d %s" % (key[0], ",".join(map(str, key[1:]))), self.coeffs[key])
+             for key in self.support()])
 
     @classmethod
     def from_text(cls, text: str) -> "MultiFunction":
-        fields, coeff_lines = _parse_keyed_lines(text, "PERFFUNC", ("coeff",))
-        params = textio.parse_field_header(fields)
-        n, tm, ti = (textio._read_int(fields.get(k), "function key %r" % k)
-                     for k in ("n", "truncM", "truncI"))
-        coeffs = {}
-        for head, body in coeff_lines:
-            _, m, indices = _head_fields(head, 3)
-            m = textio._read_int(m, "coeff index")
-            ivec = tuple(textio._read_int(t, "coeff index")
-                         for t in indices.split(","))
-            coeffs[(m,) + ivec] = textio.parse_series(body, params)
-        return cls(params, n, tm, ti, coeffs)
+        params, (n, tm, ti), payload = textio.read_file(text, "PERFFUNC")
+        return cls(params, n, tm, ti, {key: c for _, key, c in payload})
 
     def __repr__(self):
         return "MultiFunction(n=%d, box=(%d,%d), slots=%d)" % (
             self.n, self.trunc_m, self.trunc_i, len(self.coeffs))
 
-
-def _parse_keyed_lines(text: str, magic: str, payload_keys):
-    """Shared reader for the line-oriented file formats.
-
-    Returns (header fields dict, list of (head, body) payload lines), where
-    payload lines are the ones starting with one of ``payload_keys`` and are
-    split at the first ' : '.
-    """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(magic):
-        raise ParseError("expected a %s file" % magic)
-    fields = {}
-    payload = []
-    for ln in lines[1:]:
-        if ln == "END":
-            break
-        key = ln.split(None, 1)[0]
-        if key in payload_keys:
-            if " : " not in ln:
-                raise ParseError("payload line missing ' : ' separator: %r" % ln)
-            head, body = ln.split(" : ", 1)
-            payload.append((head.strip(), body.strip()))
-        else:
-            if " " not in ln:
-                raise ParseError("malformed header line %r" % ln)
-            k, v = ln.split(None, 1)
-            fields[k] = v.strip()
-    else:
-        raise ParseError("missing END marker")
-    return fields, payload
-
-
-def _head_fields(head: str, count: int):
-    """The ``count`` whitespace-separated fields of a payload line's head
-    (the last one keeps the rest); a ParseError when some are missing."""
-    parts = head.split(None, count - 1)
-    if len(parts) < count:
-        raise ParseError("payload line %r needs %d fields before ' : '"
-                         % (head, count))
-    return parts

@@ -20,10 +20,15 @@ parenthesized series literals acting as scalars, ``*`` for composition,
 ``+``/``-``, and ``^k`` for repeated factors.  Parsing lowers an
 expression to a sum of operator words (no rewriting happens here).
 
-The file formats open with a field-config header (p, v, m, modulus),
-which reads as the one FieldParams object of its configuration, so parsed
-files share its field tables and bracket, D and L caches with the rest of
-the process (see :mod:`carlitz.ffield`).
+This module owns the file formats, ``PERFFUNC``, ``PERFPROBLEM`` and
+``PERFHYPER`` (declared in :data:`FORMATS`) and the field-config file:
+:func:`format_file` writes one, :func:`read_file` and :func:`parse_config`
+read one, and no other module splits a file into lines.  One rule reads
+every header line: a key and a value separated by whitespace.  The
+field-config header (p, v, m, modulus) reads as the one FieldParams object
+of its configuration, so parsed files share its field tables and bracket,
+D and L caches with the rest of the process (see :mod:`carlitz.ffield`).
+The README states the grammar.
 """
 
 from __future__ import annotations
@@ -99,8 +104,9 @@ def format_exponent(e: Fraction) -> str:
 
 def _parse_exponent(cur: _Cursor, params: FieldParams = None) -> Fraction:
     """An integer or a parenthesized rational.  With ``params`` it is a
-    term's exponent, refused unless its denominator is a power of q;
-    without, a precision bound, which may be any rational."""
+    term's exponent, refused unless its denominator in lowest terms is a
+    power of q (``x^(2/6)`` is ``x^(1/3)``); without, a precision bound,
+    which may be any rational."""
     if cur.at("int"):
         tok = cur.next()
         return Fraction(int(tok[1]))
@@ -120,11 +126,12 @@ def _parse_exponent(cur: _Cursor, params: FieldParams = None) -> Fraction:
         if den == 0:
             raise ParseError("zero exponent denominator", den_tok[2])
     cur.expect("op", ")")
-    if params is not None and _grid_depth(den, params.q) is None:
+    e = Fraction(num, den)
+    if params is not None and _grid_depth(e.denominator, params.q) is None:
         raise ParseError(
             "exponent denominator %d is not a power of q (token %r)"
             % (den, den_tok[1]), den_tok[2])
-    return Fraction(num, den)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +370,96 @@ def format_operator_words(words) -> str:
 
 
 # ---------------------------------------------------------------------------
-# field-config headers (shared by the file formats)
+# file formats: PERFFUNC, PERFPROBLEM, PERFHYPER and field-config files
+# ---------------------------------------------------------------------------
+
+#: magic -> (integer keys after the field header, the word that names them
+#: in a refusal, fields before ' : ' per payload kind, kinds whose body is
+#: an integer).  Every other payload body is a series.
+FORMATS = {
+    "PERFFUNC": (("n", "truncM", "truncI"), "function", {"coeff": 3}, ()),
+    "PERFPROBLEM": (("n", "truncM", "truncI"), "problem",
+                    {"P": 2, "Q": 2, "init": 2}, ()),
+    "PERFHYPER": ((), None, {"a": 1, "b": 1, "alpha": 1, "beta": 1},
+                  ("alpha", "beta")),
+}
+
+
+def format_file(magic: str, params: FieldParams, values, payload) -> str:
+    """The text of a ``magic`` file: the magic line, the field header, a
+    ``key int`` line per header key, a ``head : series`` line per (head,
+    series) of ``payload``, and END."""
+    lines = ["%s 1" % magic] + format_field_header(params)
+    lines += ["%s %d" % kv for kv in zip(FORMATS[magic][0], values)]
+    lines += ["%s : %s" % (head, format_series(s)) for head, s in payload]
+    lines.append("END")
+    return "\n".join(lines) + "\n"
+
+
+def read_file(text: str, magic: str):
+    """Read a ``magic`` file.  Returns its FieldParams, the integers of its
+    header keys, and its payload lines in file order as (kind, index tuple,
+    body), the body read as a series or an integer."""
+    keys, what, heads, int_kinds = FORMATS[magic]
+    lines = _lines(text)
+    if not lines or not lines[0].startswith(magic):
+        raise ParseError("expected a %s file" % magic)
+    fields, payload = {}, []
+    for line in lines[1:]:
+        if line == "END":
+            break
+        kind = line.split(None, 1)[0]
+        if kind in heads:
+            head, sep, body = line.partition(" : ")
+            if not sep:
+                raise ParseError("payload line missing ' : ' separator: %r" % line)
+            payload.append((kind, head.rstrip(), body.lstrip()))
+        else:
+            key, value = _header_line(line)
+            fields[key] = value
+    else:
+        raise ParseError("missing END marker")
+    params = parse_field_header(fields)
+    values = [_read_int(fields.get(k), "%s key %r" % (what, k)) for k in keys]
+    return params, values, [
+        (kind, _payload_index(kind, head, heads[kind]),
+         _read_int(body, kind) if kind in int_kinds else parse_series(body, params))
+        for kind, head, body in payload]
+
+
+def parse_config(text: str) -> FieldParams:
+    """The FieldParams of a field-config file, whose lines are all header
+    lines."""
+    return parse_field_header(dict(_header_line(line) for line in _lines(text)))
+
+
+def _lines(text: str):
+    return [line.strip() for line in text.splitlines() if line.strip()]
+
+
+def _header_line(line: str):
+    """The key and value of a header line: whitespace separates them."""
+    parts = line.split(None, 1)
+    if len(parts) < 2:
+        raise ParseError("malformed header line %r" % line)
+    return parts
+
+
+def _payload_index(kind: str, head: str, fields: int):
+    """The integers of a payload head of ``fields`` fields: the kind, then
+    one integer per field, the last field a comma list."""
+    parts = head.split(None, fields - 1)
+    if len(parts) < fields:
+        raise ParseError("payload line %r needs %d fields before ' : '"
+                         % (head, fields))
+    if fields == 1:
+        return ()
+    *singles, commas = parts[1:]
+    return tuple(_read_int(t, "%s index" % kind) for t in singles + commas.split(","))
+
+
+# ---------------------------------------------------------------------------
+# field-config headers (every file format has one)
 # ---------------------------------------------------------------------------
 
 def format_field_header(params: FieldParams):

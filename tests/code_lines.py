@@ -1,0 +1,80 @@
+"""Code lines of ``src/carlitz``, at a git ref or in the working tree.
+
+A code line is a non-blank line that holds a token other than a comment
+or a docstring (a string that stands as a statement of its own), as
+``tokenize`` reads it; a token spanning several lines counts each of them.
+
+    python3 tests/code_lines.py            # the working tree
+    python3 tests/code_lines.py HEAD~1     # a commit
+    python3 tests/code_lines.py REF -v     # with one line per module
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import pathlib
+import subprocess
+import sys
+import tokenize
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = "src/carlitz"
+
+#: Tokens that hold no code, and the ones after which a string opens a statement.
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
+_STATEMENT_START = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
+
+
+def code_lines(source: str) -> int:
+    """The number of code lines in ``source``."""
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    lines = set()
+    before = tokenize.NEWLINE  # the last token that is not a comment or NL
+    for tok, after in zip(tokens, tokens[1:] + [None]):
+        if tok.type in (tokenize.COMMENT, tokenize.NL):
+            continue
+        docstring = (tok.type == tokenize.STRING and before in _STATEMENT_START
+                     and (after is None or after.type in (tokenize.NEWLINE,
+                                                          tokenize.ENDMARKER)))
+        if tok.type not in _LAYOUT and not docstring:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+        before = tok.type
+    return len(lines)
+
+
+def sources(ref=None):
+    """(module name, source) of each module of the package, by name."""
+    if ref is None:
+        for path in sorted((ROOT / PACKAGE).glob("*.py")):
+            yield path.name, path.read_text()
+        return
+    names = subprocess.run(["git", "-C", str(ROOT), "ls-tree", "--name-only", ref,
+                            PACKAGE + "/"], check=True, capture_output=True,
+                           text=True).stdout.split()
+    for name in sorted(n for n in names if n.endswith(".py")):
+        yield pathlib.PurePosixPath(name).name, subprocess.run(
+            ["git", "-C", str(ROOT), "show", "%s:%s" % (ref, name)],
+            check=True, capture_output=True, text=True).stdout
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("ref", nargs="?", default=None,
+                        help="git ref (default: the working tree)")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="print each module's count as well")
+    args = parser.parse_args(argv)
+    total = 0
+    for name, source in sources(args.ref):
+        count = code_lines(source)
+        total += count
+        if args.verbose:
+            print("%-16s %5d" % (name, count))
+    print(total)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

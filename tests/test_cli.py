@@ -235,6 +235,27 @@ def test_field_config_file(tmp_path, capsys, monkeypatch):
     assert out.strip() == "2*x"
 
 
+def test_parse_roundtrip_unreduced_exponent(capsys):
+    code, out, err = run(capsys, ["--q", "3", "parse-roundtrip", "--kind", "series",
+                                  "x^(2/6)"])
+    assert (code, out, err) == (0, "x^(1/3)\nround-trip ok\n", "")
+
+
+def test_field_config_file_separated_by_tabs(tmp_path, capsys):
+    cfg = tmp_path / "field.cfg"
+    cfg.write_text("p\t3\nv \t1\nm\t1\nmodulus\t0,1\n")
+    code, out, err = run(capsys, ["--field-config", str(cfg), "bracket", "--n", "inf"])
+    assert (code, out, err) == (0, "2*x\n", "")
+
+
+def test_field_config_line_without_a_value_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "field.cfg"
+    cfg.write_text("p 3\nv 1\nm 1\nmodulus\n")
+    code, out, err = run(capsys, ["--field-config", str(cfg), "bracket", "--n", "1"])
+    assert (code, out) == (2, "")
+    assert err == "refused [syntax]: malformed header line 'modulus'\n"
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "carlitz.cli", "--q", "2", "bracket", "--n", "-1"],

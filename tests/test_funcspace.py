@@ -198,3 +198,18 @@ def test_linear_series_evaluate_matches_sum(F2):
     t = PerfSeries.monomial(F2, 3, 1)
     expected = t + PerfSeries.x(F2) * t.frobenius(2)
     assert u.evaluate(t) == expected
+
+
+def test_file_headers_may_separate_key_and_value_by_tabs(F2):
+    from carlitz.cauchy import (InitialData, format_problem,
+                                hypergeometric_equation, parse_problem)
+    f = MultiFunction(F2, 1, 3, 3, {(0, 1): PerfSeries.one(F2)})
+    text = f.to_text()
+    tabbed = text.replace("p 2\n", "p\t2\n").replace("truncM 3", "truncM\t 3")
+    assert tabbed != text
+    assert MultiFunction.from_text(tabbed) == f
+    eq = hypergeometric_equation(F2, [PerfSeries.x(F2)], [PerfSeries.one(F2)])
+    problem = format_problem(eq, InitialData.delta(F2, 1), 2, 2)
+    tabbed = problem.replace("modulus 0,1", "modulus\t0,1").replace("n 1", "n\t1")
+    assert tabbed != problem
+    assert format_problem(*parse_problem(tabbed)) == problem

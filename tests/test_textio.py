@@ -91,6 +91,21 @@ def test_precision_of_an_inverse_off_the_grid_parses_back(F3):
         parse_series("x^(1/2) + O(x^(7/2))", F3)
 
 
+def test_term_exponent_is_checked_in_lowest_terms(F3):
+    assert parse_series("x^(2/6)", F3) == parse_series("x^(1/3)", F3)
+    assert parse_series("2*x^(-3/9) + x^(4/2)", F3) == parse_series(
+        "2*x^(-1/3) + x^2", F3)
+    # a denominator that is no power of q in lowest terms keeps its refusal
+    for text, den, span in (("x^(1/6)", "6", (5, 6)), ("x^(3/6)", "6", (5, 6)),
+                            ("2*x^(2/12)", "12", (7, 9))):
+        with pytest.raises(ParseError) as exc:
+            parse_series(text, F3)
+        assert str(exc.value) == (
+            "exponent denominator %s is not a power of q (token '%s') (at %d..%d)"
+            % ((den, den) + span))
+        assert exc.value.span == span
+
+
 def test_canonical_printing_is_ascending_and_zero_free(F2):
     s = parse_series("x^3 + x + x^3", F2)  # char-2 cancellation
     assert format_series(s) == "x"
