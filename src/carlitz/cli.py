@@ -192,8 +192,7 @@ def _series_hyper_params(kind, upper, lower, params):
     """HyperParams of the read parameters, integers taken at their brackets."""
     from . import hyper
     if kind == "integer":
-        upper = hyper._bracket_params(params, upper)
-        lower = hyper._bracket_params(params, lower)
+        return hyper._bracket_hyper_params(params, upper, lower)
     return hyper.HyperParams(params, upper, lower)
 
 

@@ -21,20 +21,26 @@ field-parameter one at bracket parameters up to the variable rescaling
 z -> rho z; rho is determined by the m = 0 coefficients and verified at
 every further index rather than assumed.
 
-Which path computes a coefficient: h_0, t_m, and every h_m whose
-parameters have finite precision are the quotient of the symbols, divided
-to relative precision R (the ``window``, or DEFAULT_INVERT_WINDOW).  That
-quotient divides factor by factor, whatever the symbols: one pass of the
-quotient kernel ``series._quotient`` long-divides by D_m and by each
-lower symbol in turn, cut at the quotient's precision, so the product of
-the symbols, whose terms reach far above the R units the quotient keeps,
-is never built.  For exact parameters, h_m with m > 0 comes from
-the recursion above, each step one call of the q-twisted kernel
-``series._twisted_step`` (shared with the Cauchy solver) that divides by
-the factors of its denominator to relative precision R/q, so h_m keeps
-relative precision R.  Both paths give the same terms and the same
-precision; the recursion costs O(M) small steps for h_0..h_M where the
-quotient rebuilds the symbols at every index.
+Which path computes a coefficient: there is one coefficient loop,
+``_hyper_stream``.  For exact parameters it starts from h_0 and takes the
+recursion above for every m > 0, each step one call of the q-twisted
+kernel ``series._twisted_step`` (shared with the Cauchy solver) that
+divides by the factors of its denominator to relative precision R/q
+(R is the ``window``, or DEFAULT_INVERT_WINDOW), so h_m keeps relative
+precision R.  The integer family reads the same loop at the bracket
+parameters, started from t_0, so ``thakur_series``, ``thakur_residual``
+and ``hyper_thakur_coeff`` build D_m only at m = 0.  h_0, t_0, every h_m
+whose parameters have finite precision (the recursion would compound
+their precision loss), and the t side of ``thakur_correspondence`` (which
+exists to check the stream against the symbols) are the quotient of the
+symbols, divided to relative precision R.  That quotient divides factor
+by factor, whatever the symbols: one pass of the quotient kernel
+``series._quotient`` long-divides by D_m and by each lower symbol in
+turn, cut at the quotient's precision, so the product of the symbols,
+whose terms reach far above the R units the quotient keeps, is never
+built.  Both paths give the same terms and the same precision; the
+recursion costs O(M) small steps for h_0..h_M where the quotient rebuilds
+the symbols, and D_m with its up to 2^m terms, at every index.
 
 Residual checks apply the defining operators to the truncated series:
 
@@ -170,7 +176,7 @@ def _is_exact(hp: HyperParams) -> bool:
     return all(s.is_exact() for s in hp.a_list + hp.b_list)
 
 
-def _hyper_stream(hp: HyperParams, window):
+def _hyper_stream(hp: HyperParams, window, first=None):
     """The coefficients h_0, h_1, ... of one family, endlessly.
 
     For exact parameters each step is the q-twisted recursion
@@ -178,11 +184,14 @@ def _hyper_stream(hp: HyperParams, window):
     Q_m = prod([m]-a_i) / (([m]-[-1]) * prod([m]-b_j)), one call of
     series._twisted_step with the factors of Q_m, whose denominator is
     divided to relative precision R/q: h_m carries relative precision R
-    (or is exact, at m = 0), so h_(m+1) carries exactly R, as the direct
-    quotient does, and every known term is a true one.  Parameters with
-    finite precision take the direct quotient at every index, because the
-    recursion would compound their precision loss from step to step.
-    Both paths call hyper_coeff through the module, so wrappers see it."""
+    (or is exact), so h_(m+1) carries exactly R, as the direct quotient
+    does, and every known term is a true one.  The stream starts from
+    ``first``, or from h_0 = hyper_coeff(hp, 0) when it is None; the
+    integer family passes its t_0 over the bracket parameters, which are
+    exact.  Parameters with finite precision take the direct quotient at
+    every index, because the recursion would compound their precision
+    loss from step to step.  Both paths call hyper_coeff through the
+    module, so wrappers see it."""
     if not _is_exact(hp):
         for m in count():
             yield hyper_coeff(hp, m, window=window)
@@ -190,7 +199,7 @@ def _hyper_stream(hp: HyperParams, window):
     rel = Fraction(DEFAULT_INVERT_WINDOW if window is None
                    else window) / params.q
     minus_one = bracket(params, -1)
-    h = hyper_coeff(hp, 0, window=window)
+    h = hyper_coeff(hp, 0, window=window) if first is None else first
     for m in count():
         yield h
         b_m = bracket(params, m)
@@ -272,11 +281,21 @@ def hyper_thakur_coeff(params: FieldParams, alphas, betas, m: int,
     """t_m = prod (alpha_i)_m / (prod (beta_j)_m * D_m) with beta_j >= 1.
 
     Refuses lower parameters below 1, the only ones whose symbol can
-    vanish.  An upper symbol that is the inverse of a signed L^(q^m)
-    (alpha <= 0) puts that L^(q^m) among the divisors, so ``window``
-    governs its division too."""
+    vanish.  t_0 is the quotient of the symbols; t_m for m > 0 is read
+    from the field family's stream at the bracket parameters, with the
+    same terms and precision."""
     if m < 0:
         raise UsageError("need m >= 0")
+    return next(islice(_thakur_stream(params, alphas, betas, window), m, None))
+
+
+def _thakur_quotient(params: FieldParams, alphas, betas, m: int,
+                     window) -> PerfSeries:
+    """t_m as the direct quotient of its symbols.
+
+    An upper symbol that is the inverse of a signed L^(q^m) (alpha <= 0)
+    puts that L^(q^m) among the divisors, so ``window`` governs its
+    division too."""
     for beta in betas:
         if beta < 1:
             raise UsageError("lower parameters must be positive integers, got %r"
@@ -289,16 +308,31 @@ def hyper_thakur_coeff(params: FieldParams, alphas, betas, m: int,
     return _coeff_quotient(params, m, upper, lower, window)
 
 
+def _bracket_hyper_params(params: FieldParams, alphas, betas) -> HyperParams:
+    """The field-family parameters a_i = [-alpha_i], b_j = [-beta_j] that
+    stand for integer parameters."""
+    return HyperParams(params, [bracket(params, -alpha) for alpha in alphas],
+                       [bracket(params, -beta) for beta in betas])
+
+
+def _thakur_stream(params: FieldParams, alphas, betas, window):
+    """t_0, t_1, ...: the field family's stream at the bracket parameters,
+    started from the quotient t_0.
+
+    D_(m+1) = D_m^q ([m]-[-1])^q, and (alpha)_(m+1) = (alpha)_m^q
+    ([m]-[-alpha])^q for every integer alpha: for alpha <= 0 the factor
+    is exactly 0 at m = -alpha, where the symbol vanishes.  So t_m
+    follows the field family's step at the bracket parameters.  Lazy, so
+    a caller's own checks come first."""
+    t_0 = _thakur_quotient(params, alphas, betas, 0, window)
+    yield from _hyper_stream(_bracket_hyper_params(params, alphas, betas),
+                             window, t_0)
+
+
 def thakur_series(params: FieldParams, alphas, betas, M: int,
                   window=None) -> LinearSeries:
-    return _linear_series(
-        params, (hyper_thakur_coeff(params, alphas, betas, m, window=window)
-                 for m in count()), M)
-
-
-def _bracket_params(params: FieldParams, integers):
-    """The bracket parameters [-alpha] that stand for integer parameters."""
-    return [bracket(params, -alpha) for alpha in integers]
+    return _linear_series(params, _thakur_stream(params, alphas, betas, window),
+                          M)
 
 
 class CorrespondenceResult(NamedTuple):
@@ -320,11 +354,11 @@ def thakur_correspondence(params: FieldParams, alphas, betas, M: int,
     rho is computed from m = 0 and verified at every other index; an
     inconsistency is reported with the first failing index."""
     _check_truncation(M)
-    hp = HyperParams(params, _bracket_params(params, alphas),
-                     _bracket_params(params, betas))
+    hp = _bracket_hyper_params(params, alphas, betas)
     rho = None
     for m, h_m in zip(range(M + 1), _hyper_stream(hp, window)):
-        t_m = hyper_thakur_coeff(params, alphas, betas, m, window=window)
+        # t_m from its symbols, not from the stream that gives h_m
+        t_m = _thakur_quotient(params, alphas, betas, m, window)
         if t_m.is_zero() or h_m.is_zero():
             raise UsageError(
                 "coefficient family vanishes at m = %d; rho is undetermined there" % m)
@@ -388,8 +422,8 @@ def thakur_residual(params: FieldParams, alphas, betas, M: int,
     """Product-form residual of the integer-parameter function: applies
     prod(Delta - [-alpha_i]) - (prod(Delta - [-beta_j])) d."""
     series = thakur_series(params, alphas, betas, M, window=window)
-    return _product_residual(series, _bracket_params(params, alphas),
-                             _bracket_params(params, betas))
+    hp = _bracket_hyper_params(params, alphas, betas)
+    return _product_residual(series, hp.a_list, hp.b_list)
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +477,10 @@ def contiguous_check(ident: str, params: FieldParams, *, a=None, b=None,
 
 def _symbol_check(ident, a, m, window) -> CheckResult:
     params = a.params
+    least = 1 if ident in ("5.5", "5.6") else 0
+    if m < least:
+        raise UsageError("%s needs m >= %d" % (ident, least))
     if ident == "5.3":
-        if m < 0:
-            raise UsageError("5.3 needs m >= 0")
         if a.is_zero():
             raise UsageError("5.3 needs a != 0")
         if a.is_zero_at_prec():
@@ -454,19 +489,13 @@ def _symbol_check(ident, a, m, window) -> CheckResult:
         rhs = (a.frobenius(m).invert(window=window)
                * (a - bracket(params, m)) * pochhammer(a, m))
     elif ident == "5.4":
-        if m < 0:
-            raise UsageError("5.4 needs m >= 0")
         lhs = pochhammer(a, m + 1)
         rhs = -(a.frobenius(m + 1) * pochhammer(shift_up(a), m).frobenius(1))
     elif ident == "5.5":
-        if m < 1:
-            raise UsageError("5.5 needs m >= 1")
         lhs = pochhammer(shift_down(a), m)
         rhs = -((bracket(params, 1) + a.frobenius(1)).frobenius(m)
                 * pochhammer(a, m - 1).frobenius(1))
     else:  # 5.6
-        if m < 1:
-            raise UsageError("5.6 needs m >= 1")
         denom = (bracket(params, m - 1) - a).frobenius(1)
         if denom.is_zero():
             raise UsageError("5.6 needs a != [m-1]")

@@ -402,18 +402,22 @@ def read_file(text: str, magic: str):
     body), the body read as a series or an integer."""
     keys, what, heads, int_kinds = FORMATS[magic]
     lines = _lines(text)
-    if not lines or not lines[0].startswith(magic):
+    first = lines[0].split() if lines else []
+    if first[:1] != [magic]:
         raise ParseError("expected a %s file" % magic)
+    if first[1:] != ["1"]:
+        raise ParseError("expected version 1 of the %s format, got %r"
+                         % (magic, " ".join(first[1:])))
     fields, payload = {}, []
     for line in lines[1:]:
         if line == "END":
             break
         kind = line.split(None, 1)[0]
         if kind in heads:
-            head, sep, body = line.partition(" : ")
-            if not sep:
+            parts = _SEPARATOR_RE.split(line, 1)
+            if len(parts) < 2:
                 raise ParseError("payload line missing ' : ' separator: %r" % line)
-            payload.append((kind, head.rstrip(), body.lstrip()))
+            payload.append((kind, parts[0].rstrip(), parts[1].lstrip()))
         else:
             key, value = _header_line(line)
             fields[key] = value
@@ -431,6 +435,10 @@ def parse_config(text: str) -> FieldParams:
     """The FieldParams of a field-config file, whose lines are all header
     lines."""
     return parse_field_header(dict(_header_line(line) for line in _lines(text)))
+
+
+#: the payload separator: a colon with whitespace on each side
+_SEPARATOR_RE = re.compile(r"\s:\s")
 
 
 def _lines(text: str):
@@ -453,6 +461,9 @@ def _payload_index(kind: str, head: str, fields: int):
         raise ParseError("payload line %r needs %d fields before ' : '"
                          % (head, fields))
     if fields == 1:
+        if head != kind:
+            raise ParseError("payload line %r has fields after its kind %r"
+                             % (head, kind))
         return ()
     *singles, commas = parts[1:]
     return tuple(_read_int(t, "%s index" % kind) for t in singles + commas.split(","))

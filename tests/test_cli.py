@@ -446,6 +446,8 @@ MIXED = "either in --params or as --a/--b/--alpha/--beta, not both"
     (["hyper-eval", "--a", "x", "--b", "1", "--z", "x^3", "--window", "-5"],
      "window must be positive"),
     (["cauchy-solve", PROBLEM_N1, "--window", "0"], "window must be positive"),
+    (["hyper-residual", "--form", "thakur", "--alpha", "2", "--beta", "0"],
+     "lower parameters must be positive integers, got 0"),
 ], ids=["step-0", "step-negative", "nu-max-negative", "fhat-n-negative",
         "roundtrip-no-input", "trials-negative", "trials-0",
         "params-and-a", "params-and-beta", "alpha-and-b", "thakur-and-a",
@@ -453,9 +455,21 @@ MIXED = "either in --params or as --a/--b/--alpha/--beta, not both"
         "pochhammer-alpha-and-mode",
         "op-normalize-vars-negative", "roundtrip-vars-negative",
         "hyper-eval-window-0", "hyper-eval-window-negative",
-        "cauchy-solve-window-0"])
+        "cauchy-solve-window-0", "thakur-beta-0"])
 def test_refusal_of_arguments_that_would_crash_or_pass_vacuously(argv, what, capsys):
     _assert_usage_refusal(capsys, ["--q", "2"] + argv, what)
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["hyper-residual", "--form", "thakur", "--alpha", "2", "--beta", "0"], 2,
+     "refused [usage]: lower parameters must be positive integers, got 0\n"),
+    (["hyper-eval", "--alpha", "2", "--beta", "0", "--z", "x^3"], 1,
+     "refused [inadmissible]: parameter equals [0]\n"),
+], ids=["thakur-residual", "hyper-eval"])
+def test_a_lower_integer_below_one_keeps_its_reason(argv, code, err, capsys):
+    # the Thakur residual refuses beta < 1 before it builds the bracket
+    # parameters; hyper-eval reads --beta 0 as the bracket [0]
+    assert run(capsys, ["--q", "2"] + argv) == (code, "", err)
 
 
 def test_field_flags_stay_allowed_with_a_params_file(capsys):

@@ -91,6 +91,13 @@ FAULTS = [
     ("config", "v 1", "v one", "field-config key 'v' is not an integer: 'one'"),
     ("config", "modulus 0,1", "modulus 0;1",
      "modulus coefficient is not an integer: '0;1'"),
+    # whitespace around the payload colon may be tabs, as in header lines
+    ("func", "coeff 0 4 : 1", "coeff 0 z\t:\t1", "coeff index is not an integer: 'z'"),
+    ("hyper", "a : x\n", "a 7,junk : x\n",
+     "payload line 'a 7,junk' has fields after its kind 'a'"),
+    ("func", "PERFFUNC 1\n", "PERFFUNCTIONS 9\n", "expected a PERFFUNC file"),
+    ("func", "PERFFUNC 1\n", "PERFFUNC 2\n",
+     "expected version 1 of the PERFFUNC format, got '2'"),
 ]
 
 
@@ -108,6 +115,13 @@ def test_a_fault_is_refused_with_its_message(kind, old, new, message, tmp_path):
 @pytest.mark.parametrize("kind", sorted(READERS))
 def test_the_unfaulted_files_are_read(kind, tmp_path):
     READERS[kind](tmp_path, BASES[kind])
+
+
+def test_a_tab_beside_the_payload_colon_is_read():
+    tabbed = FUNC.replace("coeff 0 4 : 1", "coeff 0 4\t: 1").replace(
+        "coeff 1 4 : x^3", "coeff 1 4 :\tx^3")
+    assert tabbed != FUNC
+    assert MultiFunction.from_text(tabbed).to_text() == FUNC
 
 
 @pytest.mark.parametrize("path", sorted(DATA.glob("problem_*.txt")),

@@ -10,7 +10,8 @@ from carlitz.cauchy import InitialData, cauchy_solve, hypergeometric_equation
 from carlitz.hyper import (CONTIGUOUS_IDS, HyperParams, admissible_profile,
                            contiguous_check, convergence_bound, hyper_coeff,
                            hyper_eval, hyper_residual, hyper_thakur_coeff,
-                           thakur_correspondence, thakur_residual)
+                           thakur_correspondence, thakur_residual,
+                           thakur_series)
 from carlitz import sampling
 
 
@@ -173,6 +174,22 @@ def test_thakur_coeff_telescoping(F3):
 def test_thakur_coeff_rejects_bad_beta(F2):
     with pytest.raises(UsageError):
         hyper_thakur_coeff(F2, [1], [0], 1)
+
+
+def test_a_lower_parameter_below_one_is_refused_before_its_bracket(F2):
+    # the integer family refuses beta < 1 as a usage error before its
+    # bracket parameters are built, and a bad M before that; the
+    # correspondence builds them first and refuses [-0] = [0]
+    with pytest.raises(UsageError,
+                       match="^lower parameters must be positive integers, got 0$"):
+        thakur_series(F2, [2], [0], 3)
+    with pytest.raises(UsageError,
+                       match="^lower parameters must be positive integers, got 0$"):
+        thakur_residual(F2, [2], [0], 3)
+    with pytest.raises(UsageError, match="^need M >= 0$"):
+        thakur_series(F2, [2], [0], -1)
+    with pytest.raises(InadmissibleError, match="^parameter equals \\[0\\]$"):
+        thakur_correspondence(F2, [2], [0], 3)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -356,14 +373,16 @@ def test_parameter_perturbation_is_contractive(q):
 
 
 def test_correspondence_reports_first_bad_index(F2, monkeypatch):
+    # the t side is the direct symbol quotient, independent of the stream
+    # that gives h_m; a wrong t_m there is caught at its index
     import carlitz.hyper as hyper_mod
-    real = hyper_mod.hyper_thakur_coeff
+    real = hyper_mod._thakur_quotient
 
-    def corrupted(params, alphas, betas, m, window=None):
-        v = real(params, alphas, betas, m, window=window)
+    def corrupted(params, alphas, betas, m, window):
+        v = real(params, alphas, betas, m, window)
         return v * PerfSeries.monomial(params, 1, 1) if m >= 1 else v
 
-    monkeypatch.setattr(hyper_mod, "hyper_thakur_coeff", corrupted)
+    monkeypatch.setattr(hyper_mod, "_thakur_quotient", corrupted)
     result = hyper_mod.thakur_correspondence(F2, [2], [1], 3)
     assert not result.ok
     assert result.first_bad_m == 1

@@ -2,17 +2,20 @@
 direct quotient they replaced.
 
 The field-parameter family of exact parameters is read from the q-twisted
-recursion h_(m+1) = (h_m * Q_m)^q.  Parameters with finite precision and
-the integer family take the direct quotient, which now cuts its numerator
-factors to the relative precision of its inverse.  The oracle is the
-former direct quotient prod(upper) / (D_m * prod(lower)), kept only in
+recursion h_(m+1) = (h_m * Q_m)^q, and so is the integer family, at the
+bracket parameters [-alpha], [-beta] and started from its t_0.  Parameters
+with finite precision take the direct quotient, which now cuts its
+numerator factors to the relative precision of its inverse.  The oracle is
+the former direct quotient prod(upper) / (D_m * prod(lower)), kept only in
 ``oracles``.  Every coefficient must match it exactly: same terms, same dexp,
 same prec (value and type), over every shipped (q, m), indices m <= 6 and
-windows None, 20 and 7.  A recursion that lost precision on truncated
-parameters (at q = 9, h_1 went from O(x^45) to O(x^18)) fails here.
+windows None, 20 and 7 (and 32 for the integer family).  A recursion that
+lost precision on truncated parameters (at q = 9, h_1 went from O(x^45) to
+O(x^18)) fails here.
 """
 
 import random
+from itertools import cycle
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -97,6 +100,13 @@ FAMILIES = {
 }
 
 
+#: integer parameters: three at once, then each alpha in -3..3 (the symbol
+#: D, 1, or the inverse of a signed L that vanishes past m = -alpha) with
+#: beta cycling through 1..3
+THAKUR_SETS = [([2, -1, -3], [2])] + [
+    ([alpha], [beta]) for alpha, beta in zip(range(-3, 4), cycle((1, 2, 3)))]
+
+
 @pytest.mark.parametrize("params", FIELDS, ids=repr)
 def test_every_field_and_window_to_index_six(params):
     # the strategies above draw m <= 6 in a few fields only; this covers
@@ -117,10 +127,12 @@ def test_every_field_and_window_to_index_six(params):
             for m in range(7):
                 want = ref_hyper_coeff(hp, m, window)
                 assert_same(series.coeffs.get(m, PerfSeries.zero(params)), want)
-        series = hyper.thakur_series(params, [2, -1, -3], [2], 6, window=window)
-        for m in range(7):
-            want = ref_thakur_coeff(params, [2, -1, -3], [2], m, window)
-            assert_same(series.coeffs.get(m, PerfSeries.zero(params)), want)
+    for window in WINDOWS + (32,):
+        for alphas, betas in THAKUR_SETS:
+            series = hyper.thakur_series(params, alphas, betas, 6, window=window)
+            for m in range(7):
+                want = ref_thakur_coeff(params, alphas, betas, m, window)
+                assert_same(series.coeffs.get(m, PerfSeries.zero(params)), want)
 
 
 def ref_correspondence(params, alphas, betas, M, window):
@@ -178,6 +190,28 @@ def test_coefficient_paths_call_hyper_coeff_through_the_module(monkeypatch, F3):
     del calls[:]
     hyper.thakur_correspondence(F3, [2, 1], [1], 3)
     assert calls == [0]
+
+
+@pytest.mark.parametrize("family", ("thakur_series", "thakur_residual"))
+def test_integer_family_builds_its_symbols_once(family, F2, monkeypatch):
+    # t_0 is the one quotient of symbols and the one D_m built; every later
+    # t_m is a step of the stream
+    quotients, factorials = [], []
+    coeff_quotient, carlitz_D = hyper._coeff_quotient, hyper.carlitz_D
+
+    def counted_quotient(params, m, *args):
+        quotients.append(m)
+        return coeff_quotient(params, m, *args)
+
+    def counted_D(params, m):
+        factorials.append(m)
+        return carlitz_D(params, m)
+
+    monkeypatch.setattr(hyper, "_coeff_quotient", counted_quotient)
+    monkeypatch.setattr(hyper, "carlitz_D", counted_D)
+    getattr(hyper, family)(F2, [2], [3], 12)
+    assert quotients == [0]
+    assert factorials == [0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Work-count guards of the one quotient kernel.
 
-The q-twisted step ``series._twisted_step`` and the symbol quotient of
-``hyper.hyper_thakur_coeff`` each run one pass of ``series._quotient``
+The q-twisted step ``series._twisted_step`` and the direct symbol
+quotient of the integer family, ``hyper._thakur_quotient`` (t_0 of its
+stream, and the t side of ``thakur_correspondence``), each run one pass
+of ``series._quotient``
 for any factors: exact or truncated, several to a side, with terms or
 without.  Neither multiplies factors out, divides through
 ``PerfSeries.divide`` or truncates a factor, which is what a
@@ -81,5 +83,5 @@ def test_thakur_coeff_builds_no_product_or_quotient(params, window, monkeypatch)
     monkeypatch.setattr(hyper, "carlitz_D", lambda params, m: D[m])
     calls = _series_calls(monkeypatch)
     for alphas, betas, m in cases:
-        hyper.hyper_thakur_coeff(params, alphas, betas, m, window=window)
+        hyper._thakur_quotient(params, alphas, betas, m, window)
     assert calls == []
