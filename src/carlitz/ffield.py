@@ -27,9 +27,9 @@ for that configuration, building its tables only the first time; the
 object is kept for the life of the process, as ``FieldParams.default(q,
 m)`` objects always were, and ``default`` returns the same object.  So a
 configuration read from a file header, a config file or the CLI's
---p/--v/--m/--modulus shares the tables and the bracket, D and L caches of
-every other use of it, and two FieldParams are the same field exactly
-when they are the same object.
+--p/--v/--m/--modulus shares the tables, the bracket, D and L caches and
+the exact one series of every other use of it, and two FieldParams are
+the same field exactly when they are the same object.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ class FieldParams:
         "p", "v", "m", "modulus", "q", "Q", "deg",
         "_exp", "_log", "_neg", "_frob", "_add_table",
         "zero_idx", "one_idx", "minus_one_idx", "gen_idx",
-        "d_cache", "l_cache", "bracket_cache",
+        "d_cache", "l_cache", "bracket_cache", "unit",
     )
 
     def __new__(cls, p: int, v: int, m: int, modulus=None):
@@ -166,6 +166,7 @@ class FieldParams:
             params.d_cache = {}
             params.l_cache = {}
             params.bracket_cache = {}
+            params.unit = None  # PerfSeries.one(params), made on first use
             params = _params_cache.setdefault(key, params)
         return params
 

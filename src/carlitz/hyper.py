@@ -257,14 +257,18 @@ def hyper_eval(hp: HyperParams, z: PerfSeries, M: int, window=None) -> PerfSerie
     # _tail_valuation(m), and its precision is at least that bound, which
     # increases with m.  Once the bound reaches the precision of the sum so
     # far, no later term can change a kept term or the precision, so the
-    # stream is read no further: M is a limit, not a work count.
+    # stream is read no further: M is a limit, not a work count.  The
+    # bound at M + 1 is then at or above the precision too, so only a
+    # loop that ran to M truncates at it.
     acc = PerfSeries.zero(params)
     coeffs = _hyper_stream(hp, window)
     for m in range(M + 1):
         if _tail_valuation(hp, val_z, m) >= acc.prec:
             break
         acc = acc + next(coeffs) * z.frobenius(m)
-    return acc.truncate(_tail_valuation(hp, val_z, M + 1))
+    else:
+        acc = acc.truncate(_tail_valuation(hp, val_z, M + 1))
+    return acc
 
 
 def hyper_series(hp: HyperParams, M: int, window=None) -> LinearSeries:

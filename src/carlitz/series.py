@@ -74,7 +74,16 @@ truncated one adds only the exact side's valuation, one Fraction read on
 the common grid; the quotient kernel and ``_product_prec`` take no term
 from an exact factor's precision; and ``frobenius`` scales a Fraction
 prec by the integer q^|e|.  Each result has the precision the general
-rules give.
+rules give.  The exact one follows the same rule as ``INF``: each
+:class:`~carlitz.ffield.FieldParams` keeps one ``PerfSeries.one`` object,
+and a product with that object returns the other operand, after the
+operand check and before any alignment, precision or kernel work.  Its
+terms, ``dexp`` and ``prec`` are what the kernel would give, since a
+canonical series times x^0 is itself.  A one built another way (parsed,
+or ``PerfSeries.constant(params, 1)``) is a different object and takes
+the kernel, with the same result.  In characteristic 2 negation is the
+identity on coefficients, so ``-a`` is ``a`` itself and the negated one
+(the leading coefficient of ``-prod(t_j - b_j)``) is still the unit.
 
 Equality compares coefficients at all exponents below the smaller of the
 two precisions, which makes identity checks decidable at stated precision.
@@ -227,7 +236,12 @@ class PerfSeries:
 
     @classmethod
     def one(cls, params: FieldParams) -> "PerfSeries":
-        return cls(params, 0, {0: params.one_idx}, INF)
+        """The exact one of ``params``: one object per configuration, kept
+        on it, which a product recognises by identity."""
+        unit = params.unit
+        if unit is None:
+            unit = params.unit = cls(params, 0, {0: params.one_idx}, INF)
+        return unit
 
     @classmethod
     def x(cls, params: FieldParams) -> "PerfSeries":
@@ -359,14 +373,24 @@ class PerfSeries:
         return PerfSeries._make(params, d, out, prec)
 
     def __neg__(self):
+        """-a; in characteristic 2 every coefficient is its own negative,
+        so that is ``a`` itself, and the negated unit stays the unit."""
+        if self.params.p == 2:
+            return self
         neg = self.params._neg
         return PerfSeries(self.params, self.dexp,
                           {k: neg[c] for k, c in self.terms.items()}, self.prec)
 
     def __mul__(self, other):
         """The product, at min(prec_a + val(b), prec_b + val(a)); an exact
-        side contributes only its valuation, read on the common grid."""
+        side contributes only its valuation, read on the common grid.  A
+        side that is the field's one object gives the other side itself."""
         self._check(other)
+        unit = self.params.unit
+        if other is unit:
+            return self
+        if self is unit:
+            return other
         d, ta, tb = self._aligned(other)
         a_prec, b_prec = self.prec, other.prec
         if a_prec is INF and b_prec is INF:

@@ -15,6 +15,15 @@ parent's interquartile spread; the last column says whether that holds.
 Each run's line and the summary also give the number of ops the run
 attempted, since ``peak_rss_mb`` grows with it.
 ``git stash create`` gives a ref for uncommitted changes to tracked files.
+
+With ``--out FILE`` the same report is also written as JSON, under the
+workload's name in FILE, so runs of several workloads fill one file:
+
+    python3 tests/bench_pairs.py PARENT CHANGE --workload cauchy --seeds 1-10 --out BENCH.json
+
+Each workload's entry holds the refs, seeds and run length, each
+end-to-end metric's medians and quartiles per side, wins out of pairs,
+``within_bound`` and ``claimable``, and each side's median attempted ops.
 """
 
 from __future__ import annotations
@@ -57,27 +66,53 @@ def quartiles(values):
     return low, high
 
 
-def report(metrics, parent, change):
-    """One line per metric: medians, quartiles, wins, bound and claim."""
+def summary(metrics, parent, change):
+    """Per end-to-end metric: each side's median and quartiles, the
+    change's wins out of the pairs, whether its median is within the
+    bound, and whether a gain is claimable."""
     pairs = len(parent)
-    lines = ["%-12s %-28s %-28s %5s  %-6s %s"
-             % ("metric", "parent median [quartiles]", "change median [quartiles]",
-                "wins", "bound", "claimable")]
+    out = {}
     for spec in metrics:
         name, higher, bound = spec["name"], spec["better"] == "higher", spec["bound"]
         a = [r["metrics"][name]["value"] for r in parent]
         b = [r["metrics"][name]["value"] for r in change]
         wins = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
         ma, mb = statistics.median(a), statistics.median(b)
-        qa, qb = quartiles(a), quartiles(b)
+        qa = quartiles(a)
         limit = ma * (1 - bound) if higher else ma * (1 + bound)
-        within = mb >= limit if higher else mb <= limit
-        claimable = (wins * 10 >= 9 * pairs
-                     and abs(mb - ma) > qa[1] - qa[0])
+        out[name] = {
+            "better": spec["better"], "bound": bound,
+            "parent": {"median": ma, "quartiles": list(qa)},
+            "change": {"median": mb, "quartiles": list(quartiles(b))},
+            "wins": wins, "pairs": pairs,
+            "within_bound": mb >= limit if higher else mb <= limit,
+            "claimable": wins * 10 >= 9 * pairs and abs(mb - ma) > qa[1] - qa[0]}
+    return out
+
+
+def report(rows):
+    """One line per metric of ``summary``: medians, quartiles, wins,
+    bound and claim."""
+    lines = ["%-12s %-28s %-28s %5s  %-6s %s"
+             % ("metric", "parent median [quartiles]", "change median [quartiles]",
+                "wins", "bound", "claimable")]
+    for name, row in rows.items():
+        a, b = row["parent"], row["change"]
         lines.append("%-12s %-28s %-28s %2d/%-2d  %-6s %s" % (
-            name, "%.4g [%.4g-%.4g]" % (ma, *qa), "%.4g [%.4g-%.4g]" % (mb, *qb),
-            wins, pairs, "within" if within else "OVER", "yes" if claimable else "no"))
+            name, "%.4g [%.4g-%.4g]" % (a["median"], *a["quartiles"]),
+            "%.4g [%.4g-%.4g]" % (b["median"], *b["quartiles"]),
+            row["wins"], row["pairs"], "within" if row["within_bound"] else "OVER",
+            "yes" if row["claimable"] else "no"))
     return lines
+
+
+def write_out(path, workload, entry):
+    """``entry`` under ``workload`` in the JSON object at ``path``, the
+    other workloads already there kept."""
+    path = pathlib.Path(path)
+    data = json.loads(path.read_text()) if path.exists() else {}
+    data[workload] = entry
+    path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
 
 def seed_list(text):
@@ -95,6 +130,9 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seed_list, required=True,
                         help="one run pair per seed: '101-110' or '7,9,11'")
+    parser.add_argument("--out", metavar="FILE",
+                        help="also write the report as JSON under the workload's "
+                             "name in FILE")
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
@@ -118,11 +156,17 @@ def main(argv=None):
                     flush=True)
     print("%s, %d pairs of %g s runs, %s -> %s"
           % (args.workload, len(args.seeds), seconds, args.parent, args.change))
-    for line in report(bench["end_to_end"], results["parent"], results["change"]):
+    rows = summary(bench["end_to_end"], results["parent"], results["change"])
+    for line in report(rows):
         print(line)
-    print("attempted ops, median: parent %g, change %g" % tuple(
-        statistics.median(r["attempted"] for r in results[side])
-        for side in ("parent", "change")))
+    attempted = {side: statistics.median(r["attempted"] for r in results[side])
+                 for side in ("parent", "change")}
+    print("attempted ops, median: parent %g, change %g"
+          % (attempted["parent"], attempted["change"]))
+    if args.out:
+        write_out(args.out, args.workload, {
+            "parent": args.parent, "change": args.change, "seeds": args.seeds,
+            "seconds": seconds, "metrics": rows, "attempted": attempted})
     return 0
 
 

@@ -12,6 +12,13 @@ Frobenius draws exact, truncated, zero-at-precision and exact-zero
 operands over the 12 shipped fields and is compared with the Frobenius of
 ``oracles.MakePath`` (prec times Fraction(q)^e).  The work tests count
 the Fractions the library builds.
+
+The exact one is one object per field, ``PerfSeries.one(params)``, and a
+product with it returns the other operand.  Products with the unit are
+compared with ``MakePath.mul``, which runs the kernel, over every shipped
+field and every kind; a one built another way still takes the kernel;
+and a work test checks that no product in an admissibility scan or an
+operator normalisation hands the kernel the unit's term map.
 """
 
 from fractions import Fraction
@@ -19,9 +26,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carlitz import INF, PerfSeries, bracket, series
-from carlitz.cauchy import DeltaPoly, hypergeometric_equation
+from carlitz import INF, ParameterMismatchError, PerfSeries, bracket, series
+from carlitz.cauchy import (DeltaPoly, admissibility_check,
+                            hypergeometric_equation)
+from carlitz.opring import D, TAU, OperatorWord, normalize
 from carlitz.series import _twisted_step
+from carlitz.textio import parse_series
 from oracles import MakePath, assert_same
 from test_quotient_kernel import SHIPPED_FIELDS, factors
 
@@ -58,6 +68,75 @@ def test_infinite_precisions_are_the_one_inf(F2):
     assert _twisted_step(x, [x], [monomial], None).prec is INF
     assert (x * PerfSeries.zero(F2, prec=4)).prec == 5
     assert (PerfSeries.zero(F2) * PerfSeries.zero(F2, prec=4)).prec is INF
+
+
+# ---------------------------------------------------------------------------
+# the exact one
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("params", SHIPPED_FIELDS, ids=repr)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_product_with_the_unit_is_the_other_operand(params, kind, data):
+    a = data.draw(factors(params, kinds=(kind,)))
+    one = PerfSeries.one(params)
+    assert PerfSeries.one(params) is one
+    for got, want in ((a * one, MakePath.mul(a, one)),
+                      (one * a, MakePath.mul(one, a))):
+        assert got is a
+        assert_same(got, want)
+
+
+@pytest.fixture
+def kernel_operands(monkeypatch):
+    """The (ta, tb) term maps series._product_terms receives, as a list,
+    recorded from here on."""
+    operands = []
+    kernel = series._product_terms
+
+    def recorded(params, ta, tb, bound):
+        operands.append((ta, tb))
+        return kernel(params, ta, tb, bound)
+    monkeypatch.setattr(series, "_product_terms", recorded)
+    return operands
+
+
+@pytest.mark.parametrize("params", SHIPPED_FIELDS, ids=repr)
+def test_a_one_built_another_way_takes_the_kernel(params, kernel_operands):
+    q = params.q
+    a = PerfSeries(params, 1, {-q: 1, 1: params.minus_one_idx}, Fraction(7, 2))
+    unit = PerfSeries.one(params)
+    others = (parse_series("1", params), PerfSeries.constant(params, 1))
+    for other in others:
+        assert other is not unit
+        assert_same(other, unit)
+        assert_same(a * other, a * unit)
+        assert_same(other * a, a)
+    assert len(kernel_operands) == 2 * len(others)
+
+
+def test_the_unit_of_another_field_is_refused(F2, F3):
+    x = PerfSeries.x(F2)
+    for left, right in ((PerfSeries.one(F3), x), (x, PerfSeries.one(F3)),
+                        (PerfSeries.one(F3), PerfSeries.one(F2))):
+        with pytest.raises(ParameterMismatchError):
+            left * right
+
+
+def test_no_product_hands_the_kernel_the_unit(F2, kernel_operands):
+    # the x^0 powers of eval_at, the seed of pow, the unit coefficient of
+    # -prod(t_j - b_j) (the negated unit is the unit over F_2) and the
+    # starting coefficient of normalize are all the one object
+    a = PerfSeries.from_terms(F2, {3: 1, Fraction(1, 2): 1})
+    b = PerfSeries.from_terms(F2, {0: 1, 5: 1})
+    eq = hypergeometric_equation(F2, [a] * 3, [b] * 3, 3)
+    assert admissibility_check(eq, 4).status == "ok"
+    scanned = len(kernel_operands)
+    assert not normalize(OperatorWord(0, [D] * 4 + [TAU] * 4), F2).is_zero()
+    assert 0 < scanned < len(kernel_operands)
+    unit = {0: F2.one_idx}
+    assert not [pair for pair in kernel_operands if unit in pair]
 
 
 # ---------------------------------------------------------------------------

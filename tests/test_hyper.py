@@ -12,7 +12,8 @@ from carlitz.hyper import (CONTIGUOUS_IDS, HyperParams, admissible_profile,
                            hyper_eval, hyper_residual, hyper_thakur_coeff,
                            thakur_correspondence, thakur_residual,
                            thakur_series)
-from carlitz import sampling
+from carlitz import hyper, sampling
+from oracles import assert_same
 
 
 def draw_params(rng, params, r, s, lo=0, hi=3):
@@ -150,6 +151,24 @@ def test_tail_bound_caps_precision(F3, rng):
     v4 = hyper_eval(hp, z, 4)
     v7 = hyper_eval(hp, z, 7)
     assert v4 == v7  # they agree below the M=4 tail cap
+
+
+def test_a_stopped_stream_reads_no_tail_bound_at_M(F2, monkeypatch):
+    # the stream stops at m = 4, where the tail bound has reached the
+    # precision of the sum; the bound at M + 1 is no lower, so it is not
+    # built, and the result is the one a loop run to M = 3 gives
+    hp = HyperParams(F2, [PerfSeries.x(F2)], [PerfSeries.one(F2)])
+    z = PerfSeries.monomial(F2, 3, 1)
+    want = hyper_eval(hp, z, 3)
+    seen = []
+    tail = hyper._tail_valuation
+
+    def recorded(hp, val_z, m):
+        seen.append(m)
+        return tail(hp, val_z, m)
+    monkeypatch.setattr(hyper, "_tail_valuation", recorded)
+    assert_same(hyper_eval(hp, z, 10 ** 6), want)
+    assert seen == [0, 1, 2, 3, 4]
 
 
 # ---------------------------------------------------------------------------
