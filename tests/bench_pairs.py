@@ -9,9 +9,10 @@ one seed after another, the two sides alternating which runs first:
 For each end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median [lower-upper quartile], the change's wins out of the pairs (ties
 count for neither side), and whether the change's median is within the
-metric's bound of the parent's.  A gain is claimable when the change wins
-at least nine pairs in ten and the medians differ by more than the
-parent's interquartile spread; the last column says whether that holds.
+metric's bound of the parent's.  A gain is claimable when there are at
+least ten pairs, the change wins at least nine pairs in ten and the medians
+differ by more than the parent's interquartile spread; the last column says
+whether that holds.
 Each run's line and the summary also give the number of ops the run
 attempted, since ``peak_rss_mb`` grows with it.
 ``git stash create`` gives a ref for uncommitted changes to tracked files.
@@ -86,7 +87,8 @@ def summary(metrics, parent, change):
             "change": {"median": mb, "quartiles": list(quartiles(b))},
             "wins": wins, "pairs": pairs,
             "within_bound": mb >= limit if higher else mb <= limit,
-            "claimable": wins * 10 >= 9 * pairs and abs(mb - ma) > qa[1] - qa[0]}
+            "claimable": (pairs >= 10 and wins * 10 >= 9 * pairs
+                          and abs(mb - ma) > qa[1] - qa[0])}
     return out
 
 
