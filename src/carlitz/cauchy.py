@@ -13,6 +13,16 @@ value [inf] = -x; since |[i] - [inf]| = q^(-q^i) -> 0, checking indices up
 to a finite bound together with every inf-pattern is sound at the working
 precision (the set of bracket values is compact and Q is continuous).
 
+The same ultrametric fact often answers without a scan.  Every bracket
+value is [0] = 0 or has valuation exactly 1 ([inf] = -x included), so a
+monomial c_e t^e has valuation at least val(c_e) + |e| at every tuple.
+When Q's constant coefficient c_0 has a known lowest term at v and every
+other monomial's lower bound ``c_e._val_lb() + |e|`` lies strictly above
+v, no other monomial can reach that term or cancel it: Q has valuation
+exactly v at every tuple, for every index bound.  :func:`admissibility_check`
+then reports "ok" with mu = v, the report the scan gives, without
+evaluating Q; any other Q (a tie at v included) is scanned tuple by tuple.
+
 Each step is one call of the q-twisted kernel ``series._twisted_step``,
 the step the hypergeometric stream takes too: it divides P by Q at the
 brackets (long division, no inverse series) and applies the Frobenius.
@@ -199,16 +209,40 @@ def _q_values(eq: EvolutionEquation, i_max: int):
         yield combo, eq.Q.eval_at(_index_values(eq.params, combo))
 
 
-def admissibility_check(eq: EvolutionEquation, i_max: int) -> AdmissibilityReport:
-    """Evaluate Q at every tuple over {0..i_max, inf}.
+def _dominant_valuation(Q: DeltaPoly):
+    """v when Q's constant coefficient has its lowest term at v and every
+    other monomial c_e t^e has ``c_e._val_lb() + |e| > v``, else None.
 
-    Exact zeros report failure with the offending tuple; a value with no
+    Then Q has valuation exactly v at every bracket tuple (module
+    docstring), which is the largest valuation the scan would see."""
+    c0 = Q.coeffs.get((0,) * Q.n)
+    if c0 is None or not c0.terms:
+        return None
+    v = c0.valuation()
+    for e, c in Q.coeffs.items():
+        if any(e) and c._val_lb() + sum(e) <= v:
+            return None
+    return v
+
+
+def admissibility_check(eq: EvolutionEquation, i_max: int) -> AdmissibilityReport:
+    """Q at every tuple over {0..i_max, inf}, certified or scanned.
+
+    When Q's constant coefficient dominates (its lowest term at v lies
+    strictly below every other monomial's valuation bound, module
+    docstring) the report is "ok" with mu_valuation v, and no tuple is
+    evaluated.  Otherwise Q is evaluated at every tuple in product order:
+    exact zeros report failure with the offending tuple; a value with no
     terms but finite precision reports "indeterminate" instead, which is a
     different state from failure.  On success the report carries the
-    largest valuation seen, i.e. mu = min |Q| = q^(-mu_valuation).
+    largest valuation seen, i.e. mu = min |Q| = q^(-mu_valuation).  Both
+    ways give the same report.
     """
     if i_max < 0:
         raise UsageError("i_max must be >= 0")
+    v = _dominant_valuation(eq.Q)
+    if v is not None:
+        return AdmissibilityReport("ok", v, None, i_max)
     worst = None
     for combo, value in _q_values(eq, i_max):
         if value.is_zero():
@@ -223,21 +257,27 @@ def admissibility_check(eq: EvolutionEquation, i_max: int) -> AdmissibilityRepor
 def recommend_imax(eq: EvolutionEquation, probe: int = 4) -> int:
     """Heuristic index bound for admissibility_check.
 
-    Replacing [i] by [inf] changes each entry by x^(q^i); evaluating Q at
-    the probe tuples bounds the valuation scale V of Q near the limit
-    point, and entries with q^i > V cannot flip a nonzero verdict (bracket
-    values have valuation >= 1, so no negative-valuation amplification
-    beyond the coefficients' own).  The returned bound folds in the worst
-    coefficient valuation; it is a recommendation, the final choice stays
-    with the caller.  It stays apart from admissibility_check because a
-    probe estimate is no certificate: the scan's verdict, witness and mu
-    are those of the caller's index range, and no estimate may cut it short.
+    Replacing [i] by [inf] changes each entry by x^(q^i); the valuation
+    scale V of Q near the limit point bounds which entries matter, and
+    entries with q^i > V cannot flip a nonzero verdict (bracket values have
+    valuation >= 1, so no negative-valuation amplification beyond the
+    coefficients' own).  When Q's constant coefficient dominates, V is
+    max(0, v) for its valuation v, which every tuple has; otherwise V comes
+    from evaluating Q at the probe tuples.  The returned bound folds in the
+    worst coefficient valuation; it is a recommendation, the final choice
+    stays with the caller.  A probe estimate is no certificate, so the
+    bound never shortens admissibility_check: its verdict, witness and mu
+    are those of the caller's index range.
     """
-    vmax = Fraction(0)
-    for _, value in _q_values(eq, probe):
-        lb = value._val_lb()
-        if lb is not INF:
-            vmax = max(vmax, lb)
+    v = _dominant_valuation(eq.Q)
+    if v is None:
+        vmax = Fraction(0)
+        for _, value in _q_values(eq, probe):
+            lb = value._val_lb()
+            if lb is not INF:
+                vmax = max(vmax, lb)
+    else:
+        vmax = max(Fraction(0), v)
     slack = Fraction(0)
     for c in eq.Q.coeffs.values():
         lb = c._val_lb()

@@ -6,7 +6,9 @@ v*m over Z/p.  Field elements are residues modulo that modulus; internally
 they are encoded as integers (base-p digit strings), and all arithmetic is
 table driven: a discrete-log/exp pair for multiplication and per-power
 Frobenius tables.  Fields this small (Q <= a few thousand) make the tables
-essentially free and every coefficient operation O(1).
+essentially free and every coefficient operation O(1).  A field of order
+above ``_FIELD_ORDER_LIMIT`` (2^20) is refused with the UsageError of a
+composite p, before p is factored or any table is built.
 
 The table build is also the field check.  Z/p[x]/(modulus) is a field
 exactly when some element g has multiplicative order Q - 1: its powers are
@@ -39,6 +41,12 @@ from .errors import UsageError
 # Build a full Q x Q addition table only below this size; beyond it,
 # addition falls back to digitwise base-p arithmetic.
 _ADD_TABLE_LIMIT = 512
+
+# Build no field of order Q = p^(v*m) above this size: the log, exp,
+# negation and Frobenius tables hold Q entries each, and the primality
+# check of p trial-divides up to sqrt(p).  A larger field is refused
+# before p is factored.
+_FIELD_ORDER_LIMIT = 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +119,14 @@ _params_cache: dict = {}
 def _configuration(p, v, m, modulus):
     """The normalised (p, v, m, modulus) of a field configuration, the
     modulus filled in from the shipped ones, reduced mod p and made monic;
-    refused with the UsageError of FieldParams, before any table is built."""
+    refused with the UsageError of FieldParams, before any table is built.
+    A field of order above ``_FIELD_ORDER_LIMIT`` is refused before p is
+    factored; Q is computed only once v*m is small enough to bound it."""
+    if p > 1 and v >= 1 and m >= 1 and (
+            v * m >= _FIELD_ORDER_LIMIT.bit_length()
+            or p ** (v * m) > _FIELD_ORDER_LIMIT):
+        raise UsageError("p must be prime with Q = p^(v*m) at most %d, got "
+                         "p=%r, v=%r, m=%r" % (_FIELD_ORDER_LIMIT, p, v, m))
     if next(_prime_factors(p), None) != p:
         raise UsageError("p must be prime, got %r" % (p,))
     if v < 1 or m < 1:

@@ -14,7 +14,10 @@ least ten pairs, the change wins at least nine pairs in ten and the medians
 differ by more than the parent's interquartile spread; the last column says
 whether that holds.
 Each run's line and the summary also give the number of ops the run
-attempted, since ``peak_rss_mb`` grows with it.
+attempted, since ``peak_rss_mb`` grows with it, and the summary gives each
+side's median ``peak_rss_mb`` per 1000 attempted ops: memory that the
+harness keeps per op reads the same on both sides, and memory that the
+library keeps shows as a change in it.
 ``git stash create`` gives a ref for uncommitted changes to tracked files.
 
 With ``--out FILE`` the same report is also written as JSON, under the
@@ -24,7 +27,9 @@ workload's name in FILE, so runs of several workloads fill one file:
 
 Each workload's entry holds the refs, seeds and run length, each
 end-to-end metric's medians and quartiles per side, wins out of pairs,
-``within_bound`` and ``claimable``, and each side's median attempted ops.
+``within_bound`` and ``claimable``, each side's median attempted ops, and
+each side's median ``peak_rss_mb`` per 1000 attempted ops as
+``rss_mb_per_kop``.
 """
 
 from __future__ import annotations
@@ -165,10 +170,16 @@ def main(argv=None):
                  for side in ("parent", "change")}
     print("attempted ops, median: parent %g, change %g"
           % (attempted["parent"], attempted["change"]))
+    rss_per_kop = {side: statistics.median(
+        r["metrics"]["peak_rss_mb"]["value"] * 1000 / r["attempted"] for r in results[side])
+        for side in ("parent", "change")}
+    print("peak_rss_mb per 1000 attempted ops, median: parent %.4g, change %.4g"
+          % (rss_per_kop["parent"], rss_per_kop["change"]))
     if args.out:
         write_out(args.out, args.workload, {
             "parent": args.parent, "change": args.change, "seeds": args.seeds,
-            "seconds": seconds, "metrics": rows, "attempted": attempted})
+            "seconds": seconds, "metrics": rows, "attempted": attempted,
+            "rss_mb_per_kop": rss_per_kop})
     return 0
 
 

@@ -13,8 +13,10 @@ with the dividend; and the series operations as they were when every
 result went through one filtering constructor, ``MakePath``, which the
 library replaced by results that are canonical by construction; and the
 scan that lowered a series' exponent grid one q-power at a time, which
-the library replaced by one gcd of the exponents.  Each is kept here once
-and in no library module.
+the library replaced by one gcd of the exponents; and the admissibility
+scan that evaluates Q at every bracket tuple, which the library now runs
+only when Q's constant coefficient does not dominate.  Each is kept here
+once and in no library module.
 """
 
 from fractions import Fraction
@@ -22,7 +24,8 @@ from heapq import heappop, heappush
 from itertools import product
 
 from carlitz import PerfSeries, bracket, carlitz_D, pochhammer, pochhammer_thakur
-from carlitz.cauchy import _index_values
+from carlitz.brackets import INFINITY
+from carlitz.cauchy import AdmissibilityReport, _index_values
 from carlitz.errors import NotInvertibleError, PrecisionError, UsageError
 from carlitz.ffield import FFElement
 from carlitz.series import (DEFAULT_INVERT_WINDOW, INF, _grid_bound,
@@ -195,6 +198,24 @@ def ref_cauchy_coeffs(eq, init, trunc_m, trunc_i, window=None):
             c = ref_cauchy_step(c, pe, qe, window)
             step += 1
     return coeffs
+
+
+def ref_admissibility_check(eq, i_max):
+    """Q evaluated at every tuple over {0..i_max, inf}, in product order:
+    the first exact zero fails, the first value with no terms at finite
+    precision is indeterminate, and otherwise mu is the largest valuation."""
+    if i_max < 0:
+        raise UsageError("i_max must be >= 0")
+    worst = None
+    for combo in product(list(range(i_max + 1)) + [INFINITY], repeat=eq.n):
+        value = eq.Q.eval_at(_index_values(eq.params, combo))
+        if value.is_zero():
+            return AdmissibilityReport("fail", None, combo, i_max)
+        if value.is_zero_at_prec():
+            return AdmissibilityReport("indeterminate", None, combo, i_max)
+        v = value.valuation()
+        worst = v if worst is None else max(worst, v)
+    return AdmissibilityReport("ok", worst, None, i_max)
 
 
 def ref_canonical(params, dexp, terms, prec):

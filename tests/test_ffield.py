@@ -6,10 +6,10 @@ import time
 
 import pytest
 
-from carlitz import FieldParams, PerfSeries, UsageError
+from carlitz import FieldParams, PerfSeries, UsageError, ffield
 from carlitz.cauchy import (InitialData, format_problem, hypergeometric_equation,
                             parse_problem)
-from carlitz.cli import _field_params, build_parser
+from carlitz.cli import _field_params, build_parser, main
 from carlitz.ffield import DEFAULT_MODULI
 from carlitz.funcspace import MultiFunction
 from carlitz.textio import format_field_header, parse_field_header
@@ -85,6 +85,36 @@ def test_composite_p_refused_at_its_least_divisor():
     with pytest.raises(UsageError, match="p must be prime"):
         FieldParams(200000000000062, 1, 1)
     assert time.perf_counter() - start < 0.1
+
+
+@pytest.fixture
+def no_factoring(monkeypatch):
+    def refused(n):
+        raise AssertionError("factored %d" % n)
+    monkeypatch.setattr(ffield, "_prime_factors", refused)
+
+
+def test_field_above_the_order_limit_refused_before_factoring(no_factoring):
+    with pytest.raises(UsageError, match="p must be prime with Q = p\\^\\(v\\*m\\) at most"):
+        FieldParams(2 ** 61 - 1, 1, 1, (0, 1))
+    with pytest.raises(UsageError, match="at most 1048576"):
+        FieldParams(2, 21, 1)  # Q = 2^21 from a small p
+    with pytest.raises(UsageError, match="at most 1048576"):
+        FieldParams(3, 10 ** 9, 10 ** 9)  # Q is never computed
+
+
+def test_cli_refuses_a_huge_p_as_usage(capsys, no_factoring):
+    start = time.perf_counter()
+    code = main(["--json", "--p", "2305843009213693951", "--v", "1", "bracket", "--n", "1"])
+    assert time.perf_counter() - start < 1
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2 and payload["reason"] == "usage"
+    assert "p must be prime" in payload["message"]
+
+
+def test_every_shipped_field_is_within_the_order_limit():
+    for (p, deg) in DEFAULT_MODULI:
+        assert p ** deg <= ffield._FIELD_ORDER_LIMIT
 
 
 @pytest.mark.parametrize("q,m", [(2, 1), (3, 1), (4, 1), (9, 1), (4, 2), (9, 2)])
