@@ -257,27 +257,23 @@ def admissibility_check(eq: EvolutionEquation, i_max: int) -> AdmissibilityRepor
 def recommend_imax(eq: EvolutionEquation, probe: int = 4) -> int:
     """Heuristic index bound for admissibility_check.
 
-    Replacing [i] by [inf] changes each entry by x^(q^i); the valuation
-    scale V of Q near the limit point bounds which entries matter, and
-    entries with q^i > V cannot flip a nonzero verdict (bracket values have
-    valuation >= 1, so no negative-valuation amplification beyond the
-    coefficients' own).  When Q's constant coefficient dominates, V is
-    max(0, v) for its valuation v, which every tuple has; otherwise V comes
-    from evaluating Q at the probe tuples.  The returned bound folds in the
-    worst coefficient valuation; it is a recommendation, the final choice
-    stays with the caller.  A probe estimate is no certificate, so the
-    bound never shortens admissibility_check: its verdict, witness and mu
-    are those of the caller's index range.
+    Replacing [i] by [inf] changes each entry by x^(q^i); evaluating Q at
+    the probe tuples bounds the valuation scale V of Q near the limit
+    point, and entries with q^i > V cannot flip a nonzero verdict (bracket
+    values have valuation >= 1, so no negative-valuation amplification
+    beyond the coefficients' own).  The returned bound folds in the worst
+    coefficient valuation; it is a recommendation, the final choice stays
+    with the caller.  It stays apart from admissibility_check because a
+    probe estimate is no certificate: the scan's verdict, witness and mu
+    are those of the caller's index range, and no estimate may cut it short.
+    The probe always evaluates Q, whether or not Q's constant coefficient
+    dominates (module docstring).
     """
-    v = _dominant_valuation(eq.Q)
-    if v is None:
-        vmax = Fraction(0)
-        for _, value in _q_values(eq, probe):
-            lb = value._val_lb()
-            if lb is not INF:
-                vmax = max(vmax, lb)
-    else:
-        vmax = max(Fraction(0), v)
+    vmax = Fraction(0)
+    for _, value in _q_values(eq, probe):
+        lb = value._val_lb()
+        if lb is not INF:
+            vmax = max(vmax, lb)
     slack = Fraction(0)
     for c in eq.Q.coeffs.values():
         lb = c._val_lb()

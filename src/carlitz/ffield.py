@@ -7,8 +7,8 @@ they are encoded as integers (base-p digit strings), and all arithmetic is
 table driven: a discrete-log/exp pair for multiplication and per-power
 Frobenius tables.  Fields this small (Q <= a few thousand) make the tables
 essentially free and every coefficient operation O(1).  A field of order
-above ``_FIELD_ORDER_LIMIT`` (2^20) is refused with the UsageError of a
-composite p, before p is factored or any table is built.
+above ``_FIELD_ORDER_LIMIT`` (2^20) is refused with a UsageError that
+names the limit, before p is factored or any table is built.
 
 The table build is also the field check.  Z/p[x]/(modulus) is a field
 exactly when some element g has multiplicative order Q - 1: its powers are
@@ -125,7 +125,7 @@ def _configuration(p, v, m, modulus):
     if p > 1 and v >= 1 and m >= 1 and (
             v * m >= _FIELD_ORDER_LIMIT.bit_length()
             or p ** (v * m) > _FIELD_ORDER_LIMIT):
-        raise UsageError("p must be prime with Q = p^(v*m) at most %d, got "
+        raise UsageError("field order Q = p^(v*m) must be at most %d, got "
                          "p=%r, v=%r, m=%r" % (_FIELD_ORDER_LIMIT, p, v, m))
     if next(_prime_factors(p), None) != p:
         raise UsageError("p must be prime, got %r" % (p,))

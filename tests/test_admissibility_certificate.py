@@ -220,12 +220,14 @@ def recommend_cases():
 
 
 @pytest.mark.parametrize("name", sorted(recommend_cases()))
-def test_recommend_imax_matches_the_probe(name, monkeypatch):
+def test_the_recommended_bound_gives_the_scan_report(name):
     eq = recommend_cases()[name]
     dominated = cauchy._dominant_valuation(eq.Q) is not None
     assert dominated == (name in ("product", "v5", "negative", "truncated"))
     with evaluations() as calls:
-        got = recommend_imax(eq)
+        i_max = recommend_imax(eq)
+    assert calls  # the probe evaluates Q whether or not it is dominated
+    with evaluations() as calls:
+        got = admissibility_check(eq, i_max)
     assert bool(calls) != dominated
-    monkeypatch.setattr(cauchy, "_dominant_valuation", lambda Q: None)
-    assert got == recommend_imax(eq)
+    assert_same_report(got, ref_admissibility_check(eq, i_max))

@@ -79,12 +79,19 @@ def test_reducible_modulus_rejected():
         FieldParams(2, 1, 2, (1, 1))  # degree 1 != v*m = 2
 
 
-def test_composite_p_refused_at_its_least_divisor():
-    # 2 * 100000000000031: factoring the cofactor would take seconds
-    start = time.perf_counter()
+def test_composite_p_refused_at_its_least_divisor(monkeypatch):
+    # 2 * 524287, below the order limit: the prime cofactor is never reached
+    drawn = []
+    factors = ffield._prime_factors
+
+    def recorded(n):
+        for d in factors(n):
+            drawn.append(d)
+            yield d
+    monkeypatch.setattr(ffield, "_prime_factors", recorded)
     with pytest.raises(UsageError, match="p must be prime"):
-        FieldParams(200000000000062, 1, 1)
-    assert time.perf_counter() - start < 0.1
+        FieldParams(2 * 524287, 1, 1)
+    assert drawn == [2]
 
 
 @pytest.fixture
@@ -95,7 +102,7 @@ def no_factoring(monkeypatch):
 
 
 def test_field_above_the_order_limit_refused_before_factoring(no_factoring):
-    with pytest.raises(UsageError, match="p must be prime with Q = p\\^\\(v\\*m\\) at most"):
+    with pytest.raises(UsageError, match="field order Q = p\\^\\(v\\*m\\) must be at most"):
         FieldParams(2 ** 61 - 1, 1, 1, (0, 1))
     with pytest.raises(UsageError, match="at most 1048576"):
         FieldParams(2, 21, 1)  # Q = 2^21 from a small p
@@ -109,7 +116,7 @@ def test_cli_refuses_a_huge_p_as_usage(capsys, no_factoring):
     assert time.perf_counter() - start < 1
     payload = json.loads(capsys.readouterr().out)
     assert code == 2 and payload["reason"] == "usage"
-    assert "p must be prime" in payload["message"]
+    assert "must be at most 1048576" in payload["message"]
 
 
 def test_every_shipped_field_is_within_the_order_limit():
