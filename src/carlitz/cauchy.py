@@ -411,14 +411,14 @@ def hypergeometric_equation(params: FieldParams, a_list, b_list,
         n = max(r, s, 1)
     if n < max(r, s, 1):
         raise UsageError("need n >= max(r, s) >= 1")
-    P = DeltaPoly.constant(params, n, PerfSeries.one(params))
-    for i, a in enumerate(a_list, start=1):
-        P = P * (DeltaPoly.variable(params, n, i)
-                 - DeltaPoly.constant(params, n, a))
-    Q = DeltaPoly.constant(params, n, PerfSeries.one(params))
-    for j, b in enumerate(b_list, start=1):
-        Q = Q * (DeltaPoly.variable(params, n, j)
-                 - DeltaPoly.constant(params, n, b))
+    polys = []
+    for values in (a_list, b_list):
+        poly = DeltaPoly.constant(params, n, PerfSeries.one(params))
+        for i, c in enumerate(values, start=1):
+            poly = poly * (DeltaPoly.variable(params, n, i)
+                           - DeltaPoly.constant(params, n, c))
+        polys.append(poly)
+    P, Q = polys
     return EvolutionEquation(params, n, P, -Q)
 
 

@@ -27,13 +27,10 @@ import sys
 
 from . import brackets as br
 from . import textio
-from .errors import (CarlitzError, InadmissibleError, NotInvertibleError,
-                     ParameterMismatchError, ParseError, PrecisionError,
-                     UsageError)
+from .errors import CarlitzError, ParameterMismatchError, ParseError, UsageError
 from .ffield import FieldParams
 from .series import PerfSeries
 
-REFUSAL_ERRORS = (InadmissibleError, PrecisionError, NotInvertibleError)
 USAGE_ERRORS = (ParameterMismatchError, ParseError, UsageError)
 
 
@@ -472,15 +469,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except REFUSAL_ERRORS as exc:
-        _report_error(args, exc)
-        return 1
-    except USAGE_ERRORS as exc:
-        _report_error(args, exc)
-        return 2
     except CarlitzError as exc:
         _report_error(args, exc)
-        return 1
+        return 2 if isinstance(exc, USAGE_ERRORS) else 1
     except OSError as exc:
         if getattr(args, "json", False):
             _report_error(args, UsageError(str(exc)))

@@ -329,12 +329,9 @@ class FieldParams:
         return self._frob[e % self.m][a]
 
     def from_int(self, k: int) -> int:
-        """Image of the rational integer k in F_Q (reduction mod p)."""
-        k %= self.p
-        acc = 0
-        for _ in range(k):
-            acc = self.add(acc, 1)
-        return acc
+        """Image of the rational integer k in F_Q (reduction mod p): the
+        constant k mod p is digit 0 of the base-p index."""
+        return k % self.p
 
     def dlog(self, a: int) -> int:
         """Discrete log base the canonical generator; a must be nonzero."""

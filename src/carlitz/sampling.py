@@ -8,6 +8,7 @@ their checks should only lose precision through documented inversions.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -66,22 +67,12 @@ def random_multifunction(rng: random.Random, params: FieldParams, n: int,
                          trunc_m: int, trunc_i: int, density: float = 0.4,
                          coeff_terms=(1, 2)) -> MultiFunction:
     coeffs = {}
-    for key in _box_keys(n, trunc_m, trunc_i):
-        if rng.random() < density:
-            coeffs[key] = random_series(rng, params, terms=coeff_terms,
-                                        lo=0, hi=3, frac_depth=1)
+    for ivec in itertools.product(range(trunc_i + 1), repeat=n):
+        for m in range(min(*ivec, trunc_m) + 1):
+            if rng.random() < density:
+                coeffs[(m,) + ivec] = random_series(
+                    rng, params, terms=coeff_terms, lo=0, hi=3, frac_depth=1)
     return MultiFunction(params, n, trunc_m, trunc_i, coeffs)
-
-
-def _box_keys(n, trunc_m, trunc_i):
-    def rec(prefix, depth):
-        if depth == n:
-            for m in range(min(min(prefix), trunc_m) + 1):
-                yield (m,) + prefix
-            return
-        for i in range(trunc_i + 1):
-            yield from rec(prefix + (i,), depth + 1)
-    yield from rec((), 0)
 
 
 def random_operator_word(rng: random.Random, params: FieldParams, n: int,

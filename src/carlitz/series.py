@@ -79,11 +79,13 @@ rules give.  The exact one follows the same rule as ``INF``: each
 and a product with that object returns the other operand, after the
 operand check and before any alignment, precision or kernel work.  Its
 terms, ``dexp`` and ``prec`` are what the kernel would give, since a
-canonical series times x^0 is itself.  A one built another way (parsed,
-or ``PerfSeries.constant(params, 1)``) is a different object and takes
-the kernel, with the same result.  In characteristic 2 negation is the
-identity on coefficients, so ``-a`` is ``a`` itself and the negated one
-(the leading coefficient of ``-prod(t_j - b_j)``) is still the unit.
+canonical series times x^0 is itself.  Every exact one built from terms
+is that object: ``_make`` returns it, so ``from_terms({0: 1})``,
+``constant(params, 1)`` and a parsed ``1`` are the unit.  A one that
+arithmetic produces (``x.shift(-1)``, say) is a different object and
+takes the kernel, with the same result.  In characteristic 2 negation is
+the identity on coefficients, so ``-a`` is ``a`` itself and the negated
+one (the leading coefficient of ``-prod(t_j - b_j)``) is still the unit.
 
 Equality compares coefficients at all exponents below the smaller of the
 two precisions, which makes identity checks decidable at stated precision.
@@ -175,13 +177,16 @@ class PerfSeries:
     @classmethod
     def _make(cls, params, dexp, terms, prec):
         """A series from terms that may hold zero coefficients or exponents
-        at or above ``prec``: drops those, then :meth:`_canonical`."""
+        at or above ``prec``: drops those, then :meth:`_canonical`.  An
+        exact one is the field's unit object."""
         prec = _precision(prec)
         if prec is not INF:
             bound = _grid_bound(prec, params.q ** dexp)
             terms = {k: c for k, c in terms.items() if c != 0 and k < bound}
         else:
             terms = {k: c for k, c in terms.items() if c != 0}
+            if len(terms) == 1 and terms.get(0) == params.one_idx:
+                return cls.one(params)
         return cls._canonical(params, dexp, terms, prec)
 
     @classmethod

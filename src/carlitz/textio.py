@@ -12,8 +12,11 @@ parenthesized rationals.  A term's exponent must have a power of q as its
 denominator (the exponent lattice of the perfection); the bound of a
 precision marker may be any rational, as a series' precision may lie off
 that lattice (``O(x^(7/2))`` over F_3), so every printed series parses
-back.  Canonical printing uses ascending exponents, drops zero terms, and
-prints an exact zero as ``0``.
+back.  A literal is read in one pass: its terms are gathered into one map,
+repeated exponents added in F_Q, and the series is built once by
+:meth:`PerfSeries.from_terms`, so an exact ``1`` reads as the field's unit
+object.  Canonical printing uses ascending exponents, drops zero terms,
+and prints an exact zero as ``0``.
 
 Operator expressions combine ``tau``, ``d``, ``delta1`` ... ``deltaN``,
 parenthesized series literals acting as scalars, ``*`` for composition,
@@ -37,7 +40,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .ffield import FieldParams
+from .ffield import FFElement, FieldParams
 from .series import INF, PerfSeries, _grid_depth
 
 _TOKEN_RE = re.compile(r"""
@@ -216,7 +219,9 @@ def parse_series(text: str, params: FieldParams) -> PerfSeries:
 
 
 def _parse_series_expr(cur: _Cursor, params: FieldParams) -> PerfSeries:
-    acc = PerfSeries.zero(params)
+    """The terms of a literal gathered into one map, repeated exponents
+    added in F_Q, and built once at the least marked precision."""
+    terms = {}
     prec = INF
     sign = 1
     if cur.at("op", "-"):
@@ -230,7 +235,7 @@ def _parse_series_expr(cur: _Cursor, params: FieldParams) -> PerfSeries:
             e, c = item
             if sign < 0:
                 c = params.neg(c)
-            acc = acc + _mono(params, e, c)
+            terms[e] = params.add(terms.get(e, 0), c)
         if cur.at("op", "+"):
             cur.next()
             sign = 1
@@ -239,14 +244,8 @@ def _parse_series_expr(cur: _Cursor, params: FieldParams) -> PerfSeries:
             sign = -1
         else:
             break
-    return acc.truncate(prec)
-
-
-def _mono(params, e: Fraction, idx: int) -> PerfSeries:
-    if idx == 0:
-        return PerfSeries.zero(params)
-    k = _grid_depth(e.denominator, params.q)
-    return PerfSeries._make(params, k, {int(e * params.q ** k): idx}, INF)
+    return PerfSeries.from_terms(
+        params, {e: FFElement(params, c) for e, c in terms.items()}, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +329,8 @@ def parse_operator(text: str, params: FieldParams, n: int):
                 if item[0] == "prec":
                     s = PerfSeries.zero(params).truncate(item[1])
                 else:
-                    s = _mono(params, item[0], item[1])
+                    s = PerfSeries.monomial(params, item[0],
+                                            FFElement(params, item[1]))
                 return [(scalar_factor(s),)]
             raise ParseError("unknown generator %r" % tok[1], tok[2])
         if tok[0] == "int":

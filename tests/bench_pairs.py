@@ -12,7 +12,10 @@ count for neither side), and whether the change's median is within the
 metric's bound of the parent's.  A gain is claimable when there are at
 least ten pairs, the change wins at least nine pairs in ten and the medians
 differ by more than the parent's interquartile spread; the last column says
-whether that holds.
+whether that holds.  A metric is unresolved when the parent's
+interquartile spread is wider than the metric's bound, so that the runs
+cannot tell a change of that size from noise, unless every change run
+beats every parent run; the last column names it.
 Each run's line and the summary also give the number of ops the run
 attempted, since ``peak_rss_mb`` grows with it, and the summary gives each
 side's median ``peak_rss_mb`` per 1000 attempted ops: memory that the
@@ -27,7 +30,7 @@ workload's name in FILE, so runs of several workloads fill one file:
 
 Each workload's entry holds the refs, seeds and run length, each
 end-to-end metric's medians and quartiles per side, wins out of pairs,
-``within_bound`` and ``claimable``, each side's median attempted ops, and
+``within_bound``, ``claimable`` and ``unresolved``, each side's median attempted ops, and
 each side's median ``peak_rss_mb`` per 1000 attempted ops as
 ``rss_mb_per_kop``.
 """
@@ -75,7 +78,8 @@ def quartiles(values):
 def summary(metrics, parent, change):
     """Per end-to-end metric: each side's median and quartiles, the
     change's wins out of the pairs, whether its median is within the
-    bound, and whether a gain is claimable."""
+    bound, whether a gain is claimable, and whether the parent's spread
+    leaves the metric unresolved."""
     pairs = len(parent)
     out = {}
     for spec in metrics:
@@ -86,6 +90,7 @@ def summary(metrics, parent, change):
         ma, mb = statistics.median(a), statistics.median(b)
         qa = quartiles(a)
         limit = ma * (1 - bound) if higher else ma * (1 + bound)
+        apart = min(b) > max(a) if higher else max(b) < min(a)
         out[name] = {
             "better": spec["better"], "bound": bound,
             "parent": {"median": ma, "quartiles": list(qa)},
@@ -93,23 +98,25 @@ def summary(metrics, parent, change):
             "wins": wins, "pairs": pairs,
             "within_bound": mb >= limit if higher else mb <= limit,
             "claimable": (pairs >= 10 and wins * 10 >= 9 * pairs
-                          and abs(mb - ma) > qa[1] - qa[0])}
+                          and abs(mb - ma) > qa[1] - qa[0]),
+            "unresolved": qa[1] - qa[0] > bound * abs(ma) and not apart}
     return out
 
 
 def report(rows):
     """One line per metric of ``summary``: medians, quartiles, wins,
-    bound and claim."""
-    lines = ["%-12s %-28s %-28s %5s  %-6s %s"
+    bound, claim and spread."""
+    lines = ["%-12s %-28s %-28s %5s  %-6s %-9s %s"
              % ("metric", "parent median [quartiles]", "change median [quartiles]",
-                "wins", "bound", "claimable")]
+                "wins", "bound", "claimable", "spread")]
     for name, row in rows.items():
         a, b = row["parent"], row["change"]
-        lines.append("%-12s %-28s %-28s %2d/%-2d  %-6s %s" % (
+        lines.append("%-12s %-28s %-28s %2d/%-2d  %-6s %-9s %s" % (
             name, "%.4g [%.4g-%.4g]" % (a["median"], *a["quartiles"]),
             "%.4g [%.4g-%.4g]" % (b["median"], *b["quartiles"]),
             row["wins"], row["pairs"], "within" if row["within_bound"] else "OVER",
-            "yes" if row["claimable"] else "no"))
+            "yes" if row["claimable"] else "no",
+            "unresolved" if row["unresolved"] else "resolved"))
     return lines
 
 

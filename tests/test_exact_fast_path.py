@@ -16,9 +16,11 @@ the Fractions the library builds.
 The exact one is one object per field, ``PerfSeries.one(params)``, and a
 product with it returns the other operand.  Products with the unit are
 compared with ``MakePath.mul``, which runs the kernel, over every shipped
-field and every kind; a one built another way still takes the kernel;
-and a work test checks that no product in an admissibility scan or an
-operator normalisation hands the kernel the unit's term map.
+field and every kind.  Every exact one built from terms (parsed,
+``constant`` or ``from_terms``) is that object, while a one that
+arithmetic produces still takes the kernel.  Work tests check that no
+product in an admissibility scan, an operator normalisation or a Cauchy
+solve of a problem file hands the kernel the unit's term map.
 """
 
 from fractions import Fraction
@@ -27,11 +29,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carlitz import INF, ParameterMismatchError, PerfSeries, bracket, series
-from carlitz.cauchy import (DeltaPoly, admissibility_check,
-                            hypergeometric_equation)
+from carlitz.cauchy import (DeltaPoly, admissibility_check, cauchy_solve,
+                            hypergeometric_equation, parse_problem)
 from carlitz.opring import D, TAU, OperatorWord, normalize
 from carlitz.series import _twisted_step
 from carlitz.textio import parse_series
+from cli_golden import PERFBENCH_DATA
 from oracles import MakePath, assert_same
 from test_quotient_kernel import SHIPPED_FIELDS, factors
 
@@ -103,17 +106,24 @@ def kernel_operands(monkeypatch):
 
 
 @pytest.mark.parametrize("params", SHIPPED_FIELDS, ids=repr)
-def test_a_one_built_another_way_takes_the_kernel(params, kernel_operands):
+def test_a_one_built_from_terms_is_the_unit(params, kernel_operands):
     q = params.q
     a = PerfSeries(params, 1, {-q: 1, 1: params.minus_one_idx}, Fraction(7, 2))
     unit = PerfSeries.one(params)
-    others = (parse_series("1", params), PerfSeries.constant(params, 1))
-    for other in others:
-        assert other is not unit
-        assert_same(other, unit)
-        assert_same(a * other, a * unit)
-        assert_same(other * a, a)
-    assert len(kernel_operands) == 2 * len(others)
+    for other in (parse_series("1", params), PerfSeries.constant(params, 1),
+                  PerfSeries.from_terms(params, {0: 1}),
+                  PerfSeries.from_terms(params, {Fraction(1, q): 0, 0: 1})):
+        assert other is unit
+        assert a * other is a and other * a is a
+    assert not kernel_operands
+    # a one that arithmetic produces is another object, and the kernel's
+    # product with it is the same series
+    made = PerfSeries.x(params).shift(-1)
+    assert made is not unit
+    assert_same(made, unit)
+    assert_same(a * made, a)
+    assert_same(made * a, a)
+    assert len(kernel_operands) == 2
 
 
 def test_the_unit_of_another_field_is_refused(F2, F3):
@@ -136,6 +146,17 @@ def test_no_product_hands_the_kernel_the_unit(F2, kernel_operands):
     assert not normalize(OperatorWord(0, [D] * 4 + [TAU] * 4), F2).is_zero()
     assert 0 < scanned < len(kernel_operands)
     unit = {0: F2.one_idx}
+    assert not [pair for pair in kernel_operands if unit in pair]
+
+
+def test_a_problem_file_solve_hands_the_kernel_no_one(kernel_operands):
+    # the 1s a problem file writes read as the unit, so a solve of one
+    # multiplies by none of them
+    text = (PERFBENCH_DATA / "problem_n3.txt").read_text()
+    eq, init, trunc_m, trunc_i = parse_problem(text)
+    assert cauchy_solve(eq, init, trunc_m, trunc_i).coeffs
+    assert kernel_operands
+    unit = {0: eq.params.one_idx}
     assert not [pair for pair in kernel_operands if unit in pair]
 
 

@@ -413,7 +413,8 @@ def test_grid_depth_callers_match_loop(params):
         s = draw_series(rng, params)
         assert fmt(s.shift(e)) == fmt(ref_shift(s, e))
         idx = rng.randrange(params.Q)
-        assert fmt(textio._mono(params, e, idx)) == fmt(ref_mono(params, e, idx))
+        assert (fmt(PerfSeries.monomial(params, e, FFElement(params, idx)))
+                == fmt(ref_mono(params, e, idx)))
         literal = "x^" + textio.format_exponent(e)
         assert (fmt(textio.parse_series(literal, params))
                 == fmt(ref_mono(params, e, params.one_idx)))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from carlitz import FieldParams, ParseError, PerfSeries, bracket
+from carlitz.brackets import carlitz_D
 from carlitz.opring import NormalForm, normalize
 from carlitz.textio import (format_operator_words, format_series,
                             parse_operator, parse_series)
@@ -36,6 +37,27 @@ def test_parse_negative_exponent(F2):
 def test_parse_minus_joins_terms(F3):
     assert parse_series("x^3 - x", F3) == bracket(F3, 1)
     assert parse_series("-x", F3) == PerfSeries.monomial(F3, 1, -1)
+
+
+def test_a_literal_is_built_in_one_pass(F2, F3, monkeypatch):
+    # the 4096 terms of printed D_12 build one series, with no sum per term
+    d12 = carlitz_D(F2, 12)
+    text = format_series(d12)
+    merges = []
+    merge = PerfSeries._merge
+
+    def counted(self, other, negate):
+        merges.append((self, other))
+        return merge(self, other, negate)
+    monkeypatch.setattr(PerfSeries, "_merge", counted)
+    parsed = parse_series(text, F2)
+    assert not merges
+    assert format_series(parsed) == text
+    # repeated exponents add in F_Q, before the precision marker cuts
+    assert parse_series("x + 2*x^2 + 2*x + x^2", F3).is_zero()
+    assert parse_series("x + x + x^3 + O(x^3) + x^(1/2)", F2) == \
+        PerfSeries.from_terms(F2, {Fraction(1, 2): 1}, prec=3)
+    assert not merges
 
 
 def test_parse_extension_coefficients():
