@@ -11,11 +11,11 @@ median [lower-upper quartile], the change's wins out of the pairs (ties
 count for neither side), and whether the change's median is within the
 metric's bound of the parent's.  A gain is claimable when there are at
 least ten pairs, the change wins at least nine pairs in ten and the medians
-differ by more than the parent's interquartile spread; the last column says
-whether that holds.  A metric is unresolved when the parent's
+differ by more than the parent's interquartile spread; the ``claimable``
+column says whether that holds.  A metric is unresolved when the parent's
 interquartile spread is wider than the metric's bound, so that the runs
 cannot tell a change of that size from noise, unless every change run
-beats every parent run; the last column names it.
+beats every parent run; the ``spread`` column says which.
 Each run's line and the summary also give the number of ops the run
 attempted, since ``peak_rss_mb`` grows with it, and the summary gives each
 side's median ``peak_rss_mb`` per 1000 attempted ops: memory that the
@@ -30,9 +30,9 @@ workload's name in FILE, so runs of several workloads fill one file:
 
 Each workload's entry holds the refs, seeds and run length, each
 end-to-end metric's medians and quartiles per side, wins out of pairs,
-``within_bound``, ``claimable`` and ``unresolved``, each side's median attempted ops, and
-each side's median ``peak_rss_mb`` per 1000 attempted ops as
-``rss_mb_per_kop``.
+``within_bound``, ``claimable`` and ``unresolved``, each side's median
+attempted ops, and each side's median ``peak_rss_mb`` per 1000 attempted
+ops as ``rss_mb_per_kop``.
 """
 
 from __future__ import annotations
