@@ -88,8 +88,7 @@ def carlitz_L(params: FieldParams, n: int) -> PerfSeries:
     return result
 
 
-def pochhammer_thakur(params: FieldParams, alpha: int, n: int,
-                      prec=None) -> PerfSeries:
+def pochhammer_thakur(params: FieldParams, alpha: int, n: int) -> PerfSeries:
     """The integer-parameter Pochhammer symbol (alpha)_n.
 
     Three cases: D_(n+alpha-1)^(q^(1-alpha)) for alpha >= 1;
@@ -97,11 +96,12 @@ def pochhammer_thakur(params: FieldParams, alpha: int, n: int,
     and 0 for alpha <= 0 with n > -alpha.
 
     The middle case inverts L, whose reciprocal is an infinite series when
-    the L-index is positive; ``prec`` (absolute output precision) controls
-    that inversion and defaults to the standard invert window.
+    the L-index is positive; it keeps the default window,
+    DEFAULT_INVERT_WINDOW.  The symbol quotients of :mod:`carlitz.hyper`
+    divide by L instead, under their own window.
     """
     value, inverted = _thakur_factor(params, alpha, n)
-    return value.invert(prec=prec) if inverted else value
+    return value.invert() if inverted else value
 
 
 def _thakur_factor(params: FieldParams, alpha: int, n: int):
@@ -118,17 +118,14 @@ def _thakur_factor(params: FieldParams, alpha: int, n: int):
     return (-value if (n - alpha) % 2 else value), True
 
 
-def pochhammer(a: PerfSeries, m: int, mode: str = "direct") -> PerfSeries:
+def pochhammer(a: PerfSeries, m: int) -> PerfSeries:
     """The field-parameter symbol <a>_m; exact when ``a`` is exact.
 
-    Both modes, "direct" and "recurrent", multiply the m Frobenius-twisted
-    factors: iterating the recurrence <a>_(m+1) = ([m]-a)^q <a>_m^q gives
-    the same exact product, so one computation serves both.
+    It multiplies the m Frobenius-twisted factors: iterating the recurrence
+    <a>_(m+1) = ([m]-a)^q <a>_m^q gives the same exact product.
     """
     if m < 0:
         raise UsageError("<a>_m needs m >= 0")
-    if mode not in ("direct", "recurrent"):
-        raise UsageError("mode must be 'direct' or 'recurrent', got %r" % (mode,))
     params = a.params
     result = PerfSeries.one(params)
     for k in range(m):

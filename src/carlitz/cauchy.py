@@ -254,12 +254,16 @@ def admissibility_check(eq: EvolutionEquation, i_max: int) -> AdmissibilityRepor
     return AdmissibilityReport("ok", worst, None, i_max)
 
 
-def recommend_imax(eq: EvolutionEquation, probe: int = 4) -> int:
+#: The index bound of the tuples at which recommend_imax evaluates Q.
+_IMAX_PROBE = 4
+
+
+def recommend_imax(eq: EvolutionEquation) -> int:
     """Heuristic index bound for admissibility_check.
 
     Replacing [i] by [inf] changes each entry by x^(q^i); evaluating Q at
-    the probe tuples bounds the valuation scale V of Q near the limit
-    point, and entries with q^i > V cannot flip a nonzero verdict (bracket
+    the probe tuples (indices up to ``_IMAX_PROBE``) bounds the valuation
+    scale V of Q near the limit point, and entries with q^i > V cannot flip a nonzero verdict (bracket
     values have valuation >= 1, so no negative-valuation amplification
     beyond the coefficients' own).  The returned bound folds in the worst
     coefficient valuation; it is a recommendation, the final choice stays
@@ -270,7 +274,7 @@ def recommend_imax(eq: EvolutionEquation, probe: int = 4) -> int:
     dominates (module docstring).
     """
     vmax = Fraction(0)
-    for _, value in _q_values(eq, probe):
+    for _, value in _q_values(eq, _IMAX_PROBE):
         lb = value._val_lb()
         if lb is not INF:
             vmax = max(vmax, lb)
@@ -280,7 +284,7 @@ def recommend_imax(eq: EvolutionEquation, probe: int = 4) -> int:
         if lb is not INF and lb < 0:
             slack = max(slack, -lb)
     target = vmax + slack + 1
-    i = probe
+    i = _IMAX_PROBE
     while eq.params.q ** i <= target:
         i += 1
     return i
@@ -368,28 +372,25 @@ def growth_check(u: MultiFunction, log_r: Optional[Fraction] = None,
     the report says whether they hold on the stored support.
     """
     q = u.params.q
-    slots = []
+    slots = []  # (l, weight sum_k q^(j_k), valuation bound) per known slot
     for key, c in u.coeffs.items():
         v = c._val_lb()
         if v is INF:
             continue
-        slots.append((key[0], key[1:], v))
+        slots.append((key[0], sum(q ** j for j in key[1:]), v))
     tight_r = Fraction(0)
-    for l, jvec, v in slots:
+    for l, weight, v in slots:
         if l == 0:
-            weight = sum(q ** j for j in jvec)
             tight_r = max(tight_r, Fraction(-v, weight))
     tight_c = Fraction(0)
-    for l, jvec, v in slots:
-        weight = sum(q ** j for j in jvec)
+    for l, weight, v in slots:
         need = (-v - weight * tight_r) / (q ** l)
         tight_c = max(tight_c, need)
     ok = True
     if log_r is not None or log_c is not None:
         log_r = Fraction(0) if log_r is None else Fraction(log_r)
         log_c = Fraction(0) if log_c is None else Fraction(log_c)
-        for l, jvec, v in slots:
-            weight = sum(q ** j for j in jvec)
+        for l, weight, v in slots:
             if v < -(q ** l) * log_c - weight * log_r:
                 ok = False
                 break

@@ -112,8 +112,8 @@ def cmd_pochhammer(args):
                            "n": args.n, "value": text})
         return 0
     a = textio.parse_series(args.a, params)
-    mode = args.mode or "direct"
-    value = br.pochhammer(a, args.n, mode=mode)
+    mode = args.mode or "direct"  # validated and echoed; it selects nothing
+    value = br.pochhammer(a, args.n)
     text = textio.format_series(value)
     _emit(args, text, {"command": "pochhammer", "a": args.a, "n": args.n,
                        "mode": mode, "value": text})

@@ -333,12 +333,6 @@ class FieldParams:
         constant k mod p is digit 0 of the base-p index."""
         return k % self.p
 
-    def dlog(self, a: int) -> int:
-        """Discrete log base the canonical generator; a must be nonzero."""
-        if a == 0:
-            raise ZeroDivisionError("dlog of zero")
-        return self._log[a]
-
     # -- wrapper and misc ----------------------------------------------------
 
     def element(self, coeffs) -> "FFElement":

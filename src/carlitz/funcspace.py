@@ -115,18 +115,16 @@ class LinearSeries(SeriesMap):
             raise UsageError("coefficient %d beyond truncation %d" % (k, self.known))
         return self.coeffs.get(k, PerfSeries.zero(self.params))
 
-    def evaluate(self, t: PerfSeries, tail_prec=None) -> PerfSeries:
+    def evaluate(self, t: PerfSeries) -> PerfSeries:
         """Sum a_k t^(q^k) over the stored support.
 
         The stored support is treated as the whole function; when the
-        object is a truncation of something longer, pass ``tail_prec``
-        (a valuation bound for the omitted tail) to cap the precision.
+        object is a truncation of something longer, cap the result with
+        ``.truncate(bound)`` at a valuation bound for the omitted tail.
         """
         acc = PerfSeries.zero(self.params)
         for k, c in sorted(self.coeffs.items()):
             acc = acc + c * t.frobenius(k)
-        if tail_prec is not None:
-            acc = acc.truncate(tail_prec)
         return acc
 
     def is_zero_on_known(self) -> bool:
@@ -243,14 +241,14 @@ class MultiFunction(SeriesMap):
     def is_zero_on_box(self) -> bool:
         return all(c.is_zero_at_prec() for c in self.coeffs.values())
 
-    def evaluate(self, z: PerfSeries, svec, tail_prec=None,
-                 window=None) -> PerfSeries:
+    def evaluate(self, z: PerfSeries, svec, window=None) -> PerfSeries:
         """Instantiate at concrete series arguments.
 
         Computes sum c_(m,i) s_1^(q^(i_1)) .. s_n^(q^(i_n)) z^(q^m) / D_m
         over the stored support.  Division by D_m is a series inversion
-        (window-controlled).  As with LinearSeries.evaluate, pass
-        ``tail_prec`` when the function truncates a longer expansion.
+        at relative precision ``window`` (DEFAULT_INVERT_WINDOW by
+        default).  As with LinearSeries.evaluate, cap the result with
+        ``.truncate(bound)`` when the function truncates a longer expansion.
         """
         params = self.params
         if len(svec) != self.n:
@@ -268,8 +266,6 @@ class MultiFunction(SeriesMap):
             for s, i in zip(svec, ivec):
                 term = term * s.frobenius(i)
             acc = acc + term
-        if tail_prec is not None:
-            acc = acc.truncate(tail_prec)
         return acc
 
     # -- serialization --------------------------------------------------------------

@@ -142,7 +142,7 @@ def _coeff_quotient(params: FieldParams, m: int, upper, lower,
     (``window``, or DEFAULT_INVERT_WINDOW)."""
     return PerfSeries._canonical(params, *_quotient(
         PerfSeries.one(params), tuple(upper), [carlitz_D(params, m), *lower],
-        None, window))
+        window))
 
 
 def _check_truncation(M: int):

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from .errors import InadmissibleError, PrecisionError
-from .ffield import FieldParams
+from .ffield import FFElement, FieldParams
 from .funcspace import MultiFunction
 from .opring import D, TAU, NormalForm, OperatorWord, delta, scalar_factor
 from .series import PerfSeries
@@ -34,7 +34,7 @@ def random_series(rng: random.Random, params: FieldParams, terms=(1, 3),
     for _ in range(count):
         e = random_exponent(rng, params, lo, hi, frac_depth)
         idx = rng.randrange(0 if allow_zero else 1, params.Q)
-        items[e] = params.element(params._coeffs_of(idx))
+        items[e] = FFElement(params, idx)
     s = PerfSeries.from_terms(params, items)
     if s.is_zero() and not allow_zero:
         return PerfSeries.one(params)

@@ -10,9 +10,8 @@ A precision has two forms: the ``INF`` object for +infinity, and a
 :class:`fractions.Fraction` for a finite bound, which may lie off the
 exponent grid (``O(x^(7/2))`` over F_3 is a valid bound).  A caller may
 pass an int, a Fraction, a finite float or any float infinity; the
-constructor, ``_make``, ``truncate`` and the quotient kernel's ``prec``
-argument convert it once with :func:`_precision`, so no other code tests
-the type of a precision.
+constructor, ``_make`` and ``truncate`` convert it once with
+:func:`_precision`, so no other code tests the type of a precision.
 
 Internally exponents live on an integer grid num / q^dexp (minimal dexp),
 so exponent arithmetic is plain integer arithmetic; the public API speaks
@@ -50,12 +49,18 @@ Precision bookkeeping follows non-Archimedean big-oh arithmetic:
   equals the relative precision P - w of the input, and absolute
   precision is (-w) + (P - w).  Exact non-monomial inputs have an
   infinite-series inverse, so a finite output precision must be chosen;
-  the default is valuation + DEFAULT_INVERT_WINDOW.
+  the default is valuation + DEFAULT_INVERT_WINDOW.  An exact monomial
+  has an exact inverse.
 * ``a.divide(b)``  terms and precision of ``a * b.invert()``, and
   ``invert`` is the quotient of one.  The inverse is never built: the
   quotient comes from one pass of long division on the common exponent
   grid, seeded with the dividend's terms and visiting only the exponents
   that can carry a term.
+
+A division takes one precision request, ``window``: the relative
+precision of the inverse, in exponent units above its valuation, capped
+by the input's own.  An absolute output precision P for ``b.invert()`` is
+the window P + val(b).
 
 The q-twisted step (c * prod(num) / prod(den))^q of the hypergeometric
 stream and of the Cauchy solver, :func:`_twisted_step`, and the symbol
@@ -214,8 +219,10 @@ class PerfSeries:
     @classmethod
     def from_terms(cls, params: FieldParams, items, prec=INF) -> "PerfSeries":
         """Build from {exponent: coefficient}; exponents may be int or
-        Fraction with p-power denominator, coefficients int (reduced mod p
-        only in prime fields: use FFElement or indices for extensions)."""
+        Fraction with p-power denominator.  A coefficient is an
+        :class:`~carlitz.ffield.FFElement` or an int, which is a rational
+        integer and maps to k mod p in every field (over F_4, 3 is 1): an
+        element of an extension field is passed as an FFElement."""
         dexp = 0
         q = params.q
         fracs = {}
@@ -236,8 +243,9 @@ class PerfSeries:
         return cls._make(params, dexp, scaled, prec)
 
     @classmethod
-    def monomial(cls, params: FieldParams, exponent, coeff=1, prec=INF) -> "PerfSeries":
-        return cls.from_terms(params, {exponent: coeff}, prec)
+    def monomial(cls, params: FieldParams, exponent, coeff=1) -> "PerfSeries":
+        """The exact coeff * x^exponent; ``coeff`` as in :meth:`from_terms`."""
+        return cls.from_terms(params, {exponent: coeff})
 
     @classmethod
     def one(cls, params: FieldParams) -> "PerfSeries":
@@ -254,6 +262,8 @@ class PerfSeries:
 
     @classmethod
     def constant(cls, params: FieldParams, c) -> "PerfSeries":
+        """The exact constant ``c``: an FFElement, or an int read as a
+        rational integer, k mod p (see :meth:`from_terms`)."""
         idx = c.idx if isinstance(c, FFElement) else params.from_int(c)
         return cls._make(params, 0, {0: idx}, INF)
 
@@ -416,7 +426,8 @@ class PerfSeries:
                                      prec)
 
     def scale(self, c) -> "PerfSeries":
-        """Multiply by a coefficient-field element."""
+        """Multiply by a coefficient-field element: an FFElement, or an int
+        read as a rational integer, k mod p (see :meth:`from_terms`)."""
         idx = c.idx if isinstance(c, FFElement) else self.params.from_int(c)
         if idx == 0:
             return PerfSeries(self.params, 0, {}, INF)
@@ -483,32 +494,30 @@ class PerfSeries:
             k >>= 1
         return result
 
-    def invert(self, prec=None, window=None) -> "PerfSeries":
+    def invert(self, window=None) -> "PerfSeries":
         """Multiplicative inverse, exact to the documented precision: the
         quotient of one by this series through :meth:`divide`.
 
         Raises NotInvertibleError when the series has no term below its
-        precision.  ``prec`` overrides the output's absolute precision and
-        ``window`` its relative precision (exponent units above the
-        inverse's valuation); by default the output precision is
-        prec_in - 2*valuation for truncated input, exact for an exact
-        monomial, and valuation-relative DEFAULT_INVERT_WINDOW for an
-        exact multi-term input.  ``prec=INF`` asks for the exact inverse:
-        an exact monomial has one, an exact multi-term input is refused
-        with UsageError, and a truncated input keeps its default precision.
-        A ``window`` <= 0 is refused with UsageError.
+        precision.  ``window`` is the output's relative precision, in
+        exponent units above the inverse's valuation, and never exceeds
+        the input's own; for an absolute precision P pass P + valuation.
+        By default the output precision is prec_in - 2*valuation for
+        truncated input, exact for an exact monomial, and
+        valuation-relative DEFAULT_INVERT_WINDOW for an exact multi-term
+        input.  A ``window`` <= 0 is refused with UsageError.
         """
-        return PerfSeries.one(self.params).divide(self, prec=prec, window=window)
+        return PerfSeries.one(self.params).divide(self, window)
 
-    def divide(self, other, prec=None, window=None) -> "PerfSeries":
+    def divide(self, other, window=None) -> "PerfSeries":
         """self / other by long division seeded with self's terms.
 
-        Terms and precision are those of ``self * other.invert(prec=prec,
-        window=window)``, whose conventions (and refusals) ``prec`` and
-        ``window`` follow, but the inverse is never built."""
+        Terms and precision are those of ``self * other.invert(window)``,
+        whose conventions (and refusals) ``window`` follows, but the
+        inverse is never built."""
         self._check(other)
         return PerfSeries._canonical(
-            self.params, *_quotient(self, (), (other,), prec, window))
+            self.params, *_quotient(self, (), (other,), window))
 
     # -- comparison -------------------------------------------------------------
 
@@ -621,10 +630,10 @@ def _product_prec(factors):
                default=INF)
 
 
-def _quotient(c: PerfSeries, num, den, prec, window, negate=False):
+def _quotient(c: PerfSeries, num, den, window, negate=False):
     """c * prod(num) / prod(den) as (dexp, terms, prec), with the terms,
-    precision and refusals of ``c * prod(num) * prod(den).invert(prec=prec,
-    window=window)`` but no inverse built; its negation when ``negate``,
+    precision and refusals of ``c * prod(num) * prod(den).invert(window)``
+    but no inverse built; its negation when ``negate``,
     at the cost of one logarithm.  The terms are nonzero and below prec;
     dexp may not yet be the least.
 
@@ -639,9 +648,6 @@ def _quotient(c: PerfSeries, num, den, prec, window, negate=False):
     denominator, every pass cut at the quotient's precision."""
     if window is not None and window <= 0:
         raise UsageError("window must be positive, got %s" % (window,))
-    if prec is not None and window is not None:
-        raise UsageError("pass at most one of prec and window")
-    prec = _precision(prec)
     if not all(f.terms for f in den):
         den_prec = _product_prec(den)
         if den_prec is INF:
@@ -664,22 +670,12 @@ def _quotient(c: PerfSeries, num, den, prec, window, negate=False):
                  default=INF)
     if window is not None:
         rel_out = min(Fraction(window), rel_in)
-    elif prec is None or prec is INF:
-        if rel_in is not INF:
-            rel_out = rel_in
-        elif all(len(t) == 1 for t in dens):
-            rel_out = INF  # the exact inverse of a monomial
-        elif prec is None:
-            rel_out = Fraction(DEFAULT_INVERT_WINDOW)
-        else:
-            raise UsageError(
-                "exact inverse of a non-monomial series is an infinite "
-                "series; pass a finite prec")
+    elif rel_in is not INF:
+        rel_out = rel_in
+    elif all(len(t) == 1 for t in dens):
+        rel_out = INF  # the exact inverse of a monomial
     else:
-        rel_out = min(prec + Fraction(v, scale), rel_in)
-        if rel_out <= 0:
-            raise NotInvertibleError(
-                "requested precision leaves no known coefficients")
+        rel_out = Fraction(DEFAULT_INVERT_WINDOW)
     if not all(f.terms for f in (c, *num)):
         # rel_out > 0, so the dividend's own term is the least
         out_prec = _product_prec((c, *num))
@@ -732,7 +728,7 @@ def _twisted_step(c: PerfSeries, num, den, window, negate=False) -> PerfSeries:
     that image, the Cauchy solver's step: the Frobenius is additive, so
     the sign is taken inside the quotient and no negated copy is built."""
     params = c.params
-    d, terms, prec = _quotient(c, num, den, None, window, negate)
+    d, terms, prec = _quotient(c, num, den, window, negate)
     # x^(k/q^d) goes to x^(k/q^(d-1)), or to x^(kq) on the integer grid
     q, frob = params.q, params._frob[1 % params.m]
     s = 1 if d else q

@@ -4,14 +4,19 @@ A code line is a non-blank line that holds a token other than a comment
 or a docstring (a string that stands as a statement of its own), as
 ``tokenize`` reads it; a token spanning several lines counts each of them.
 
+A knob is a parameter with a default of a public function, or of a public
+method of a public class, defined at module level; dunder methods and
+names that start with ``_`` are not counted.
+
     python3 tests/code_lines.py            # the working tree
     python3 tests/code_lines.py HEAD~1     # a commit
-    python3 tests/code_lines.py REF -v     # with one line per module
+    python3 tests/code_lines.py REF -v     # code lines and knobs per module
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import pathlib
 import subprocess
@@ -44,6 +49,18 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def knobs(source: str) -> int:
+    """The number of knobs in ``source``."""
+    functions = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            functions.append(node)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            functions.extend(f for f in node.body if isinstance(f, ast.FunctionDef))
+    return sum(len(f.args.defaults) + sum(d is not None for d in f.args.kw_defaults)
+               for f in functions if not f.name.startswith("_"))
+
+
 def sources(ref=None):
     """(module name, source) of each module of the package, by name."""
     if ref is None:
@@ -64,15 +81,20 @@ def main(argv=None):
     parser.add_argument("ref", nargs="?", default=None,
                         help="git ref (default: the working tree)")
     parser.add_argument("-v", "--verbose", action="store_true",
-                        help="print each module's count as well")
+                        help="print each module's code lines and knobs, "
+                             "and the knob total")
     args = parser.parse_args(argv)
-    total = 0
+    total = total_knobs = 0
     for name, source in sources(args.ref):
-        count = code_lines(source)
+        count, knob_count = code_lines(source), knobs(source)
         total += count
+        total_knobs += knob_count
         if args.verbose:
-            print("%-16s %5d" % (name, count))
-    print(total)
+            print("%-16s %5d %5d" % (name, count, knob_count))
+    if args.verbose:
+        print("%-16s %5d %5d" % ("total", total, total_knobs))
+    else:
+        print(total)
     return 0
 
 

@@ -4,8 +4,8 @@ The direct hypergeometric coefficient quotient prod(upper) / (D_m *
 prod(lower)), which the library replaced by the q-twisted recursion for
 exact field parameters; the exact comparison of two series; trial-division
 irreducibility of a field modulus, which the library decides through its
-table build; the recurrence for the Pochhammer symbol <a>_m, whose mode
-the library serves with the direct product; and quotients through a built
+table build; the recurrence for the Pochhammer symbol <a>_m, which the
+library computes as the direct product; and quotients through a built
 inverse: the long-division inverse, the quotient as a product with it,
 and the q-twisted steps of the hypergeometric stream and of the Cauchy
 solver on top of them, which the library replaced by long division seeded
@@ -90,16 +90,17 @@ def ref_is_irreducible(mod, p):
     return True
 
 
-def ref_invert(s, prec=None, window=None):
+def window_of(prec, divisor):
+    """The window that asks a division by ``divisor`` for the absolute
+    output precision ``prec``: prec + val(divisor)."""
+    return prec + divisor._val_lb()
+
+
+def ref_invert(s, window=None):
     """The inverse as a series of its own: one pass of long division on the
     input's grid, normalised to 1 + eps."""
     if window is not None and window <= 0:
         raise UsageError("window must be positive, got %s" % (window,))
-    if prec is not None and window is not None:
-        raise UsageError("pass at most one of prec and window")
-    exact = prec == INF
-    if window is not None and s.terms:
-        prec = Fraction(window) - s._val_lb()
     if not s.terms:
         if s.prec == INF:
             raise NotInvertibleError("exact zero series is not invertible")
@@ -110,24 +111,16 @@ def ref_invert(s, prec=None, window=None):
     v_scaled = min(s.terms)
     v = Fraction(v_scaled, q ** s.dexp)
     lead = s.terms[v_scaled]
-    if len(s.terms) == 1 and s.prec == INF and (prec is None or exact):
+    if len(s.terms) == 1 and s.prec == INF and window is None:
         return PerfSeries._make(params, s.dexp, {-v_scaled: params.inv(lead)}, INF)
     rel_in = INF if s.prec == INF else s.prec - v
-    if prec is None:
+    if window is None:
         rel_out = rel_in if rel_in != INF else Fraction(DEFAULT_INVERT_WINDOW)
-    elif exact:
-        rel_out = rel_in
     else:
-        rel_out = min(Fraction(prec) + v, rel_in)
-    if rel_out != INF and rel_out <= 0:
-        raise NotInvertibleError("requested precision leaves no known coefficients")
+        rel_out = min(Fraction(window), rel_in)
     inv_lead = params.inv(lead)
     u_terms = {k - v_scaled: params.mul(c, inv_lead) for k, c in s.terms.items()}
-    u = PerfSeries._make(params, s.dexp, u_terms, rel_out if rel_out != INF else INF)
-    if rel_out == INF and len(u.terms) > 1:
-        raise UsageError(
-            "exact inverse of a non-monomial series is an infinite "
-            "series; pass a finite prec")
+    u = PerfSeries._make(params, s.dexp, u_terms, rel_out)
     log, exp, add, neg = params._log, params._exp, params.add, params.neg
     bound = _grid_bound(rel_out, q ** u.dexp)
     steps = sorted((j, log[neg(c)]) for j, c in u.terms.items() if j > 0)
@@ -155,9 +148,9 @@ def ref_invert(s, prec=None, window=None):
     return y.scale(FFElement(params, inv_lead)).shift(-v)
 
 
-def ref_divide(a, b, prec=None, window=None):
+def ref_divide(a, b, window=None):
     a._check(b)
-    return a * ref_invert(b, prec=prec, window=window)
+    return a * ref_invert(b, window=window)
 
 
 def ref_stream_step(h, num, den, window):
@@ -341,14 +334,14 @@ class MakePath:
         return MakePath.make(a.params, a.dexp, dict(a.terms), min(a.prec, prec))
 
     @staticmethod
-    def divide(a, b, prec=None, window=None):
+    def divide(a, b, window=None):
         a._check(b)
-        return MakePath.make(a.params, *_quotient(a, (), (b,), prec, window))
+        return MakePath.make(a.params, *_quotient(a, (), (b,), window))
 
     @staticmethod
-    def invert(a, prec=None, window=None):
+    def invert(a, window=None):
         return MakePath.divide(MakePath.make(a.params, 0, {0: a.params.one_idx}, INF),
-                               a, prec=prec, window=window)
+                               a, window=window)
 
     @staticmethod
     def twisted_step(c, num, den, window):
@@ -357,7 +350,7 @@ class MakePath:
         if (c.terms and all(f.terms for f in factors)
                 and (len(num) <= 1 and len(den) <= 1
                      or all(f.prec == INF for f in factors))):
-            d, terms, prec = _quotient(c, num, den, None, window)
+            d, terms, prec = _quotient(c, num, den, window)
             q, frob = params.q, params._frob[1 % params.m]
             s = 1 if d else q
             return MakePath.make(params, max(d - 1, 0),

@@ -53,7 +53,7 @@ def test_criterion_01_pochhammer_coherence():
             a = sampling.random_series(rng, params, terms=(1, 3), lo=-2, hi=4,
                                        frac_depth=1)
             for m in range(7):
-                d = pochhammer(a, m, "direct")
+                d = pochhammer(a, m)
                 r = ref_pochhammer_recurrent(a, m)
                 assert d == r and d.is_exact()
     report(1, "pochhammer coherence", t0, 10)

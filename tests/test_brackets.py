@@ -130,17 +130,10 @@ def test_pochhammer_modes_agree(q):
     for _ in range(10):
         a = sampling.random_series(rng, params, terms=(1, 3), frac_depth=1)
         for m in range(7):
-            d = pochhammer(a, m, "direct")
+            d = pochhammer(a, m)
             r = ref_pochhammer_recurrent(a, m)
             assert d == r
             assert d.is_exact()
-
-
-def test_pochhammer_mode_is_validated(F2):
-    a = PerfSeries.x(F2)
-    assert pochhammer(a, 3, "recurrent") == pochhammer(a, 3, "direct")
-    with pytest.raises(UsageError, match="mode must be"):
-        pochhammer(a, 3, "iterated")
 
 
 def test_pochhammer_recurrence(F3, rng):

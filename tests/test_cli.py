@@ -47,6 +47,14 @@ def test_pochhammer_modes_agree(capsys):
     assert out1 == out2
 
 
+def test_pochhammer_mode_is_validated_by_the_parser(capsys):
+    # the library takes no mode; the flag keeps its two choices
+    with pytest.raises(SystemExit) as exc:
+        main(["--q", "3", "pochhammer", "--a", "x", "--n", "2", "--mode", "iterated"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'iterated'" in capsys.readouterr().err
+
+
 def test_pochhammer_json_reports_the_default_mode(capsys):
     code, out, _ = run(capsys, ["--q", "3", "--json", "pochhammer", "--a",
                                 "x + 2*x^2", "--n", "4"])

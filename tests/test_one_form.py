@@ -23,6 +23,7 @@ from carlitz.funcspace import LinearSeries, MultiFunction
 from carlitz.hyper import HyperParams
 from carlitz.opring import NormalForm
 from carlitz.textio import parse_field_header
+from oracles import window_of
 
 SHIPPED = [(q, m) for q in (2, 3, 4, 5, 8, 9) for m in (1, 2)]
 FIELDS = [FieldParams.default(q, m) for q, m in SHIPPED]
@@ -159,8 +160,13 @@ def test_every_prec_is_a_fraction_or_inf(drawn, e, k):
     params, a, b, prec, other = drawn
     results = [PerfSeries.zero(params, prec=prec), a, b, a.truncate(prec),
                a + b, a - b, a * b, a.frobenius(e), a.shift(Fraction(k, params.q))]
-    for call in (lambda: a.divide(b), lambda: a.divide(b, prec=other),
-                 lambda: b.invert(), lambda: b.invert(prec=prec)):
+    calls = [lambda: a.divide(b), lambda: b.invert()]
+    # a finite absolute precision P is asked for as the window P + val(b)
+    if other != INF:
+        calls.append(lambda: a.divide(b, window=window_of(other, b)))
+    if prec != INF:
+        calls.append(lambda: b.invert(window=window_of(prec, b)))
+    for call in calls:
         try:
             results.append(call())
         except (NotInvertibleError, UsageError):

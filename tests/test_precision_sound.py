@@ -5,25 +5,31 @@ A truncated series a stands for every series that agrees with it below
 terms are added at or above its precision, and the completion A is exact.
 An operation f is sound when f(a) == f(A) at f(a)'s precision, for every
 completion.  Exact inputs are their own completions.  Where f takes a
-window (``divide``, ``invert``, ``_twisted_step`` and ``_quotient``), f(A)
-is computed with a window wider than any relative precision the drawn
-inputs can give, so that f(A) is known at least as far as f(a) claims.
+window (``divide``, ``invert``, ``_twisted_step``, ``_quotient`` and
+``hyper_eval``), f(A) is computed with a window wider than any relative
+precision the drawn inputs can give, so that f(A) is known at least as far
+as f(a) claims.  An operation that returns a map of series (``op_apply``)
+is checked coefficient by coefficient.
 
 Unlike the differential tests, which compare each precision rule with an
 oracle written from the same rules, this checks the rules against the
 series they describe.  Inputs come from ``test_quotient_kernel.factors``
-over the 12 shipped fields; a refusal of f(a) is not a stated precision
-and is skipped.
+over the 12 shipped fields, and hypergeometric z and parameters and the
+functions an operator acts on from ``sampling``; a refusal of f(a) is not
+a stated precision and is skipped.
 """
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from carlitz import INF, PerfSeries
+from carlitz import INF, PerfSeries, sampling
 from carlitz.brackets import pochhammer
 from carlitz.errors import CarlitzError
 from carlitz.ffield import FFElement
+from carlitz.hyper import HyperParams, convergence_bound, hyper_eval
+from carlitz.opring import CONVENTIONS, NormalForm
 from carlitz.series import _quotient, _twisted_step
 from test_quotient_kernel import SHIPPED_FIELDS, factors
 
@@ -38,19 +44,26 @@ KINDS = ("exact", "truncated", "zero-at-prec", "monomial",
 
 
 @st.composite
-def completed(draw, params):
-    """A drawn series a and an exact completion A of it: a's terms and up
-    to three random terms at exponents in [a.prec, a.prec + 3)."""
-    a = draw(factors(params, kinds=KINDS))
+def completion(draw, a):
+    """An exact completion of ``a``: a's terms and up to three random
+    terms at exponents in [a.prec, a.prec + 3)."""
     if a.prec is INF:
-        return a, a
+        return a
+    params = a.params
     terms = dict(a.items())
     for _ in range(draw(st.integers(0, 3))):
         scale = params.q ** draw(st.integers(0, 2))
         low = -(-a.prec.numerator * scale // a.prec.denominator)
         e = Fraction(low + draw(st.integers(0, 3 * scale)), scale)
         terms[e] = FFElement(params, draw(st.integers(1, params.Q - 1)))
-    return a, PerfSeries.from_terms(params, terms)
+    return PerfSeries.from_terms(params, terms)
+
+
+@st.composite
+def completed(draw, params):
+    """A drawn series a and an exact completion A of it."""
+    a = draw(factors(params, kinds=KINDS))
+    return a, draw(completion(a))
 
 
 def operands(count):
@@ -99,7 +112,7 @@ def test_pochhammer(pairs, m):
 
 
 def quotient(c, num, den, window):
-    return PerfSeries._canonical(c.params, *_quotient(c, num, den, None, window))
+    return PerfSeries._canonical(c.params, *_quotient(c, num, den, window))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -110,3 +123,60 @@ def test_twisted_step_and_two_factor_quotient(pairs, negate):
                  lambda: _twisted_step(C, [N1], [D1], WIDE, negate))
     assert_sound(lambda: quotient(c, (n1, n2), (d1, d2), None),
                  lambda: quotient(C, (N1, N2), (D1, D2), WIDE))
+
+
+@st.composite
+def hyper_inputs(draw, truncated_upper):
+    """((hp, z), (HP, Z), M): a truncated z and its exact completion Z
+    with one exact hp, or a truncated upper parameter of hp, completed in
+    HP, with one exact z.  hp has one upper parameter and zero or one
+    exact admissible lower one; z lies above the convergence threshold of
+    hp, which is at least HP's."""
+    params = draw(st.sampled_from(SHIPPED_FIELDS))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if truncated_upper:
+        a = draw(factors(params, kinds=("truncated", "zero-at-prec",
+                                        "truncated-monomial")))
+        upper = a, draw(completion(a))
+    else:
+        a = sampling.random_series(rng, params, terms=(1, 3), lo=-1, hi=3)
+        upper = a, a
+    lower = [sampling.random_admissible(rng, params, terms=(1, 2), lo=-1, hi=3)
+             for _ in range(draw(st.integers(0, 1)))]
+    hp = [HyperParams(params, [u], lower) for u in upper]
+    e = max(int(convergence_bound(hp[0])), 0) + draw(st.integers(1, 3))
+    z = PerfSeries.from_terms(params, {
+        e: 1, e + 1: FFElement(params, draw(st.integers(1, params.Q - 1)))})
+    if truncated_upper:
+        zs = z, z
+    else:
+        # at e itself z is zero at its precision
+        z = z.truncate(e + Fraction(draw(st.integers(0, 8)),
+                                    draw(st.sampled_from((1, params.q)))))
+        zs = z, draw(completion(z))
+    return (hp[0], zs[0]), (hp[1], zs[1]), draw(st.integers(0, 4))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.booleans().flatmap(hyper_inputs))
+def test_hyper_eval_with_a_truncated_z_or_upper_parameter(drawn):
+    (hp, z), (HP, Z), M = drawn
+    assert_sound(lambda: hyper_eval(hp, z, M),
+                 lambda: hyper_eval(HP, Z, M, window=WIDE))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(operands(1), st.integers(0, 2 ** 32), st.sampled_from(CONVENTIONS))
+def test_op_apply_with_a_truncated_scalar(pairs, seed, convention):
+    ((c, C),) = pairs
+    params = c.params
+    rng = random.Random(seed)
+    f = sampling.random_multifunction(rng, params, 1, 2, 2)
+    key = (rng.randint(0, 1), rng.randint(0, 1), rng.randint(0, 1))
+    exact = {(0, 0, 0): sampling.random_series(rng, params)}
+    got = NormalForm(params, 1, convention, {**exact, key: c}).op_apply(f)
+    want = NormalForm(params, 1, convention, {**exact, key: C}).op_apply(f)
+    # a slot outside got's box is refused, not read as an exact zero
+    for slot in set(got.coeffs) | set(want.coeffs):
+        assert_sound(lambda: got.coefficient(*slot),
+                     lambda: want.coefficient(*slot))

@@ -27,7 +27,8 @@ from carlitz.errors import CarlitzError
 from carlitz.funcspace import MultiFunction
 from carlitz.series import _twisted_step
 from oracles import (assert_same, ref_cauchy_coeffs, ref_cauchy_step,
-                     ref_divide, ref_hyper_coeff, ref_invert, ref_stream_step)
+                     ref_divide, ref_hyper_coeff, ref_invert, ref_stream_step,
+                     window_of)
 from test_series_kernel import FIELDS, ref_make
 from test_series_kernel import ref_invert as schoolbook_invert
 from test_series_kernel import ref_mul as schoolbook_mul
@@ -70,25 +71,30 @@ def factors(draw, params, kinds=KINDS):
 
 @st.composite
 def quotient_kwargs(draw):
-    """None, finite or INF prec; an int or a Fraction window; and the
-    refused windows and combination."""
-    mode = draw(st.sampled_from(("default", "prec", "prec-inf", "window-int",
-                                 "window-fraction", "window-bad", "both")))
+    """No request; a finite absolute prec, which :func:`as_window` turns
+    into the window that asks for it; an int or a Fraction window; and the
+    refused windows."""
+    mode = draw(st.sampled_from(("default", "prec", "window-int",
+                                 "window-fraction", "window-bad")))
     if mode == "default":
         return {}
     if mode == "prec":
         return {"prec": Fraction(draw(st.integers(-8, 40)),
                                  draw(st.sampled_from((1, 2, 3, 7))))}
-    if mode == "prec-inf":
-        return {"prec": INF}
     if mode == "window-int":
         return {"window": draw(st.integers(1, 12))}
     if mode == "window-fraction":
         return {"window": Fraction(draw(st.integers(1, 40)),
                                    draw(st.sampled_from((2, 3, 7))))}
-    if mode == "window-bad":
-        return {"window": draw(st.integers(-3, 0))}
-    return {"prec": Fraction(5), "window": 3}
+    return {"window": draw(st.integers(-3, 0))}
+
+
+def as_window(kwargs, divisor):
+    """``kwargs`` with an absolute ``prec`` P asked for as the window
+    P + val(divisor), the one precision request of a division."""
+    if "prec" in kwargs:
+        return {"window": window_of(kwargs["prec"], divisor)}
+    return kwargs
 
 
 WINDOWS = st.one_of(st.none(), st.integers(-1, 12),
@@ -124,6 +130,7 @@ def _small(params, kwargs):
        quotient_kwargs())
 def test_divide_matches_the_product_with_a_built_inverse(ab, kwargs):
     a, b = ab
+    kwargs = as_window(kwargs, b)
     assert_same_outcome(outcome(a.divide, b, **kwargs),
                         outcome(ref_divide, a, b, **kwargs))
     assert_same_outcome(outcome(b.invert, **kwargs),
@@ -138,6 +145,7 @@ def test_divide_matches_the_schoolbook_product_and_inverse(ab, mode, size):
     a, b = ab
     kwargs = {} if mode == "default" else {mode: Fraction(size, 2)}
     assume(_small(a.params, kwargs))
+    kwargs = as_window(kwargs, b)
     try:
         want = schoolbook_mul(a, schoolbook_invert(b, **kwargs))
     except ValueError:
@@ -276,8 +284,8 @@ def test_hyper_eval_reads_the_stream_up_to_its_tail_bound(F2, monkeypatch):
         assert_same(r, results[0])
     # the sum of every term up to M, capped by the tail bound past M
     for M in (10, 30):
-        full = hyper.hyper_series(hp, M).evaluate(
-            z, tail_prec=hyper._tail_valuation(hp, z.valuation(), M + 1))
+        full = hyper.hyper_series(hp, M).evaluate(z).truncate(
+            hyper._tail_valuation(hp, z.valuation(), M + 1))
         assert_same(results[0], full)
     assert len(results[0].terms) == 18 and results[0].prec == 72
     assert counts[0] == counts[1] == counts[2] < 10
@@ -313,6 +321,6 @@ def test_hyper_eval_is_the_full_sum(params, seed, upper, lower, window, M):
     z = PerfSeries.from_terms(params, {e: 1, e + 1: 1})
     if rng.random() < 0.5:
         z = z.truncate(e + rng.randint(1, 8))
-    full = hyper.hyper_series(hp, M, window=window).evaluate(
-        z, tail_prec=hyper._tail_valuation(hp, z.valuation(), M + 1))
+    full = hyper.hyper_series(hp, M, window=window).evaluate(z).truncate(
+        hyper._tail_valuation(hp, z.valuation(), M + 1))
     assert_same(hyper.hyper_eval(hp, z, M, window=window), full)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from carlitz import (AtLeast, FieldParams, INF, NotInvertibleError,
                      ParameterMismatchError, PerfSeries, UsageError)
+from carlitz.ffield import FFElement
 from carlitz.textio import parse_series
 from carlitz import sampling
 
@@ -79,7 +80,7 @@ def test_invert_monomial_is_exact(F2):
 
 
 def test_invert_geometric(F2):
-    inv = S("1 + x", F2).invert(prec=4)
+    inv = S("1 + x", F2).invert(window=4)
     assert inv == S("1 + x + x^2 + x^3 + O(x^4)", F2)
     assert inv.prec == 4
 
@@ -107,21 +108,9 @@ def test_invert_truncated_precision_rule(F2):
 
 
 def test_invert_exact_precision_of_a_monomial(F3):
-    inv = S("2*x^(-3)", F3).invert(prec=INF)
+    inv = S("2*x^(-3)", F3).invert()
     assert inv.is_exact()
     assert inv.terms == S("2*x^3", F3).terms and inv.dexp == 0
-
-
-def test_invert_exact_precision_of_a_non_monomial_is_refused(F2):
-    with pytest.raises(UsageError, match="infinite series"):
-        S("1 + x", F2).invert(prec=INF)
-
-
-def test_invert_exact_precision_of_truncated_input_is_the_default(F3):
-    a = S("x + 2*x^(4/3) + x^2 + O(x^9)", F3)
-    inv, default = a.invert(prec=INF), a.invert()
-    assert (inv.terms, inv.dexp, inv.prec) == (default.terms, default.dexp, default.prec)
-    assert type(inv.prec) is type(default.prec)
 
 
 def test_divide(F3):
@@ -136,14 +125,6 @@ def test_invert_non_positive_window_is_a_usage_error(F2, window):
     for s in (S("1 + x", F2), PerfSeries.zero(F2), S("x^3", F2)):
         with pytest.raises(UsageError, match="window must be positive"):
             s.invert(window=window)
-    # checked before the prec/window exclusivity
-    with pytest.raises(UsageError, match="window must be positive"):
-        S("1 + x", F2).invert(prec=3, window=window)
-
-
-def test_invert_non_positive_prec_stays_not_invertible(F2):
-    with pytest.raises(NotInvertibleError):
-        S("1 + x", F2).invert(prec=0)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +219,16 @@ def test_params_of_one_configuration_are_one_object():
 def test_exponent_lattice_enforced(F3):
     with pytest.raises(UsageError):
         PerfSeries.from_terms(F3, {Fraction(1, 2): 1})
+
+
+def test_an_int_coefficient_is_a_rational_integer(F4):
+    # k mod p in every field, not an element index: over F_4 the index 3
+    # is g^2, but the integer 3 is 1 and the integer 2 is 0
+    assert repr(PerfSeries.from_terms(F4, {0: 3})) == "1"
+    assert repr(PerfSeries.from_terms(F4, {1: 2})) == "0"
+    assert repr(PerfSeries.constant(F4, 3)) == "1"
+    assert repr(PerfSeries.x(F4).scale(2)) == "0"
+    assert repr(PerfSeries.from_terms(F4, {0: FFElement(F4, 3)})) == "g^2"
 
 
 # ---------------------------------------------------------------------------

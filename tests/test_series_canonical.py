@@ -34,8 +34,9 @@ from carlitz import INF, FieldParams, PerfSeries, hyper, sampling
 from carlitz.cauchy import InitialData, cauchy_solve, hypergeometric_equation
 from carlitz.series import _twisted_step
 from oracles import MakePath, assert_same, ref_canonical
-from test_quotient_kernel import (SHIPPED_FIELDS, WINDOWS, assert_same_outcome,
-                                  factors, outcome, quotient_kwargs)
+from test_quotient_kernel import (SHIPPED_FIELDS, WINDOWS, as_window,
+                                  assert_same_outcome, factors, outcome,
+                                  quotient_kwargs)
 from test_series_kernel import FIELDS
 
 EXACT_KINDS = ("exact", "monomial", "exact-zero")
@@ -97,6 +98,7 @@ def test_sum_difference_and_product(ab):
 @given(pairs(), quotient_kwargs())
 def test_divide_and_invert(ab, kwargs):
     a, b = ab
+    kwargs = as_window(kwargs, b)
     check(outcome(a.divide, b, **kwargs), outcome(MakePath.divide, a, b, **kwargs))
     check(outcome(b.invert, **kwargs), outcome(MakePath.invert, b, **kwargs))
 

@@ -18,7 +18,7 @@ from carlitz import ffield
 from carlitz.errors import CarlitzError
 from carlitz.ffield import FFElement
 from carlitz.series import DEFAULT_INVERT_WINDOW
-from oracles import assert_same
+from oracles import assert_same, window_of
 
 
 # ---------------------------------------------------------------------------
@@ -105,25 +105,23 @@ def ref_eq(a, b):
     return True
 
 
-def ref_invert(s, prec=None, window=None):
+def ref_invert(s, window=None):
     """The original invert, on the oracle's products, sums and cuts."""
     params = s.params
     q = params.q
-    if window is not None and s.terms:
-        prec = Fraction(window) - Fraction(min(s.terms), q ** s.dexp)
     if not s.terms:
         raise ValueError("not invertible")
     v_scaled = min(s.terms)
     v = Fraction(v_scaled, q ** s.dexp)
     lead = s.terms[v_scaled]
-    if len(s.terms) == 1 and s.prec == INF and prec is None:
+    if len(s.terms) == 1 and s.prec == INF and window is None:
         return ref_make(params, s.dexp, {-v_scaled: params.inv(lead)}, INF)
     rel_in = INF if s.prec == INF else s.prec - v
-    if prec is None:
+    if window is None:
         rel_out = rel_in if rel_in != INF else Fraction(DEFAULT_INVERT_WINDOW)
     else:
-        rel_out = min(Fraction(prec) + v, rel_in)
-    if rel_out != INF and rel_out <= 0:
+        rel_out = min(Fraction(window), rel_in)
+    if rel_out <= 0:
         raise ValueError("no known coefficients")
     inv_lead = params.inv(lead)
     u_terms = {k - v_scaled: ref_field_mul(params, c, inv_lead)
@@ -273,14 +271,16 @@ def test_eq_matches_schoolbook(ab, data):
 def test_invert_matches_schoolbook(s, mode, size):
     if mode == "default" and s.params.q > 3:
         mode = "window"   # keep default windows (up to 32 units) to small q
-    kwargs = {} if mode == "default" else {mode: Fraction(size, 2)}
+    size = Fraction(size, 2)
+    # an absolute precision P is asked for as the window P + val(s)
+    window = {"default": None, "window": size, "prec": window_of(size, s)}[mode]
     try:
-        want = ref_invert(s, **kwargs)
+        want = ref_invert(s, window)
     except ValueError:
         with pytest.raises(CarlitzError):
-            s.invert(**kwargs)
+            s.invert(window)
         return
-    assert_same(s.invert(**kwargs), want)
+    assert_same(s.invert(window), want)
 
 
 # ---------------------------------------------------------------------------

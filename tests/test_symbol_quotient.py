@@ -22,9 +22,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carlitz import hyper, pochhammer, pochhammer_thakur
+from carlitz.brackets import _thakur_factor
 from carlitz.series import DEFAULT_INVERT_WINDOW
 from oracles import (assert_same, ref_coeff_quotient, ref_hyper_coeff,
-                     ref_thakur_coeff)
+                     ref_thakur_coeff, window_of)
 from test_hyper_stream import FIELDS, families
 
 WINDOWS = (None, 9, Fraction(23, 2))
@@ -106,7 +107,9 @@ def test_window_governs_the_division_by_L(params, alpha, m):
         got = hyper.hyper_thakur_coeff(params, [alpha], [1], m, window=window)
         assert got.prec == base.prec + window - DEFAULT_INVERT_WINDOW
         assert_same(got.truncate(base.prec), base)
-        upper = pochhammer_thakur(params, alpha, m, prec=got.prec + 10)
+        value, inverted = _thakur_factor(params, alpha, m)
+        assert inverted
+        upper = value.invert(window=window_of(got.prec + 10, value))
         want = ref_coeff_quotient(params, m, [upper],
                                   [pochhammer_thakur(params, 1, m)], window)
         assert_same(got, want)
