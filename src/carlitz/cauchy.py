@@ -23,6 +23,15 @@ exactly v at every tuple, for every index bound.  :func:`admissibility_check`
 then reports "ok" with mu = v, the report the scan gives, without
 evaluating Q; any other Q (a tie at v included) is scanned tuple by tuple.
 
+The scan, the diagonal P and Q of each step and :func:`recommend_imax`
+evaluate through one routine, :meth:`DeltaPoly.eval_at`, by Horner's rule
+in each indeterminate, last first: 2^n - 1 products for a full
+multilinear Q, where multiplying out each monomial takes n 2^(n-1).
+Bracket values are exact, and a product with an exact side adds exactly
+that side's valuation to the other's precision while a sum keeps the least
+precision of its parts, so the nested value has the terms and precision
+of the flat sum of the monomials.
+
 Each step is one call of the q-twisted kernel ``series._twisted_step``,
 the step the hypergeometric stream takes too: it divides P by Q at the
 brackets (long division, no inverse series) and applies the Frobenius.
@@ -101,19 +110,44 @@ class DeltaPoly(SeriesMap):
         return DeltaPoly(self.params, self.n, out)
 
     def eval_at(self, values) -> PerfSeries:
-        """Evaluate at a tuple of scalar values (one per indeterminate)."""
+        """Evaluate at a tuple of scalar values (one per indeterminate), by
+        Horner's rule in each indeterminate, last first.
+
+        The monomials are grouped by their other exponents; each group is
+        folded in the last indeterminate, c_d v + c_(d-1), times v, and so
+        on, one product per unit of degree, the gaps included; the folded
+        values are the coefficients of a polynomial in one indeterminate
+        fewer, and the same is done again.  A full multilinear polynomial
+        takes 2^n - 1 products, where one product per monomial and factor
+        takes n 2^(n-1).  With exact values (the brackets every library
+        caller passes) a product with an exact side adds exactly that
+        side's valuation to the other's precision, and a sum keeps the
+        least precision of its parts, so the result has the terms, ``dexp``
+        and ``prec`` of the flat sum of the monomials c_e v^e; with
+        truncated values the ultrametric inequality makes its ``prec`` no
+        lower."""
         if len(values) != self.n:
             raise UsageError("expected %d values" % self.n)
-        acc = PerfSeries.zero(self.params)
-        powers = [{0: PerfSeries.one(self.params)} for _ in range(self.n)]
-        for e in sorted(self.coeffs):
-            term = self.coeffs[e]
-            for j, k in enumerate(e):
-                if k not in powers[j]:
-                    powers[j][k] = values[j].pow(k)
-                term = term * powers[j][k]
-            acc = acc + term
-        return acc
+        level = self.coeffs
+        for v in reversed(values):
+            # rest of the exponent -> (last exponent folded in, value so far);
+            # in descending order each group's exponents come high to low
+            folds = {}
+            for e in sorted(level, reverse=True):
+                rest, j = e[:-1], e[-1]
+                if rest in folds:
+                    k, acc = folds[rest]
+                    for _ in range(k - j):
+                        acc = acc * v
+                    folds[rest] = j, acc + level[e]
+                else:
+                    folds[rest] = j, level[e]
+            level = {}
+            for rest, (k, acc) in folds.items():
+                for _ in range(k):
+                    acc = acc * v
+                level[rest] = acc
+        return level.get((), PerfSeries.zero(self.params))
 
 
 class EvolutionEquation:

@@ -505,7 +505,8 @@ class PerfSeries:
         By default the output precision is prec_in - 2*valuation for
         truncated input, exact for an exact monomial, and
         valuation-relative DEFAULT_INVERT_WINDOW for an exact multi-term
-        input.  A ``window`` <= 0 is refused with UsageError.
+        input.  A ``window`` that is not a positive int or Fraction (a
+        float included) is refused with UsageError.
         """
         return PerfSeries.one(self.params).divide(self, window)
 
@@ -646,8 +647,12 @@ def _quotient(c: PerfSeries, num, den, window, negate=False):
     moved to valuation 0 on one grid; c's terms, seeded at the quotient's
     valuation, are multiplied by each numerator and long-divided by each
     denominator, every pass cut at the quotient's precision."""
-    if window is not None and window <= 0:
-        raise UsageError("window must be positive, got %s" % (window,))
+    if window is not None:
+        if not isinstance(window, (int, Fraction)):
+            raise UsageError("window must be an int or a Fraction, got %r"
+                             % (window,))
+        if window <= 0:
+            raise UsageError("window must be positive, got %s" % (window,))
     if not all(f.terms for f in den):
         den_prec = _product_prec(den)
         if den_prec is INF:

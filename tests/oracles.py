@@ -15,8 +15,11 @@ library replaced by results that are canonical by construction; and the
 scan that lowered a series' exponent grid one q-power at a time, which
 the library replaced by one gcd of the exponents; and the admissibility
 scan that evaluates Q at every bracket tuple, which the library now runs
-only when Q's constant coefficient does not dominate.  Each is kept here
-once and in no library module.
+only when Q's constant coefficient does not dominate; and the flat sum of
+a delta polynomial's monomials, each multiplied by its powers of the
+values, which the library replaced by Horner's rule in each indeterminate
+(the scan and the Cauchy coefficients here call the flat sum).  Each is
+kept here once and in no library module.
 """
 
 from fractions import Fraction
@@ -92,8 +95,11 @@ def ref_is_irreducible(mod, p):
 
 def window_of(prec, divisor):
     """The window that asks a division by ``divisor`` for the absolute
-    output precision ``prec``: prec + val(divisor)."""
-    return prec + divisor._val_lb()
+    output precision ``prec``: prec + val(divisor).  None for an exact
+    zero divisor, which every window leaves refused as not invertible
+    (and whose valuation, the float INF, is no window)."""
+    v = divisor._val_lb()
+    return None if v is INF else prec + v
 
 
 def ref_invert(s, window=None):
@@ -164,6 +170,23 @@ def ref_stream_step(h, num, den, window):
     return (h * n * ref_invert(d, window=window)).frobenius(1)
 
 
+def ref_eval_at(poly, values):
+    """A delta polynomial at a value tuple as the flat sum of c_e v^e over
+    its monomials, each power v_j^k built once by ``pow``."""
+    if len(values) != poly.n:
+        raise UsageError("expected %d values" % poly.n)
+    acc = PerfSeries.zero(poly.params)
+    powers = [{0: PerfSeries.one(poly.params)} for _ in range(poly.n)]
+    for e in sorted(poly.coeffs):
+        term = poly.coeffs[e]
+        for j, k in enumerate(e):
+            if k not in powers[j]:
+                powers[j][k] = values[j].pow(k)
+            term = term * powers[j][k]
+        acc = acc + term
+    return acc
+
+
 def ref_cauchy_step(c, pe, qe, window):
     """c_(m+1, i+1) = -(P/Q * c_(m, i))^q at the brackets of i."""
     return -(ref_divide(pe, qe, window=window) * c).frobenius(1)
@@ -182,8 +205,8 @@ def ref_cauchy_coeffs(eq, init, trunc_m, trunc_i, window=None):
             if step + 1 > trunc_m or any(i + step + 1 > trunc_i for i in ivec):
                 break
             values = _index_values(eq.params, [i + step for i in ivec])
-            pe = eq.P.eval_at(values)
-            qe = eq.Q.eval_at(values)
+            pe = ref_eval_at(eq.P, values)
+            qe = ref_eval_at(eq.Q, values)
             if qe.is_zero_at_prec():
                 raise PrecisionError(
                     "P/Q quotient indeterminate at indices %r"
@@ -201,7 +224,7 @@ def ref_admissibility_check(eq, i_max):
         raise UsageError("i_max must be >= 0")
     worst = None
     for combo in product(list(range(i_max + 1)) + [INFINITY], repeat=eq.n):
-        value = eq.Q.eval_at(_index_values(eq.params, combo))
+        value = ref_eval_at(eq.Q, _index_values(eq.params, combo))
         if value.is_zero():
             return AdmissibilityReport("fail", None, combo, i_max)
         if value.is_zero_at_prec():
