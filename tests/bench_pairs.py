@@ -33,6 +33,13 @@ end-to-end metric's medians and quartiles per side, wins out of pairs,
 ``within_bound``, ``claimable`` and ``unresolved``, each side's median
 attempted ops, and each side's median ``peak_rss_mb`` per 1000 attempted
 ops as ``rss_mb_per_kop``.
+
+With ``--trajectory`` it runs nothing and reads such files back, ordered
+by the number in their names, and prints for each workload one row per
+file: the change's median of each end-to-end metric and its
+``rss_mb_per_kop`` ("-" where a file predates that key):
+
+    python3 tests/bench_pairs.py --trajectory BENCH_*.json
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ import argparse
 import json
 import os
 import pathlib
+import re
 import statistics
 import subprocess
 import sys
@@ -129,6 +137,33 @@ def write_out(path, workload, entry):
     path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
 
+def trajectory(metrics, records):
+    """One line per workload and file of ``records`` (pairs of a label
+    and a file's JSON, in the order given): the change's median of each
+    named metric, then its ``rss_mb_per_kop``."""
+    lines = ["%-8s %-10s" % ("workload", "file")
+             + "".join(" %12s" % name for name in metrics + ["rss_mb_per_kop"])]
+    workloads = sorted({w for _, data in records for w in data})
+    for workload in workloads:
+        for label, data in records:
+            entry = data.get(workload)
+            if entry is None:
+                continue
+            cells = [entry["metrics"][name]["change"]["median"] for name in metrics]
+            cells.append(entry.get("rss_mb_per_kop", {}).get("change"))
+            lines.append("%-8s %-10s" % (workload, label) + "".join(
+                " %12s" % ("-" if v is None else "%.4g" % v) for v in cells))
+    return lines
+
+
+def pr_number(path):
+    """The number in a file name such as BENCH_21.json."""
+    found = re.search(r"\d+", pathlib.Path(path).name)
+    if found is None:
+        raise SystemExit("no number in the file name %s" % path)
+    return int(found.group())
+
+
 def seed_list(text):
     """'101-110' or '7,9,11' as a list of ints."""
     if "-" in text:
@@ -139,16 +174,29 @@ def seed_list(text):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent")
-    parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", type=seed_list, required=True,
+    parser.add_argument("parent", nargs="?")
+    parser.add_argument("change", nargs="?")
+    parser.add_argument("--workload")
+    parser.add_argument("--seeds", type=seed_list,
                         help="one run pair per seed: '101-110' or '7,9,11'")
     parser.add_argument("--out", metavar="FILE",
                         help="also write the report as JSON under the workload's "
                              "name in FILE")
+    parser.add_argument("--trajectory", nargs="+", metavar="FILE",
+                        help="run nothing: print the change medians recorded in "
+                             "these --out files, in the order of their numbers")
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if args.trajectory:
+        paths = sorted(args.trajectory, key=pr_number)
+        records = [(pathlib.Path(p).stem, json.loads(pathlib.Path(p).read_text()))
+                   for p in paths]
+        for line in trajectory([m["name"] for m in bench["end_to_end"]], records):
+            print(line)
+        return 0
+    if None in (args.parent, args.change, args.workload, args.seeds):
+        parser.error("PARENT, CHANGE, --workload and --seeds are required "
+                     "without --trajectory")
     seconds = bench["run_seconds"]
     results = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:

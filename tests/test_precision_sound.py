@@ -11,6 +11,17 @@ precision the drawn inputs can give, so that f(A) is known at least as far
 as f(a) claims.  An operation that returns a map of series (``op_apply``)
 is checked coefficient by coefficient.
 
+``cauchy_solve`` is checked the same way, with a truncated parameter of a
+hypergeometric equation, a truncated coefficient of a general Q or a
+truncated initial value: its P and Q are evaluated at the brackets by
+Horner's rule, so this checks that evaluator's precision along with the
+steps'.  A completed problem is solved at the window ``SOLVE_WIDE``, since
+each step takes its Frobenius image, so a solve at ``WIDE`` states less
+than the default solve of the same exact problem.  Each slot of the box is
+compared, a slot with no stored coefficient reading as exact zero.  A
+refused solve is skipped, and the refusals are counted, so that a test
+that checks too few draws fails.
+
 Unlike the differential tests, which compare each precision rule with an
 oracle written from the same rules, this checks the rules against the
 series they describe.  Inputs come from ``test_quotient_kernel.factors``
@@ -20,12 +31,15 @@ a stated precision and is skipped.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from carlitz import INF, PerfSeries, sampling
 from carlitz.brackets import pochhammer
+from carlitz.cauchy import (DeltaPoly, EvolutionEquation, InitialData,
+                            cauchy_solve, hypergeometric_equation)
 from carlitz.errors import CarlitzError
 from carlitz.ffield import FFElement
 from carlitz.hyper import HyperParams, convergence_bound, hyper_eval
@@ -36,6 +50,10 @@ from test_quotient_kernel import SHIPPED_FIELDS, factors
 #: the window f(A) is computed with: above the default invert window and
 #: above the relative precision of any drawn input
 WIDE = 48
+
+#: the window a completed Cauchy problem is solved with: above what the
+#: default solve of a drawn problem states after its Frobenius steps
+SOLVE_WIDE = 400
 
 #: every kind of ``factors`` but the exact zero, which has no other
 #: completion and is refused as a divisor
@@ -180,3 +198,81 @@ def test_op_apply_with_a_truncated_scalar(pairs, seed, convention):
     for slot in set(got.coeffs) | set(want.coeffs):
         assert_sound(lambda: got.coefficient(*slot),
                      lambda: want.coefficient(*slot))
+
+
+TRUNCATED = ("truncated", "zero-at-prec", "truncated-monomial")
+
+
+@st.composite
+def cauchy_problems(draw):
+    """(problem, completed problem): an equation in n = 1..2 variables,
+    initial data and a box, with one truncated piece, and the same with
+    that piece completed.  ``upper`` and ``lower`` truncate a parameter of
+    ``hypergeometric_equation``, ``general`` a coefficient of a Q that is
+    no product, Q = 1 + c_0 x + c_1 t_1 + t_1 t_2 (1 + c_0 x + t_1 for
+    n = 1) with exact c_0 and c_1 of valuation at least 0, and ``initial`` one
+    initial value of an exact equation."""
+    params = draw(st.sampled_from(SHIPPED_FIELDS))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    n = draw(st.integers(1, 2))
+    trunc_i = draw(st.integers(1, 4 - n))
+    trunc_m = draw(st.integers(0, trunc_i))
+    kind = draw(st.sampled_from(("upper", "lower", "general", "initial")))
+    a = draw(factors(params, kinds=TRUNCATED))
+    pair = a, draw(completion(a))
+
+    def exact():
+        return sampling.random_series(rng, params, terms=(1, 2), lo=0, hi=3)
+    uppers = [exact() for _ in range(n)]
+    lowers = [sampling.random_admissible(rng, params, terms=(1, 2), lo=0, hi=3)
+              for _ in range(n)]
+    one = PerfSeries.one(params)
+    general = {(0,) * n: one + exact().shift(1), (1,) * n: one}
+    if n > 1:
+        general[(1, 0)] = exact()
+    slot = draw(st.sampled_from(sorted(general)))
+    ivecs = draw(st.lists(st.tuples(*[st.integers(0, trunc_i)] * n),
+                          min_size=1, max_size=3, unique=True))
+    init = {ivec: exact() for ivec in ivecs}
+    problems = []
+    for piece in pair:
+        if kind == "upper":
+            eq = hypergeometric_equation(params, [piece] + uppers[1:], lowers, n)
+        elif kind == "lower":
+            eq = hypergeometric_equation(params, uppers, [piece] + lowers[1:], n)
+        else:
+            Q = dict(general)
+            if kind == "general":
+                Q[slot] = piece
+            P = hypergeometric_equation(params, uppers, lowers, n).P
+            eq = EvolutionEquation(params, n, P, DeltaPoly(params, n, Q))
+        values = dict(init)
+        if kind == "initial":
+            values[ivecs[0]] = piece
+        problems.append((eq, InitialData(params, n, values), trunc_m, trunc_i))
+    return problems
+
+
+def solve_sound(problem, completed):
+    """The outcome of one draw: "refused" when ``problem`` is refused,
+    otherwise "checked", once every slot of its solution is sound against
+    the solution of the completed problem."""
+    try:
+        u = cauchy_solve(*problem)
+    except CarlitzError:
+        return "refused"
+    U = cauchy_solve(*completed, window=SOLVE_WIDE)
+    for slot in set(u.coeffs) | set(U.coeffs):
+        assert_sound(lambda: u.coefficient(*slot), lambda: U.coefficient(*slot))
+    return "checked"
+
+
+def test_cauchy_solve_with_truncated_parameters_coefficients_or_data():
+    outcomes = Counter()
+
+    @settings(max_examples=130, deadline=None, derandomize=True)
+    @given(cauchy_problems())
+    def check(problems):
+        outcomes[solve_sound(*problems)] += 1
+    check()
+    assert outcomes["checked"] >= 80, outcomes

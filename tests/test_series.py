@@ -127,6 +127,14 @@ def test_invert_non_positive_window_is_a_usage_error(F2, window):
             s.invert(window=window)
 
 
+@pytest.mark.parametrize("window", [float("inf"), float("nan"), 2.0, "3"])
+def test_a_window_that_is_no_int_or_fraction_is_a_usage_error(F2, window):
+    a, b = S("1 + x", F2), S("x^3 + x^4", F2)
+    for call in (lambda: a.invert(window=window), lambda: b.divide(a, window=window)):
+        with pytest.raises(UsageError, match="window must be an int or a Fraction"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # frobenius
 # ---------------------------------------------------------------------------
