@@ -23,10 +23,10 @@ exactly v at every tuple, for every index bound.  :func:`admissibility_check`
 then reports "ok" with mu = v, the report the scan gives, without
 evaluating Q; any other Q (a tie at v included) is scanned tuple by tuple.
 
-The scan, the diagonal P and Q of each step and :func:`recommend_imax`
-evaluate through one routine, :meth:`DeltaPoly.eval_at`, by Horner's rule
-in each indeterminate, last first: 2^n - 1 products for a full
-multilinear Q, where multiplying out each monomial takes n 2^(n-1).
+The scan and the diagonal P and Q of each step evaluate through one
+routine, :meth:`DeltaPoly.eval_at`, by Horner's rule in each
+indeterminate, last first: 2^n - 1 products for a full multilinear Q,
+where multiplying out each monomial takes n 2^(n-1).
 Bracket values are exact, and a product with an exact side adds exactly
 that side's valuation to the other's precision while a sum keeps the least
 precision of its parts, so the nested value has the terms and precision
@@ -235,14 +235,6 @@ def _index_values(params, indices):
     return [bracket(params, i) for i in indices]
 
 
-def _q_values(eq: EvolutionEquation, i_max: int):
-    """Yield (tuple, Q at the brackets of its indices) for every tuple over
-    {0..i_max, inf}."""
-    choices = list(range(i_max + 1)) + [INFINITY]
-    for combo in itertools.product(choices, repeat=eq.n):
-        yield combo, eq.Q.eval_at(_index_values(eq.params, combo))
-
-
 def _dominant_valuation(Q: DeltaPoly):
     """v when Q's constant coefficient has its lowest term at v and every
     other monomial c_e t^e has ``c_e._val_lb() + |e| > v``, else None.
@@ -278,7 +270,9 @@ def admissibility_check(eq: EvolutionEquation, i_max: int) -> AdmissibilityRepor
     if v is not None:
         return AdmissibilityReport("ok", v, None, i_max)
     worst = None
-    for combo, value in _q_values(eq, i_max):
+    choices = list(range(i_max + 1)) + [INFINITY]
+    for combo in itertools.product(choices, repeat=eq.n):
+        value = eq.Q.eval_at(_index_values(eq.params, combo))
         if value.is_zero():
             return AdmissibilityReport("fail", None, combo, i_max)
         if value.is_zero_at_prec():
@@ -286,42 +280,6 @@ def admissibility_check(eq: EvolutionEquation, i_max: int) -> AdmissibilityRepor
         v = value.valuation()
         worst = v if worst is None else max(worst, v)
     return AdmissibilityReport("ok", worst, None, i_max)
-
-
-#: The index bound of the tuples at which recommend_imax evaluates Q.
-_IMAX_PROBE = 4
-
-
-def recommend_imax(eq: EvolutionEquation) -> int:
-    """Heuristic index bound for admissibility_check.
-
-    Replacing [i] by [inf] changes each entry by x^(q^i); evaluating Q at
-    the probe tuples (indices up to ``_IMAX_PROBE``) bounds the valuation
-    scale V of Q near the limit point, and entries with q^i > V cannot flip a nonzero verdict (bracket
-    values have valuation >= 1, so no negative-valuation amplification
-    beyond the coefficients' own).  The returned bound folds in the worst
-    coefficient valuation; it is a recommendation, the final choice stays
-    with the caller.  It stays apart from admissibility_check because a
-    probe estimate is no certificate: the scan's verdict, witness and mu
-    are those of the caller's index range, and no estimate may cut it short.
-    The probe always evaluates Q, whether or not Q's constant coefficient
-    dominates (module docstring).
-    """
-    vmax = Fraction(0)
-    for _, value in _q_values(eq, _IMAX_PROBE):
-        lb = value._val_lb()
-        if lb is not INF:
-            vmax = max(vmax, lb)
-    slack = Fraction(0)
-    for c in eq.Q.coeffs.values():
-        lb = c._val_lb()
-        if lb is not INF and lb < 0:
-            slack = max(slack, -lb)
-    target = vmax + slack + 1
-    i = _IMAX_PROBE
-    while eq.params.q ** i <= target:
-        i += 1
-    return i
 
 
 def cauchy_solve(eq: EvolutionEquation, init: InitialData, trunc_m: int,

@@ -44,7 +44,13 @@ the symbols, and D_m with its up to 2^m terms, at every index.
 
 Residual checks apply the defining operators to the truncated series:
 
-* product form:  prod(Delta - a_i) - (prod(Delta - b_j)) d
+* product form:  prod(Delta - a_i) - (prod(Delta - b_j)) d, slot by slot:
+  Delta multiplies the coefficient of z^(q^k) by the bracket [k], so each
+  coefficient of the residual is u_k prod([k] - a_i) - (du)_k
+  prod([k] - b_j), one product per factor.  A precision can only rise
+  over applying each Delta - a to the whole series: c ([k] - a) is known
+  at least as far as c [k] - c a, since [k] is exact and
+  val([k] - a) >= min(val [k], val a)
 * gauss form (r=2, s=1):
       tau(1-tau) d^2 + {([-1]^q + a + b) tau - c} d - ab
   (note [-1]^q = -[1]; this is the expansion of
@@ -382,13 +388,26 @@ def thakur_correspondence(params: FieldParams, alphas, betas, M: int,
 # ---------------------------------------------------------------------------
 
 def _product_residual(series: LinearSeries, a_list, b_list) -> LinearSeries:
-    upper = series
-    for a in a_list:
-        upper = upper.delta() - upper.scale(a)  # (Delta - a) u
-    lower = series.d()
-    for b in b_list:
-        lower = lower.delta() - lower.scale(b)
-    return upper - lower
+    """prod(Delta - a_i) u - prod(Delta - b_j) d u, slot by slot: its
+    coefficient k is u_k prod([k] - a_i) - (du)_k prod([k] - b_j), and it
+    knows k <= known - 1, as d u does."""
+    return _slot_product(series, a_list) - _slot_product(series.d(), b_list)
+
+
+def _slot_product(f: LinearSeries, roots) -> LinearSeries:
+    """prod(Delta - r) f over the roots r.  Delta multiplies the
+    coefficient of t^(q^k) by [k], so the product acts there as one
+    multiplier, prod([k] - r), taken one factor at a time.  A precision
+    can only rise over applying each Delta - r to the whole series:
+    [k] is exact and val([k] - r) >= min(val [k], val r), so c ([k] - r)
+    is known at least as far as c [k] - c r."""
+    out = {}
+    for k, c in f.coeffs.items():
+        at = bracket(f.params, k)
+        for r in roots:
+            c = c * (at - r)
+        out[k] = c
+    return LinearSeries(f.params, out, f.known)
 
 
 def hyper_residual(hp: HyperParams, M: int, form: str = "product",

@@ -91,6 +91,10 @@ arithmetic produces (``x.shift(-1)``, say) is a different object and
 takes the kernel, with the same result.  In characteristic 2 negation is
 the identity on coefficients, so ``-a`` is ``a`` itself and the negated
 one (the leading coefficient of ``-prod(t_j - b_j)``) is still the unit.
+An exact zero times anything is the exact zero, so a product with an
+exact-zero side returns that side at the same point, and no product hands
+the kernel an empty term map from it: the bracket [0] is exact zero, and
+the admissibility scan and the Cauchy steps multiply by it.
 
 Equality compares coefficients at all exponents below the smaller of the
 two precisions, which makes identity checks decidable at stated precision.
@@ -399,12 +403,13 @@ class PerfSeries:
     def __mul__(self, other):
         """The product, at min(prec_a + val(b), prec_b + val(a)); an exact
         side contributes only its valuation, read on the common grid.  A
-        side that is the field's one object gives the other side itself."""
+        side that is the field's one object gives the other side itself,
+        and a side that is an exact zero gives itself."""
         self._check(other)
         unit = self.params.unit
-        if other is unit:
-            return self
-        if self is unit:
+        if other is unit or not self.terms and self.prec is INF:
+            return self  # times the one, or an exact zero
+        if self is unit or not other.terms and other.prec is INF:
             return other
         d, ta, tb = self._aligned(other)
         a_prec, b_prec = self.prec, other.prec
@@ -412,12 +417,9 @@ class PerfSeries:
             prec = bound = INF
         elif a_prec is INF or b_prec is INF:
             exact, prec = (ta, b_prec) if a_prec is INF else (tb, a_prec)
-            if exact:
-                scale = self.params.q ** d
-                prec = prec + Fraction(min(exact), scale)
-                bound = _grid_bound(prec, scale)
-            else:  # an exact zero
-                prec = bound = INF
+            scale = self.params.q ** d
+            prec = prec + Fraction(min(exact), scale)
+            bound = _grid_bound(prec, scale)
         else:
             prec = min(a_prec + other._val_lb(), b_prec + self._val_lb())
             bound = _grid_bound(prec, self.params.q ** d)

@@ -18,7 +18,9 @@ scan that evaluates Q at every bracket tuple, which the library now runs
 only when Q's constant coefficient does not dominate; and the flat sum of
 a delta polynomial's monomials, each multiplied by its powers of the
 values, which the library replaced by Horner's rule in each indeterminate
-(the scan and the Cauchy coefficients here call the flat sum).  Each is
+(the scan and the Cauchy coefficients here call the flat sum); and the
+product-form residual as one whole-series pass per factor Delta - a,
+which the library replaced by one multiplier per coefficient.  Each is
 kept here once and in no library module.
 """
 
@@ -185,6 +187,18 @@ def ref_eval_at(poly, values):
             term = term * powers[j][k]
         acc = acc + term
     return acc
+
+
+def ref_product_residual(series, a_list, b_list):
+    """prod(Delta - a_i) u - prod(Delta - b_j) d u, each factor applied to
+    the whole series as Delta u - a u."""
+    upper = series
+    for a in a_list:
+        upper = upper.delta() - upper.scale(a)
+    lower = series.d()
+    for b in b_list:
+        lower = lower.delta() - lower.scale(b)
+    return upper - lower
 
 
 def ref_cauchy_step(c, pe, qe, window):

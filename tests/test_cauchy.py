@@ -10,7 +10,7 @@ from carlitz.cauchy import (DeltaPoly, EvolutionEquation,
                             InitialData, admissibility_check, cauchy_solve,
                             format_problem, growth_check,
                             hypergeometric_equation, parse_problem,
-                            recommend_imax, residual)
+                            residual)
 from carlitz.funcspace import MultiFunction
 from carlitz import sampling
 
@@ -62,13 +62,6 @@ def test_admissibility_indeterminate(F2):
     report = admissibility_check(eq, 2)
     assert report.status == "indeterminate"
     assert report.witness == (1,)
-
-
-def test_recommend_imax_is_usable(F2, rng):
-    b = sampling.random_admissible(rng, F2, terms=(1, 2), lo=0, hi=3)
-    eq = linear_eq(F2, PerfSeries.x(F2), b)
-    i = recommend_imax(eq)
-    assert admissibility_check(eq, i).ok
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ operands over the 12 shipped fields and is compared with the Frobenius of
 the Fractions the library builds.
 
 The exact one is one object per field, ``PerfSeries.one(params)``, and a
-product with it returns the other operand.  Products with the unit are
+product with it returns the other operand; a product with an exact zero
+returns the zero, and no product of a problem-file solve hands the kernel
+an empty term map.  Products with the unit are
 compared with ``MakePath.mul``, which runs the kernel, over every shipped
 field and every kind.  Every exact one built from terms (parsed,
 ``constant`` or ``from_terms``) is that object, while a one that
@@ -158,6 +160,33 @@ def test_a_problem_file_solve_hands_the_kernel_no_one(kernel_operands):
     assert kernel_operands
     unit = {0: eq.params.one_idx}
     assert not [pair for pair in kernel_operands if unit in pair]
+
+
+# ---------------------------------------------------------------------------
+# the exact zero
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("params", SHIPPED_FIELDS, ids=repr)
+def test_a_product_with_an_exact_zero_is_the_exact_zero(params, kernel_operands):
+    q = params.q
+    zero = PerfSeries.zero(params)
+    for other in (PerfSeries(params, 1, {-q: 1, 1: params.minus_one_idx}, INF),
+                  PerfSeries(params, 1, {-q: 1, 1: params.minus_one_idx},
+                             Fraction(7, 2)),
+                  PerfSeries.zero(params, prec=Fraction(5, q))):
+        for got in (zero * other, other * zero):
+            assert_same(got, zero)
+            assert got.dexp == 0
+    assert not kernel_operands
+
+
+def test_a_problem_file_solve_hands_the_kernel_no_empty_map(kernel_operands):
+    # [0] is the exact zero, and the scan and the steps multiply by it
+    text = (PERFBENCH_DATA / "problem_n3.txt").read_text()
+    eq, init, trunc_m, trunc_i = parse_problem(text)
+    assert cauchy_solve(eq, init, trunc_m, trunc_i).coeffs
+    assert kernel_operands
+    assert not [pair for pair in kernel_operands if not all(pair)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,12 @@ compared, a slot with no stored coefficient reading as exact zero.  A
 refused solve is skipped, and the refusals are counted, so that a test
 that checks too few draws fails.
 
+``hyper_residual``, in the product and the gauss form, is checked with a
+truncated upper or lower parameter against the residual of the completed
+parameters at ``SOLVE_WIDE``, every stored coefficient, the one above
+the known range included; and ``normalize`` of d^k s tau^k t, k = 1..3,
+in both conventions, with truncated scalars s and t, term by term.
+
 Unlike the differential tests, which compare each precision rule with an
 oracle written from the same rules, this checks the rules against the
 series they describe.  Inputs come from ``test_quotient_kernel.factors``
@@ -42,8 +48,10 @@ from carlitz.cauchy import (DeltaPoly, EvolutionEquation, InitialData,
                             cauchy_solve, hypergeometric_equation)
 from carlitz.errors import CarlitzError
 from carlitz.ffield import FFElement
-from carlitz.hyper import HyperParams, convergence_bound, hyper_eval
-from carlitz.opring import CONVENTIONS, NormalForm
+from carlitz.hyper import (HyperParams, convergence_bound, hyper_eval,
+                           hyper_residual)
+from carlitz.opring import (CONVENTIONS, D, TAU, NormalForm, OperatorWord,
+                            normalize, scalar_factor)
 from carlitz.series import _quotient, _twisted_step
 from test_quotient_kernel import SHIPPED_FIELDS, factors
 
@@ -51,14 +59,18 @@ from test_quotient_kernel import SHIPPED_FIELDS, factors
 #: above the relative precision of any drawn input
 WIDE = 48
 
-#: the window a completed Cauchy problem is solved with: above what the
-#: default solve of a drawn problem states after its Frobenius steps
+#: the window a completed Cauchy problem is solved with, and a completed
+#: hypergeometric series read: above what the default solve of a drawn
+#: problem states after its Frobenius steps
 SOLVE_WIDE = 400
 
 #: every kind of ``factors`` but the exact zero, which has no other
 #: completion and is refused as a divisor
 KINDS = ("exact", "truncated", "zero-at-prec", "monomial",
          "truncated-monomial")
+
+#: the kinds of ``factors`` with a finite precision
+TRUNCATED = ("truncated", "zero-at-prec", "truncated-monomial")
 
 
 @st.composite
@@ -183,6 +195,64 @@ def test_hyper_eval_with_a_truncated_z_or_upper_parameter(drawn):
                  lambda: hyper_eval(HP, Z, M, window=WIDE))
 
 
+@st.composite
+def residual_inputs(draw):
+    """(hp, HP, form, M): hp with one truncated upper or lower parameter,
+    and HP with that parameter completed; None when either is refused.
+    The gauss form takes r = 2, s = 1, the product form r, s = 0..2 with
+    r + s >= 1.  A truncated lower parameter is an exact admissible one
+    cut above its highest term and above x."""
+    params = draw(st.sampled_from(SHIPPED_FIELDS))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    form = draw(st.sampled_from(("product", "gauss")))
+    if form == "gauss":
+        r, s = 2, 1
+    else:
+        r = draw(st.integers(0, 2))
+        s = draw(st.integers(1 - min(r, 1), 2))
+    uppers = [sampling.random_series(rng, params, terms=(1, 3), lo=-1, hi=3)
+              for _ in range(r)]
+    lowers = [sampling.random_admissible(rng, params, terms=(1, 2), lo=-1, hi=3)
+              for _ in range(s)]
+    if s == 0 or r and draw(st.booleans()):
+        a = draw(factors(params, kinds=TRUNCATED))
+        pairs = [([a] + uppers[1:], lowers),
+                 ([draw(completion(a))] + uppers[1:], lowers)]
+    else:
+        b = lowers[0]
+        top = max(max(b.exponents()), 1)
+        b = b.truncate(top + Fraction(draw(st.integers(1, 8)),
+                                      draw(st.sampled_from((1, params.q)))))
+        pairs = [(uppers, [b] + lowers[1:]),
+                 (uppers, [draw(completion(b))] + lowers[1:])]
+    try:
+        hp, HP = (HyperParams(params, *pair) for pair in pairs)
+    except CarlitzError:
+        return None
+    return hp, HP, form, draw(st.integers(0, 4))
+
+
+def test_hyper_residual_with_a_truncated_parameter():
+    outcomes = Counter()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(residual_inputs())
+    def check(drawn):
+        if drawn is None:
+            outcomes["refused"] += 1
+            return
+        hp, HP, form, M = drawn
+        got = hyper_residual(hp, M, form=form)
+        want = hyper_residual(HP, M, form=form, window=SOLVE_WIDE)
+        zero = PerfSeries.zero(hp.params)
+        for k in set(got.coeffs) | set(want.coeffs):
+            assert_sound(lambda: got.coeffs.get(k, zero),
+                         lambda: want.coeffs.get(k, zero))
+        outcomes["checked"] += 1
+    check()
+    assert outcomes["checked"] >= 30, outcomes
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(operands(1), st.integers(0, 2 ** 32), st.sampled_from(CONVENTIONS))
 def test_op_apply_with_a_truncated_scalar(pairs, seed, convention):
@@ -200,7 +270,21 @@ def test_op_apply_with_a_truncated_scalar(pairs, seed, convention):
                      lambda: want.coefficient(*slot))
 
 
-TRUNCATED = ("truncated", "zero-at-prec", "truncated-monomial")
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(operands(2), st.integers(1, 3), st.sampled_from(CONVENTIONS))
+def test_normalize_with_truncated_scalars(pairs, k, convention):
+    (s, S), (t, T) = pairs
+    params = s.params
+
+    def normal_form(s, t):
+        word = OperatorWord(0, [D] * k + [scalar_factor(s)] + [TAU] * k
+                            + [scalar_factor(t)])
+        return normalize(word, params, convention)
+    got, want = normal_form(s, t), normal_form(S, T)
+    zero = PerfSeries.zero(params)
+    for key in set(got.terms) | set(want.terms):
+        assert_sound(lambda: got.terms.get(key, zero),
+                     lambda: want.terms.get(key, zero))
 
 
 @st.composite
