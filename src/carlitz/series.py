@@ -319,7 +319,10 @@ class PerfSeries:
         return FFElement(self.params, self.terms.get(int(scaled), 0))
 
     def items(self):
-        """Sorted (Fraction exponent, FFElement coefficient) pairs."""
+        """Sorted (Fraction exponent, FFElement coefficient) pairs: a public
+        reader, one Fraction and one FFElement per term.  No library path
+        formats through it; :func:`carlitz.textio.format_series` reads the
+        integer grid."""
         q = self.params.q ** self.dexp
         return [(Fraction(k, q), FFElement(self.params, self.terms[k]))
                 for k in sorted(self.terms)]

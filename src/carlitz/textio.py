@@ -16,7 +16,10 @@ back.  A literal is read in one pass: its terms are gathered into one map,
 repeated exponents added in F_Q, and the series is built once by
 :meth:`PerfSeries.from_terms`, so an exact ``1`` reads as the field's unit
 object.  Canonical printing uses ascending exponents, drops zero terms,
-and prints an exact zero as ``0``.
+and prints an exact zero as ``0``.  It reads each term from the series'
+integer grid, the key k standing for the exponent k / q^dexp, so no term
+builds a Fraction: one gcd puts the exponent in lowest terms, by the rule
+that also writes the bound of a precision marker.
 
 Operator expressions combine ``tau``, ``d``, ``delta1`` ... ``deltaN``,
 parenthesized series literals acting as scalars, ``*`` for composition,
@@ -36,6 +39,7 @@ The README states the grammar.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -97,12 +101,20 @@ class _Cursor:
 # ---------------------------------------------------------------------------
 
 def format_exponent(e: Fraction) -> str:
-    e = Fraction(e)
-    if e.denominator == 1 and e >= 0:
-        return str(e.numerator)
-    if e.denominator == 1:
-        return "(%d)" % e.numerator
-    return "(%d/%d)" % (e.numerator, e.denominator)
+    """A rational exponent as printed after ``x^``; it need not lie on the
+    exponent grid, as a precision bound need not."""
+    return _exponent_text(*e.as_integer_ratio())
+
+
+def _exponent_text(num: int, den: int) -> str:
+    """The exponent num / den (den > 0) in lowest terms: ``n``, ``(-n)``
+    or ``(n/d)``.  Term exponents and precision bounds are both written
+    by this one rule."""
+    g = math.gcd(num, den)
+    if g == den:
+        num //= g
+        return str(num) if num >= 0 else "(%d)" % num
+    return "(%d/%d)" % (num // g, den // g)
 
 
 def _parse_exponent(cur: _Cursor, params: FieldParams = None) -> Fraction:
@@ -142,14 +154,18 @@ def _parse_exponent(cur: _Cursor, params: FieldParams = None) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def format_series(s: PerfSeries) -> str:
-    params = s.params
+    """The canonical text of ``s``, each term read from the grid: the key
+    k is the exponent k / q^dexp, so k == 0 is the constant term and
+    k == q^dexp a bare ``x``."""
+    params, terms = s.params, s.terms
+    scale = params.q ** s.dexp
     parts = []
-    for e, c in s.items():
-        cs = params.coeff_str(c.idx)
-        if e == 0:
+    for k in sorted(terms):
+        cs = params.coeff_str(terms[k])
+        if k == 0:
             parts.append(cs)
         else:
-            xpart = "x" if e == 1 else "x^" + format_exponent(e)
+            xpart = "x" if k == scale else "x^" + _exponent_text(k, scale)
             parts.append(xpart if cs == "1" else "%s*%s" % (cs, xpart))
     if s.prec is not INF:
         parts.append("O(x^%s)" % format_exponent(s.prec))

@@ -1,8 +1,9 @@
 """Code lines of ``src/carlitz``, at a git ref or in the working tree.
 
 A code line is a non-blank line that holds a token other than a comment
-or a docstring (a string that stands as a statement of its own), as
-``tokenize`` reads it; a token spanning several lines counts each of them.
+or a docstring (a string that stands as a statement of its own, adjacent
+strings joined into one), as ``tokenize`` reads it; a token spanning
+several lines counts each of them.
 
 A knob is a parameter with a default of a public function, or of a public
 method of a public class, defined at module level; dunder methods and
@@ -37,13 +38,22 @@ def code_lines(source: str) -> int:
     tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     lines = set()
     before = tokenize.NEWLINE  # the last token that is not a comment or NL
-    for tok, after in zip(tokens, tokens[1:] + [None]):
+    i = 0
+    while i < len(tokens):
+        tok = tokens[i]
+        i += 1
         if tok.type in (tokenize.COMMENT, tokenize.NL):
             continue
-        docstring = (tok.type == tokenize.STRING and before in _STATEMENT_START
-                     and (after is None or after.type in (tokenize.NEWLINE,
-                                                          tokenize.ENDMARKER)))
-        if tok.type not in _LAYOUT and not docstring:
+        if tok.type == tokenize.STRING and before in _STATEMENT_START:
+            # adjacent strings ("a" "b") join into one string
+            end = i
+            while end < len(tokens) and tokens[end].type == tokenize.STRING:
+                end += 1
+            if end == len(tokens) or tokens[end].type in (tokenize.NEWLINE,
+                                                          tokenize.ENDMARKER):
+                i, before = end, tokenize.STRING  # a docstring: no code
+                continue
+        if tok.type not in _LAYOUT:
             lines.update(range(tok.start[0], tok.end[0] + 1))
         before = tok.type
     return len(lines)

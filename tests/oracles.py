@@ -20,8 +20,11 @@ a delta polynomial's monomials, each multiplied by its powers of the
 values, which the library replaced by Horner's rule in each indeterminate
 (the scan and the Cauchy coefficients here call the flat sum); and the
 product-form residual as one whole-series pass per factor Delta - a,
-which the library replaced by one multiplier per coefficient.  Each is
-kept here once and in no library module.
+which the library replaced by one multiplier per coefficient; and the
+series printer that read each term through ``PerfSeries.items()`` as a
+Fraction exponent and an FFElement, which the library replaced by one
+that reads the integer exponent grid.  Each is kept here once and in no
+library module.
 """
 
 from fractions import Fraction
@@ -199,6 +202,33 @@ def ref_product_residual(series, a_list, b_list):
     for b in b_list:
         lower = lower.delta() - lower.scale(b)
     return upper - lower
+
+
+def ref_format_exponent(e):
+    e = Fraction(e)
+    if e.denominator == 1 and e >= 0:
+        return str(e.numerator)
+    if e.denominator == 1:
+        return "(%d)" % e.numerator
+    return "(%d/%d)" % (e.numerator, e.denominator)
+
+
+def ref_format_series(s):
+    """The canonical text of ``s`` from its (Fraction, FFElement) items."""
+    params = s.params
+    parts = []
+    for e, c in s.items():
+        cs = params.coeff_str(c.idx)
+        if e == 0:
+            parts.append(cs)
+        else:
+            xpart = "x" if e == 1 else "x^" + ref_format_exponent(e)
+            parts.append(xpart if cs == "1" else "%s*%s" % (cs, xpart))
+    if s.prec is not INF:
+        parts.append("O(x^%s)" % ref_format_exponent(s.prec))
+    if not parts:
+        return "0"
+    return " + ".join(parts)
 
 
 def ref_cauchy_step(c, pe, qe, window):

@@ -1,10 +1,10 @@
 """The size measure of ``tests/code_lines.py`` on small sources.
 
 ``code_lines`` counts the lines that hold a token other than a comment or
-a docstring, a string standing as a statement of its own; a token that
-spans several lines counts each of them.  ``knobs`` counts the parameters
-with a default of the public module-level functions and of the public
-methods of public classes.
+a docstring, a string standing as a statement of its own (adjacent
+strings joined into one); a token that spans several lines counts each of
+them.  ``knobs`` counts the parameters with a default of the public
+module-level functions and of the public methods of public classes.
 """
 
 import textwrap
@@ -19,9 +19,9 @@ def source(text):
 
 
 CODE_LINES = {
-    # a docstring and a bare string beside it stand as statements; a string
-    # inside an expression is code, and so are implicitly joined strings,
-    # which are two tokens, the first followed by a string
+    # a docstring, a bare string beside it and implicitly joined strings
+    # (two tokens that make one string) stand as statements; a string
+    # inside an expression is code
     "docstrings": ('''
         """Module docstring."""
         def f():
@@ -31,7 +31,7 @@ CODE_LINES = {
         x = "assigned"
         "implicitly" "joined"
         ("a string" + "sum")
-        ''', 5),
+        ''', 4),
     # a token on several lines counts each of them, a docstring none
     "multiline tokens": ('''
         def f():

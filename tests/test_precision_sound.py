@@ -22,6 +22,11 @@ compared, a slot with no stored coefficient reading as exact zero.  A
 refused solve is skipped, and the refusals are counted, so that a test
 that checks too few draws fails.
 
+``LinearSeries.evaluate`` and ``MultiFunction.evaluate`` are checked with
+one truncated piece: a coefficient, the argument z (t for a linear
+series) or one argument s; the completed function is evaluated at the
+window ``SOLVE_WIDE``, which it takes for its divisions by D_m.
+
 ``hyper_residual``, in the product and the gauss form, is checked with a
 truncated upper or lower parameter against the residual of the completed
 parameters at ``SOLVE_WIDE``, every stored coefficient, the one above
@@ -48,6 +53,7 @@ from carlitz.cauchy import (DeltaPoly, EvolutionEquation, InitialData,
                             cauchy_solve, hypergeometric_equation)
 from carlitz.errors import CarlitzError
 from carlitz.ffield import FFElement
+from carlitz.funcspace import LinearSeries, MultiFunction
 from carlitz.hyper import (HyperParams, convergence_bound, hyper_eval,
                            hyper_residual)
 from carlitz.opring import (CONVENTIONS, D, TAU, NormalForm, OperatorWord,
@@ -360,3 +366,66 @@ def test_cauchy_solve_with_truncated_parameters_coefficients_or_data():
         outcomes[solve_sound(*problems)] += 1
     check()
     assert outcomes["checked"] >= 80, outcomes
+
+
+@st.composite
+def evaluations(draw):
+    """(f, args, F, ARGS): a LinearSeries with its argument t, or a
+    MultiFunction in n = 1..2 variables with z and s_1..s_n, with one
+    truncated or exact piece, a coefficient or an argument, and the same
+    with that piece completed.  Each function has at least one
+    coefficient."""
+    params = draw(st.sampled_from(SHIPPED_FIELDS))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    n = draw(st.integers(0, 2))
+
+    def exact(lo):
+        return sampling.random_series(rng, params, terms=(1, 2), lo=lo, hi=3)
+    if n == 0:
+        coeffs = {k: exact(-1) for k in range(draw(st.integers(1, 3)))}
+    else:
+        box = draw(st.integers(0, 2))
+        coeffs = sampling.random_multifunction(rng, params, n, box, box).coeffs
+        coeffs = coeffs or {(0,) * (n + 1): exact(-1)}
+    # arguments of valuation at least 0, and a truncated piece moved up by
+    # x^3: a q^k-th power of a negative valuation or precision leaves the
+    # value known only below every term
+    args = [exact(0) for _ in range(n + 1)]
+    piece = draw(st.integers(-1, n))
+    # an exact piece leaves a MultiFunction's divisions by D_m to set the
+    # precision
+    a = draw(factors(params, kinds=TRUNCATED + ("exact",))).shift(3)
+    pair = a, draw(completion(a))
+    slot = draw(st.sampled_from(sorted(coeffs)))
+    sides = []
+    for value in pair:
+        cs, xs = dict(coeffs), list(args)
+        if piece < 0:
+            cs[slot] = value
+        else:
+            xs[piece] = value
+        f = (LinearSeries(params, cs, None) if n == 0
+             else MultiFunction(params, n, box, box, cs))
+        sides += [f, xs]
+    return sides
+
+
+def test_evaluate_with_a_truncated_coefficient_or_argument():
+    outcomes = Counter()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(evaluations())
+    def check(drawn):
+        f, args, F, ARGS = drawn
+        if isinstance(f, LinearSeries):
+            got, want = (lambda: f.evaluate(*args)), (lambda: F.evaluate(*ARGS))
+        else:
+            got = lambda: f.evaluate(args[0], args[1:])
+            want = lambda: F.evaluate(ARGS[0], ARGS[1:], window=SOLVE_WIDE)
+        assert_sound(got, want)
+        outcomes[type(f).__name__, "terms" if got().terms else "none"] += 1
+    check()
+    # a value known only below its terms, as a zero-at-precision piece
+    # gives, checks no coefficient: enough draws of each class have one
+    assert outcomes["LinearSeries", "terms"] >= 5, outcomes
+    assert outcomes["MultiFunction", "terms"] >= 5, outcomes
