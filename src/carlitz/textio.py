@@ -111,10 +111,10 @@ def _exponent_text(num: int, den: int) -> str:
     or ``(n/d)``.  Term exponents and precision bounds are both written
     by this one rule."""
     g = math.gcd(num, den)
-    if g == den:
-        num //= g
+    num, den = num // g, den // g
+    if den == 1:
         return str(num) if num >= 0 else "(%d)" % num
-    return "(%d/%d)" % (num // g, den // g)
+    return "(%d/%d)" % (num, den)
 
 
 def _parse_exponent(cur: _Cursor, params: FieldParams = None) -> Fraction:
