@@ -13,7 +13,11 @@ one with the three-case definition, and the field-parameter one
 
     <a>_m = ([0]-a)^(q^m) ([1]-a)^(q^(m-1)) ... ([m-1]-a)^q,   <a>_0 = 1,
 
-which satisfies <a>_(m+1) = ([m]-a)^q <a>_m^q.  The unit parameter shifts
+which satisfies <a>_(m+1) = ([m]-a)^q <a>_m^q.  D_m and <a>_m are
+products of two-term factors, and a quotient divides by those factors
+(``_factorial_factors``, ``_pochhammer_factors``) one at a time rather
+than by the expanded product, which has up to 2^m terms.  The unit
+parameter shifts
 
     T_up(a) = (a - [1])^(1/q),     T_down(a) = a^q + [1]
 
@@ -25,6 +29,9 @@ reads are safe and a racing recompute is benign).
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import mul
 
 from .errors import UsageError
 from .series import INF, PerfSeries
@@ -118,19 +125,27 @@ def _thakur_factor(params: FieldParams, alpha: int, n: int):
     return (-value if (n - alpha) % 2 else value), True
 
 
+def _factorial_factors(params: FieldParams, m: int):
+    """The two-term factors [k]^(q^(m-k)), k = 1..m, whose product is D_m."""
+    return [bracket(params, k).frobenius(m - k) for k in range(1, m + 1)]
+
+
+def _pochhammer_factors(a: PerfSeries, m: int):
+    """The two-term factors ([k]-a)^(q^(m-k)), k < m, whose product is <a>_m."""
+    return [(bracket(a.params, k) - a).frobenius(m - k) for k in range(m)]
+
+
 def pochhammer(a: PerfSeries, m: int) -> PerfSeries:
     """The field-parameter symbol <a>_m; exact when ``a`` is exact.
 
-    It multiplies the m Frobenius-twisted factors: iterating the recurrence
-    <a>_(m+1) = ([m]-a)^q <a>_m^q gives the same exact product.
+    It multiplies the m Frobenius-twisted factors of
+    :func:`_pochhammer_factors`: iterating the recurrence
+    <a>_(m+1) = ([m]-a)^q <a>_m^q gives the same exact product.  A
+    quotient of symbols divides by those factors instead of by the product.
     """
     if m < 0:
         raise UsageError("<a>_m needs m >= 0")
-    params = a.params
-    result = PerfSeries.one(params)
-    for k in range(m):
-        result = result * (bracket(params, k) - a).frobenius(m - k)
-    return result
+    return reduce(mul, _pochhammer_factors(a, m), PerfSeries.one(a.params))
 
 
 def shift_up(a: PerfSeries) -> PerfSeries:

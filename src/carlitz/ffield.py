@@ -353,13 +353,10 @@ class FieldParams:
 
     def coeff_str(self, idx: int) -> str:
         """Canonical text for a coefficient: integer for prime fields,
-        a power g^j of the generator otherwise."""
-        if self.deg == 1:
-            return str(self._coeffs_of(idx)[0])
-        if idx == 0:
-            return "0"
-        if idx == 1:
-            return "1"
+        a power g^j of the generator otherwise.  The index of a prime-field
+        element, and of 0 and 1 in any field, is the integer itself."""
+        if self.deg == 1 or idx <= 1:
+            return str(idx)
         j = self._log[idx]
         return "g" if j == 1 else "g^%d" % j
 

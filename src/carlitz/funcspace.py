@@ -40,10 +40,10 @@ its grammar.
 
 from __future__ import annotations
 
-from .brackets import bracket, carlitz_D
+from .brackets import _factorial_factors, bracket
 from .errors import ParameterMismatchError, UsageError
 from .ffield import FieldParams
-from .series import PerfSeries, SeriesMap
+from .series import PerfSeries, SeriesMap, _quotient
 from . import textio
 
 
@@ -245,9 +245,12 @@ class MultiFunction(SeriesMap):
         """Instantiate at concrete series arguments.
 
         Computes sum c_(m,i) s_1^(q^(i_1)) .. s_n^(q^(i_n)) z^(q^m) / D_m
-        over the stored support.  Division by D_m is a series inversion
-        at relative precision ``window`` (DEFAULT_INVERT_WINDOW by
-        default).  As with LinearSeries.evaluate, cap the result with
+        over the stored support.  Each slot is one pass of the quotient
+        kernel: the coefficient times z^(q^m) and the s-powers,
+        long-divided by the m two-term factors of D_m at relative
+        precision ``window`` (DEFAULT_INVERT_WINDOW by default), with the
+        terms and precision of the product with the inverse of D_m but no
+        inverse built.  As with LinearSeries.evaluate, cap the result with
         ``.truncate(bound)`` when the function truncates a longer expansion.
         """
         params = self.params
@@ -256,16 +259,12 @@ class MultiFunction(SeriesMap):
         for s in (z,) + tuple(svec):
             if s.params != params:
                 raise ParameterMismatchError("argument over a different field")
-        inv_d = {}
         acc = PerfSeries.zero(params)
         for key in self.support():
-            m, ivec = key[0], key[1:]
-            if m not in inv_d:
-                inv_d[m] = carlitz_D(params, m).invert(window=window)
-            term = self.coeffs[key] * inv_d[m] * z.frobenius(m)
-            for s, i in zip(svec, ivec):
-                term = term * s.frobenius(i)
-            acc = acc + term
+            m = key[0]
+            powers = [z.frobenius(m)] + [s.frobenius(i) for s, i in zip(svec, key[1:])]
+            acc = acc + PerfSeries._canonical(params, *_quotient(
+                self.coeffs[key], powers, _factorial_factors(params, m), window))
         return acc
 
     # -- serialization --------------------------------------------------------------

@@ -35,12 +35,16 @@ their precision loss), and the t side of ``thakur_correspondence`` (which
 exists to check the stream against the symbols) are the quotient of the
 symbols, divided to relative precision R.  That quotient divides factor
 by factor, whatever the symbols: one pass of the quotient kernel
-``series._quotient`` long-divides by D_m and by each lower symbol in
-turn, cut at the quotient's precision, so the product of the symbols,
-whose terms reach far above the R units the quotient keeps, is never
-built.  Both paths give the same terms and the same precision; the
-recursion costs O(M) small steps for h_0..h_M where the quotient rebuilds
-the symbols, and D_m with its up to 2^m terms, at every index.
+``series._quotient`` long-divides by the m two-term factors
+[k]^(q^(m-k)) of D_m and by each lower symbol in turn, cut at the
+quotient's precision, so the product of the symbols, whose terms reach
+far above the R units the quotient keeps, is never built.  A
+field-parameter symbol <a>_m enters as its m two-term factors
+([k]-a)^(q^(m-k)) on either side, so neither D_m nor <a>_m is ever
+expanded; the Thakur symbols of the integer family enter whole.  Both
+paths give the same terms and the same precision; the recursion costs
+O(M) small steps for h_0..h_M where the quotient passes over O(m)
+factors at every index.
 
 Residual checks apply the defining operators to the truncated series:
 
@@ -75,8 +79,8 @@ from fractions import Fraction
 from itertools import count, islice
 from typing import NamedTuple, Optional
 
-from .brackets import (INFINITY, _thakur_factor, bracket, carlitz_D,
-                       pochhammer, shift_down, shift_up)
+from .brackets import (INFINITY, _factorial_factors, _pochhammer_factors,
+                       _thakur_factor, bracket, pochhammer, shift_down, shift_up)
 from .errors import (InadmissibleError, ParameterMismatchError,
                      PrecisionError, UsageError)
 from .ffield import FieldParams
@@ -139,16 +143,16 @@ class HyperParams:
 def _coeff_quotient(params: FieldParams, m: int, upper, lower,
                     window) -> PerfSeries:
     """prod(upper) / (D_m * prod(lower)); both coefficient families are
-    this quotient of their symbols.
+    this quotient of their symbols, or of the symbols' factors.
 
-    One pass of the quotient kernel multiplies by each upper symbol and
-    long-divides by D_m and by each lower symbol in turn, each pass cut at
-    the quotient's precision, so no product of symbols is built.  Dividing
-    by an exact non-monomial denominator keeps relative precision R
-    (``window``, or DEFAULT_INVERT_WINDOW)."""
+    One pass of the quotient kernel multiplies by each upper factor and
+    long-divides by the m two-term factors of D_m and by each lower factor
+    in turn, each pass cut at the quotient's precision, so no product of
+    factors is built.  Dividing by an exact non-monomial denominator keeps
+    relative precision R (``window``, or DEFAULT_INVERT_WINDOW)."""
     return PerfSeries._canonical(params, *_quotient(
-        PerfSeries.one(params), tuple(upper), [carlitz_D(params, m), *lower],
-        window))
+        PerfSeries.one(params), tuple(upper),
+        [*_factorial_factors(params, m), *lower], window))
 
 
 def _check_truncation(M: int):
@@ -167,14 +171,15 @@ def hyper_coeff(hp: HyperParams, m: int, window=None) -> PerfSeries:
     """h_m = prod <a_i>_m / (prod <b_j>_m * D_m).
 
     h_0, and every h_m of parameters with finite precision, is that
-    quotient; h_m for m > 0 of exact parameters is read from the
-    recursion in :func:`_hyper_stream`, with the same terms and precision."""
+    quotient, taken over the two-term factors of every symbol; h_m for
+    m > 0 of exact parameters is read from the recursion in
+    :func:`_hyper_stream`, with the same terms and precision."""
     if m < 0:
         raise UsageError("need m >= 0")
     if m == 0 or not _is_exact(hp):
-        return _coeff_quotient(hp.params, m,
-                               (pochhammer(a, m) for a in hp.a_list),
-                               (pochhammer(b, m) for b in hp.b_list), window)
+        return _coeff_quotient(
+            hp.params, m, [f for a in hp.a_list for f in _pochhammer_factors(a, m)],
+            [f for b in hp.b_list for f in _pochhammer_factors(b, m)], window)
     return next(islice(_hyper_stream(hp, window), m, None))
 
 
@@ -509,8 +514,8 @@ def _symbol_check(ident, a, m, window) -> CheckResult:
         if a.is_zero_at_prec():
             raise PrecisionError("5.3: a is zero at its precision")
         lhs = pochhammer(shift_up(a), m)
-        rhs = (a.frobenius(m).invert(window=window)
-               * (a - bracket(params, m)) * pochhammer(a, m))
+        rhs = ((a - bracket(params, m)) * pochhammer(a, m)).divide(
+            a.frobenius(m), window)
     elif ident == "5.4":
         lhs = pochhammer(a, m + 1)
         rhs = -(a.frobenius(m + 1) * pochhammer(shift_up(a), m).frobenius(1))
@@ -526,7 +531,7 @@ def _symbol_check(ident, a, m, window) -> CheckResult:
             raise PrecisionError("5.6: [m-1] - a is zero at its precision")
         lhs = pochhammer(shift_down(a), m)
         rhs = -((bracket(params, 1) + a.frobenius(1)).frobenius(m)
-                * denom.invert(window=window) * pochhammer(a, m))
+                * pochhammer(a, m)).divide(denom, window)
     diff = lhs - rhs
     return CheckResult(ident, lhs == rhs, [diff])
 

@@ -12,6 +12,9 @@ names that start with ``_`` are not counted.
     python3 tests/code_lines.py            # the working tree
     python3 tests/code_lines.py HEAD~1     # a commit
     python3 tests/code_lines.py REF -v     # code lines and knobs per module
+    python3 tests/code_lines.py --since REF
+        # code lines and knobs per module at REF and in the working tree,
+        # with their differences and a total row
 """
 
 from __future__ import annotations
@@ -86,6 +89,30 @@ def sources(ref=None):
             check=True, capture_output=True, text=True).stdout
 
 
+def since_table(before, after):
+    """Rows (module, code lines before, after, difference, knobs before,
+    after, difference) over the modules of two source sets, each an
+    iterable of (module name, source), then a total row; a module missing
+    from one set counts nothing there."""
+    old, new = dict(before), dict(after)
+    rows = []
+    for name in sorted(old.keys() | new.keys()):
+        a, b = old.get(name, ""), new.get(name, "")
+        lines, knob = (code_lines(a), code_lines(b)), (knobs(a), knobs(b))
+        rows.append((name, *lines, lines[1] - lines[0], *knob, knob[1] - knob[0]))
+    rows.append(("total", *(sum(r[i] for r in rows) for i in range(1, 7))))
+    return rows
+
+
+def format_since(rows, ref):
+    """The rows of :func:`since_table` as text, under a line naming ``ref``."""
+    out = ["REF = %s; now = the working tree" % ref,
+           "%-16s %8s %6s %6s %9s %6s %6s" % ("module", "code@REF", "now", "diff",
+                                               "knobs@REF", "now", "diff")]
+    out += ["%-16s %8d %6d %+6d %9d %6d %+6d" % row for row in rows]
+    return "\n".join(out)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", nargs="?", default=None,
@@ -93,7 +120,12 @@ def main(argv=None):
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="print each module's code lines and knobs, "
                              "and the knob total")
+    parser.add_argument("--since", metavar="REF",
+                        help="compare each module at REF with the working tree")
     args = parser.parse_args(argv)
+    if args.since:
+        print(format_since(since_table(sources(args.since), sources()), args.since))
+        return 0
     total = total_knobs = 0
     for name, source in sources(args.ref):
         count, knob_count = code_lines(source), knobs(source)

@@ -23,8 +23,11 @@ product-form residual as one whole-series pass per factor Delta - a,
 which the library replaced by one multiplier per coefficient; and the
 series printer that read each term through ``PerfSeries.items()`` as a
 Fraction exponent and an FFElement, which the library replaced by one
-that reads the integer exponent grid.  Each is kept here once and in no
-library module.
+that reads the integer exponent grid; and ``MultiFunction.evaluate`` as
+each slot times a built inverse of the expanded D_m, which the library
+replaced by one quotient pass over the two-term factors of D_m, as it did
+for the expanded D_m and <a>_m of the direct coefficient quotient.  Each
+is kept here once and in no library module.
 """
 
 from fractions import Fraction
@@ -48,6 +51,23 @@ def ref_coeff_quotient(params, m, upper, lower, window):
     for factor in lower:
         den = den * factor
     return num * ref_invert(den, window=window)
+
+
+def ref_evaluate(f, z, svec, window=None):
+    """``MultiFunction.evaluate`` with each D_m expanded and inverted once,
+    every slot multiplied by that inverse, z^(q^m) and its s-powers."""
+    params = f.params
+    inv_d = {}
+    acc = PerfSeries.zero(params)
+    for key in f.support():
+        m, ivec = key[0], key[1:]
+        if m not in inv_d:
+            inv_d[m] = carlitz_D(params, m).invert(window=window)
+        term = f.coeffs[key] * inv_d[m] * z.frobenius(m)
+        for s, i in zip(svec, ivec):
+            term = term * s.frobenius(i)
+        acc = acc + term
+    return acc
 
 
 def ref_pochhammer_recurrent(a, m):

@@ -5,13 +5,15 @@ a docstring, a string standing as a statement of its own (adjacent
 strings joined into one); a token that spans several lines counts each of
 them.  ``knobs`` counts the parameters with a default of the public
 module-level functions and of the public methods of public classes.
+``since_table`` compares two sets of module sources, and ``format_since``
+prints the comparison that ``--since REF`` shows.
 """
 
 import textwrap
 
 import pytest
 
-from code_lines import code_lines, knobs
+from code_lines import code_lines, format_since, knobs, since_table
 
 
 def source(text):
@@ -96,3 +98,42 @@ KNOBS = {
 def test_knobs(name):
     text, want = KNOBS[name]
     assert knobs(source(text)) == want
+
+
+# two module sets: a module that grows a knob, one that loses a line, one
+# that is removed and one that is added
+BEFORE = {"a.py": source('''
+    def f(x):
+        return x
+    '''), "b.py": source('''
+    y = 1
+    z = 2
+    '''), "gone.py": "w = 3\n"}
+AFTER = {"a.py": source('''
+    def f(x, scale=1):
+        """Docstring."""
+        return x * scale
+    '''), "b.py": "y = 1\n", "new.py": source('''
+    def g(a=None, *, b=2):
+        pass
+    ''')}
+
+
+def test_since_table():
+    assert since_table(BEFORE.items(), AFTER.items()) == [
+        ("a.py", 2, 2, 0, 0, 1, 1),
+        ("b.py", 2, 1, -1, 0, 0, 0),
+        ("gone.py", 1, 0, -1, 0, 0, 0),
+        ("new.py", 0, 2, 2, 0, 2, 2),
+        ("total", 5, 5, 0, 0, 3, 3)]
+
+
+def test_format_since():
+    assert format_since(since_table(BEFORE.items(), AFTER.items()), "abc1234") == (
+        "REF = abc1234; now = the working tree\n"
+        "module           code@REF    now   diff knobs@REF    now   diff\n"
+        "a.py                    2      2     +0         0      1     +1\n"
+        "b.py                    2      1     -1         0      0     +0\n"
+        "gone.py                 1      0     -1         0      0     +0\n"
+        "new.py                  0      2     +2         0      2     +2\n"
+        "total                   5      5     +0         0      3     +3")

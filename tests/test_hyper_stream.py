@@ -20,7 +20,7 @@ from itertools import cycle
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from carlitz import FieldParams, PerfSeries, bracket, hyper, sampling
+from carlitz import FieldParams, PerfSeries, bracket, brackets, hyper, sampling
 from carlitz.errors import CarlitzError, UsageError
 from oracles import assert_same, ref_hyper_coeff, ref_thakur_coeff
 
@@ -194,10 +194,12 @@ def test_coefficient_paths_call_hyper_coeff_through_the_module(monkeypatch, F3):
 
 @pytest.mark.parametrize("family", ("thakur_series", "thakur_residual"))
 def test_integer_family_builds_its_symbols_once(family, F2, monkeypatch):
-    # t_0 is the one quotient of symbols and the one D_m built; every later
-    # t_m is a step of the stream
+    # t_0 is the one quotient of symbols, and it divides by the factors of
+    # D_0; every later t_m is a step of the stream, so no D_m is built
+    # beyond the Thakur symbols of t_0, which are built before counting
     quotients, factorials = [], []
-    coeff_quotient, carlitz_D = hyper._coeff_quotient, hyper.carlitz_D
+    coeff_quotient, carlitz_D = hyper._coeff_quotient, brackets.carlitz_D
+    symbols = {(k, 0): hyper._thakur_factor(F2, k, 0) for k in (2, 3)}
 
     def counted_quotient(params, m, *args):
         quotients.append(m)
@@ -208,10 +210,13 @@ def test_integer_family_builds_its_symbols_once(family, F2, monkeypatch):
         return carlitz_D(params, m)
 
     monkeypatch.setattr(hyper, "_coeff_quotient", counted_quotient)
-    monkeypatch.setattr(hyper, "carlitz_D", counted_D)
+    monkeypatch.setattr(hyper, "_thakur_factor", lambda params, k, m: symbols[k, m])
+    for module in (brackets, hyper):  # every binding of carlitz_D
+        if hasattr(module, "carlitz_D"):
+            monkeypatch.setattr(module, "carlitz_D", counted_D)
     getattr(hyper, family)(F2, [2], [3], 12)
     assert quotients == [0]
-    assert factorials == [0]
+    assert factorials == []
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from itertools import product
 import pytest
 
 from carlitz import INF, PerfSeries, hyper
-from carlitz.brackets import _thakur_factor, carlitz_D
+from carlitz.brackets import _factorial_factors, _thakur_factor
 from carlitz.series import _twisted_step
 from test_quotient_kernel import KINDS, SHIPPED_FIELDS, outcome
 from test_series_kernel import ref_make
@@ -72,15 +72,16 @@ def test_twisted_step_builds_no_product_or_quotient(params, window, monkeypatch)
 @pytest.mark.parametrize("window", (None, 9))
 def test_thakur_coeff_builds_no_product_or_quotient(params, window, monkeypatch):
     # negative alpha gives L as a divisor, or a vanishing symbol; the
-    # factors are built before counting, since building L multiplies
+    # symbols and the factors of D_m are built before counting, since
+    # building L multiplies
     cases = [(alphas, betas, m) for alphas in ([-2], [-1], [0], [-1, -2])
              for betas in ([1], [1, 2]) for m in range(4)]
     factors = {(k, m): _thakur_factor(params, k, m)
                for alphas, betas, m in cases for k in alphas + betas}
-    D = {m: carlitz_D(params, m) for m in range(4)}
+    D = {m: _factorial_factors(params, m) for m in range(4)}
     monkeypatch.setattr(hyper, "_thakur_factor",
                         lambda params, k, m: factors[(k, m)])
-    monkeypatch.setattr(hyper, "carlitz_D", lambda params, m: D[m])
+    monkeypatch.setattr(hyper, "_factorial_factors", lambda params, m: D[m])
     calls = _series_calls(monkeypatch)
     for alphas, betas, m in cases:
         hyper._thakur_quotient(params, alphas, betas, m, window)
