@@ -13,11 +13,13 @@ one with the three-case definition, and the field-parameter one
 
     <a>_m = ([0]-a)^(q^m) ([1]-a)^(q^(m-1)) ... ([m-1]-a)^q,   <a>_0 = 1,
 
-which satisfies <a>_(m+1) = ([m]-a)^q <a>_m^q.  D_m and <a>_m are
-products of two-term factors, and a quotient divides by those factors
-(``_factorial_factors``, ``_pochhammer_factors``) one at a time rather
-than by the expanded product, which has up to 2^m terms.  The unit
-parameter shifts
+which satisfies <a>_(m+1) = ([m]-a)^q <a>_m^q.  D_m, <a>_m and the
+integer-parameter symbols (alpha)_n, a twist of D or the reciprocal of a
+twist of L, are products and quotients of two-term factors, and a
+quotient divides by those factors (``_factorial_factors``,
+``_pochhammer_factors``, ``_thakur_factors``) one at a time rather than
+by the expanded product, which has up to 2^m terms.  The unit parameter
+shifts
 
     T_up(a) = (a - [1])^(1/q),     T_down(a) = a^q + [1]
 
@@ -34,7 +36,7 @@ from functools import reduce
 from operator import mul
 
 from .errors import UsageError
-from .series import INF, PerfSeries
+from .series import INF, PerfSeries, _quotient
 from .ffield import FieldParams
 
 #: Index value for the limit bracket [inf] = -x.
@@ -102,27 +104,36 @@ def pochhammer_thakur(params: FieldParams, alpha: int, n: int) -> PerfSeries:
     (-1)^(n-alpha) L_(-alpha-n)^(-q^n) for alpha <= 0 with n <= -alpha;
     and 0 for alpha <= 0 with n > -alpha.
 
-    The middle case inverts L, whose reciprocal is an infinite series when
-    the L-index is positive; it keeps the default window,
-    DEFAULT_INVERT_WINDOW.  The symbol quotients of :mod:`carlitz.hyper`
-    divide by L instead, under their own window.
+    The first is built exactly, through D.  The others are one pass of
+    the quotient kernel over the factors of :func:`_thakur_factors`, so L
+    is never expanded.  The middle case, a reciprocal of L, is an
+    infinite series when the L-index is positive; it keeps the default
+    window, DEFAULT_INVERT_WINDOW.  The symbol quotients of
+    :mod:`carlitz.hyper` divide by the same factors under their own
+    window.
     """
-    value, inverted = _thakur_factor(params, alpha, n)
-    return value.invert() if inverted else value
+    if alpha >= 1 and n >= 0:
+        return carlitz_D(params, n + alpha - 1).frobenius(1 - alpha)
+    return PerfSeries._canonical(params, *_quotient(
+        PerfSeries.one(params), *_thakur_factors(params, alpha, n), None))
 
 
-def _thakur_factor(params: FieldParams, alpha: int, n: int):
-    """(alpha)_n as (s, inverted): the symbol is s, or 1/s when
-    ``inverted``, which is the middle case, s = (-1)^(n-alpha) L^(q^n).
-    A quotient of symbols divides by such an s instead of inverting it."""
+def _thakur_factors(params: FieldParams, alpha: int, n: int):
+    """(alpha)_n as (upper, lower) lists of factors, the symbol being
+    prod(upper) / prod(lower).  For alpha >= 1 the upper list is the
+    two-term factors [k]^(q^(n-k)), k = 1..n+alpha-1, of
+    D_(n+alpha-1)^(q^(1-alpha)); for alpha <= 0 < n + alpha it is the
+    exact zero; otherwise it is the sign (-1)^(n-alpha), and the lower list
+    is the factors [k]^(q^n), k = 1..-alpha-n, of L_(-alpha-n)^(q^n)."""
     if n < 0:
         raise UsageError("(alpha)_n needs n >= 0")
     if alpha >= 1:
-        return carlitz_D(params, n + alpha - 1).frobenius(-(alpha - 1)), False
+        return [bracket(params, k).frobenius(n - k)
+                for k in range(1, n + alpha)], []
     if n > -alpha:
-        return PerfSeries.zero(params), False
-    value = carlitz_L(params, -alpha - n).frobenius(n)
-    return (-value if (n - alpha) % 2 else value), True
+        return [PerfSeries.zero(params)], []
+    return ([PerfSeries.constant(params, (-1) ** (n - alpha))],
+            [bracket(params, k).frobenius(n) for k in range(1, 1 - alpha - n)])
 
 
 def _factorial_factors(params: FieldParams, m: int):

@@ -267,15 +267,11 @@ def _run_identity_trial(ident, params, rng, M):
         b = sampling.random_series(rng, params, terms=(1, 2), lo=0, hi=3)
         c = sampling.random_admissible(rng, params, terms=(1, 2), lo=0, hi=3)
         if ident == "5.8":
-            while c.is_zero() or shiftdown_is_zero(a):
+            while c.is_zero() or br.shift_down(a).is_zero():
                 a = sampling.random_series(rng, params, terms=(1, 2), lo=0, hi=3)
                 c = sampling.random_admissible(rng, params, terms=(1, 2), lo=0, hi=3)
         return hyper.contiguous_check(ident, params, a=a, b=b, c=c, M=M).ok
     raise UsageError("unknown identity id %r" % (ident,))
-
-
-def shiftdown_is_zero(a):
-    return br.shift_down(a).is_zero()
 
 
 def _commutation_trial(params, rng):

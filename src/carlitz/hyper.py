@@ -29,7 +29,7 @@ divides by the factors of its denominator to relative precision R/q
 (R is the ``window``, or DEFAULT_INVERT_WINDOW), so h_m keeps relative
 precision R.  The integer family reads the same loop at the bracket
 parameters, started from t_0, so ``thakur_series``, ``thakur_residual``
-and ``hyper_thakur_coeff`` build D_m only at m = 0.  h_0, t_0, every h_m
+and ``hyper_thakur_coeff`` expand no symbol at all.  h_0, t_0, every h_m
 whose parameters have finite precision (the recursion would compound
 their precision loss), and the t side of ``thakur_correspondence`` (which
 exists to check the stream against the symbols) are the quotient of the
@@ -40,8 +40,10 @@ by factor, whatever the symbols: one pass of the quotient kernel
 quotient's precision, so the product of the symbols, whose terms reach
 far above the R units the quotient keeps, is never built.  A
 field-parameter symbol <a>_m enters as its m two-term factors
-([k]-a)^(q^(m-k)) on either side, so neither D_m nor <a>_m is ever
-expanded; the Thakur symbols of the integer family enter whole.  Both
+([k]-a)^(q^(m-k)) on either side, and a Thakur symbol (alpha)_m as the
+factors of D_(m+alpha-1)^(q^(1-alpha)) on its own side or, for
+alpha <= 0, of L_(-alpha-m)^(q^m) on the other
+(``brackets._thakur_factors``), so no symbol is ever expanded.  Both
 paths give the same terms and the same precision; the recursion costs
 O(M) small steps for h_0..h_M where the quotient passes over O(m)
 factors at every index.
@@ -80,7 +82,7 @@ from itertools import count, islice
 from typing import NamedTuple, Optional
 
 from .brackets import (INFINITY, _factorial_factors, _pochhammer_factors,
-                       _thakur_factor, bracket, pochhammer, shift_down, shift_up)
+                       _thakur_factors, bracket, pochhammer, shift_down, shift_up)
 from .errors import (InadmissibleError, ParameterMismatchError,
                      PrecisionError, UsageError)
 from .ffield import FieldParams
@@ -306,21 +308,20 @@ def hyper_thakur_coeff(params: FieldParams, alphas, betas, m: int,
 
 def _thakur_quotient(params: FieldParams, alphas, betas, m: int,
                      window) -> PerfSeries:
-    """t_m as the direct quotient of its symbols.
-
-    An upper symbol that is the inverse of a signed L^(q^m) (alpha <= 0)
-    puts that L^(q^m) among the divisors, so ``window`` governs its
+    """t_m as the direct quotient of its symbols, each entering as the
+    two-term factors of :func:`~carlitz.brackets._thakur_factors` on both
+    sides, so no symbol is expanded.  An upper symbol with alpha <= 0 puts
+    the factors of L^(q^m) among the divisors, so ``window`` governs its
     division too."""
     for beta in betas:
         if beta < 1:
             raise UsageError("lower parameters must be positive integers, got %r"
                              % (beta,))
-    upper, lower = [], []
-    for alpha in alphas:
-        value, inverted = _thakur_factor(params, alpha, m)
-        (lower if inverted else upper).append(value)
-    lower += [_thakur_factor(params, beta, m)[0] for beta in betas]
-    return _coeff_quotient(params, m, upper, lower, window)
+    # a lower symbol enters as its factor lists swapped
+    symbols = [_thakur_factors(params, alpha, m) for alpha in alphas]
+    symbols += [_thakur_factors(params, beta, m)[::-1] for beta in betas]
+    return _coeff_quotient(params, m, [f for num, _ in symbols for f in num],
+                           [f for _, den in symbols for f in den], window)
 
 
 def _bracket_hyper_params(params: FieldParams, alphas, betas) -> HyperParams:

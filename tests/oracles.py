@@ -26,15 +26,18 @@ Fraction exponent and an FFElement, which the library replaced by one
 that reads the integer exponent grid; and ``MultiFunction.evaluate`` as
 each slot times a built inverse of the expanded D_m, which the library
 replaced by one quotient pass over the two-term factors of D_m, as it did
-for the expanded D_m and <a>_m of the direct coefficient quotient.  Each
-is kept here once and in no library module.
+for the expanded D_m and <a>_m of the direct coefficient quotient; and the
+Thakur symbols expanded through D and L, the middle case as a built
+inverse of L and the direct quotient t_m with each L in its divisor,
+which the library replaced by the symbols' two-term factors.  Each is
+kept here once and in no library module.
 """
 
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import product
 
-from carlitz import PerfSeries, bracket, carlitz_D, pochhammer, pochhammer_thakur
+from carlitz import PerfSeries, bracket, carlitz_D, carlitz_L, pochhammer
 from carlitz.brackets import INFINITY
 from carlitz.cauchy import AdmissibilityReport, _index_values
 from carlitz.errors import NotInvertibleError, PrecisionError, UsageError
@@ -87,8 +90,44 @@ def ref_hyper_coeff(hp, m, window=None):
 
 def ref_thakur_coeff(params, alphas, betas, m, window=None):
     return ref_coeff_quotient(
-        params, m, [pochhammer_thakur(params, alpha, m) for alpha in alphas],
-        [pochhammer_thakur(params, beta, m) for beta in betas], window)
+        params, m, [ref_pochhammer_thakur(params, alpha, m) for alpha in alphas],
+        [ref_pochhammer_thakur(params, beta, m) for beta in betas], window)
+
+
+def ref_thakur_symbol(params, alpha, n):
+    """(alpha)_n expanded, as (s, inverted): the symbol is s, or 1/s when
+    ``inverted``, which is the middle case, s = (-1)^(n-alpha) L^(q^n)."""
+    if n < 0:
+        raise UsageError("(alpha)_n needs n >= 0")
+    if alpha >= 1:
+        return carlitz_D(params, n + alpha - 1).frobenius(1 - alpha), False
+    if n > -alpha:
+        return PerfSeries.zero(params), False
+    value = carlitz_L(params, -alpha - n).frobenius(n)
+    return (-value if (n - alpha) % 2 else value), True
+
+
+def ref_pochhammer_thakur(params, alpha, n, window=None):
+    """(alpha)_n through the expanded D or L, the middle case as the built
+    inverse of (-1)^(n-alpha) L^(q^n) at ``window``."""
+    value, inverted = ref_thakur_symbol(params, alpha, n)
+    return ref_invert(value, window=window) if inverted else value
+
+
+def ref_thakur_quotient(params, alphas, betas, m, window):
+    """t_m as the quotient of the expanded symbols: an inverted upper
+    symbol's L^(q^m) joins D_m and the lower symbols in the divisor, which
+    is multiplied out and inverted once."""
+    for beta in betas:
+        if beta < 1:
+            raise UsageError("lower parameters must be positive integers, got %r"
+                             % (beta,))
+    upper, lower = [], []
+    for alpha in alphas:
+        value, inverted = ref_thakur_symbol(params, alpha, m)
+        (lower if inverted else upper).append(value)
+    lower += [ref_thakur_symbol(params, beta, m)[0] for beta in betas]
+    return ref_coeff_quotient(params, m, upper, lower, window)
 
 
 def assert_same(got, want):

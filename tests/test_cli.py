@@ -418,6 +418,27 @@ def test_identity_58_at_truncation_zero(capsys):
     assert out.strip() == "PASS 5/5"
 
 
+def test_thakur_symbol_of_a_large_negative_alpha(capsys):
+    # (-1200)_3 = -1 / L_1197^(q^3): the quotient divides by the 1197
+    # factors of L, which is never built
+    value = "x^(-9576) + x^(-9568) + x^(-9560) + O(x^(-9544))"
+    argv = ["--q", "2", "pochhammer", "--alpha", "-1200", "--n", "3"]
+    code, out, _ = run(capsys, argv)
+    assert (code, out.strip()) == (0, value)
+    code, out, _ = run(capsys, ["--json"] + argv)
+    assert code == 0
+    assert json.loads(out) == {"alpha": -1200, "command": "pochhammer", "n": 3,
+                               "value": value}
+    argv = ["--q", "2", "hyper-residual", "--form", "thakur", "--alpha", "-1200",
+            "--beta", "3", "--M", "3"]
+    code, out, _ = run(capsys, argv)
+    assert (code, out.strip()) == (0, "residual = 0 (known k <= 2)")
+    code, out, _ = run(capsys, ["--json"] + argv)
+    assert code == 0
+    assert json.loads(out) == {"command": "hyper-residual", "form": "thakur",
+                               "known": 2, "zero": True}
+
+
 DIM = ["dim-count", "--kind", "gamma", "--n", "1", "--nu-max", "6"]
 BENCH_DATA = pathlib.Path(__file__).parents[1] / "perfbench" / "data"
 HYPER_FILE, PROBLEM_N1 = str(BENCH_DATA / "hyper.txt"), str(BENCH_DATA / "problem_n1.txt")

@@ -195,11 +195,11 @@ def test_coefficient_paths_call_hyper_coeff_through_the_module(monkeypatch, F3):
 @pytest.mark.parametrize("family", ("thakur_series", "thakur_residual"))
 def test_integer_family_builds_its_symbols_once(family, F2, monkeypatch):
     # t_0 is the one quotient of symbols, and it divides by the factors of
-    # D_0; every later t_m is a step of the stream, so no D_m is built
-    # beyond the Thakur symbols of t_0, which are built before counting
+    # D_0 and of its Thakur symbols, which are built before counting; every
+    # later t_m is a step of the stream, so no D_m is built
     quotients, factorials = [], []
     coeff_quotient, carlitz_D = hyper._coeff_quotient, brackets.carlitz_D
-    symbols = {(k, 0): hyper._thakur_factor(F2, k, 0) for k in (2, 3)}
+    symbols = {(k, 0): hyper._thakur_factors(F2, k, 0) for k in (2, 3)}
 
     def counted_quotient(params, m, *args):
         quotients.append(m)
@@ -210,7 +210,7 @@ def test_integer_family_builds_its_symbols_once(family, F2, monkeypatch):
         return carlitz_D(params, m)
 
     monkeypatch.setattr(hyper, "_coeff_quotient", counted_quotient)
-    monkeypatch.setattr(hyper, "_thakur_factor", lambda params, k, m: symbols[k, m])
+    monkeypatch.setattr(hyper, "_thakur_factors", lambda params, k, m: symbols[k, m])
     for module in (brackets, hyper):  # every binding of carlitz_D
         if hasattr(module, "carlitz_D"):
             monkeypatch.setattr(module, "carlitz_D", counted_D)

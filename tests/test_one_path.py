@@ -10,8 +10,13 @@ equality of each map-backed class, and the exponent-grid loop of
 from_terms, shift and the parser's monomials.  Outputs are compared as
 printed text (format_series, to_text, repr), byte for byte, over seeded
 draws in every shipped field (q in {2, 3, 4, 5, 8, 9}, m in {1, 2}).
+Last, the syntax tree of the package shows one division rule: no module
+builds an inverse but the series layer and identity 5.8, and ``hyper``
+and ``funcspace`` name neither Carlitz factorial.
 """
 
+import ast
+import pathlib
 import random
 from fractions import Fraction
 
@@ -418,3 +423,50 @@ def test_grid_depth_callers_match_loop(params):
         literal = "x^" + textio.format_exponent(e)
         assert (fmt(textio.parse_series(literal, params))
                 == fmt(ref_mono(params, e, params.one_idx)))
+
+
+# ---------------------------------------------------------------------------
+# one division rule: quotients divide by factors, no inverse is built
+# ---------------------------------------------------------------------------
+
+SRC = pathlib.Path(hyper.__file__).parent
+
+
+def _top_level_defs(tree):
+    """(name, node) of every module-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield "%s.%s" % (node.name, item.name), item
+
+
+def test_invert_is_called_only_by_the_series_layer_and_identity_58():
+    # identity 5.8 keeps its inverses: the Frobenius twist of an inverse
+    # keeps relative precision R q^m at index m, where a division would
+    # keep only R; every other quotient divides by its factors
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        for name, fn in _top_level_defs(ast.parse(path.read_text())):
+            if any(isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "invert" for node in ast.walk(fn)):
+                sites.add((path.name, name))
+    assert {s for s in sites if s[0] != "series.py"} <= {("hyper.py",
+                                                          "_function_check")}
+
+
+def test_hyper_and_funcspace_name_no_factorial():
+    # D_m, L_m and the Thakur symbols reach them only as factor lists
+    for module in ("hyper.py", "funcspace.py"):
+        names = set()
+        for node in ast.walk(ast.parse((SRC / module).read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update((node.name, node.asname))
+        assert not names & {"carlitz_D", "carlitz_L"}, module

@@ -33,6 +33,11 @@ parameters at ``SOLVE_WIDE``, every stored coefficient, the one above
 the known range included; and ``normalize`` of d^k s tau^k t, k = 1..3,
 in both conventions, with truncated scalars s and t, term by term.
 
+The integer family's inputs are exact, so its values are checked against
+the same values read at ``SOLVE_WIDE``: the middle case of
+``pochhammer_thakur`` at its default window, and ``hyper_thakur_coeff``
+and the rho of ``thakur_correspondence`` at windows None, 7 and 32.
+
 Unlike the differential tests, which compare each precision rule with an
 oracle written from the same rules, this checks the rules against the
 series they describe.  Inputs come from ``test_quotient_kernel.factors``
@@ -48,14 +53,15 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from carlitz import INF, PerfSeries, sampling
-from carlitz.brackets import pochhammer
+from carlitz.brackets import _thakur_factors, pochhammer, pochhammer_thakur
 from carlitz.cauchy import (DeltaPoly, EvolutionEquation, InitialData,
                             cauchy_solve, hypergeometric_equation)
 from carlitz.errors import CarlitzError
 from carlitz.ffield import FFElement
 from carlitz.funcspace import LinearSeries, MultiFunction
 from carlitz.hyper import (HyperParams, convergence_bound, hyper_eval,
-                           hyper_residual)
+                           hyper_residual, hyper_thakur_coeff,
+                           thakur_correspondence)
 from carlitz.opring import (CONVENTIONS, D, TAU, NormalForm, OperatorWord,
                             normalize, scalar_factor)
 from carlitz.series import _quotient, _twisted_step
@@ -257,6 +263,41 @@ def test_hyper_residual_with_a_truncated_parameter():
         outcomes["checked"] += 1
     check()
     assert outcomes["checked"] >= 30, outcomes
+
+
+def test_integer_family_against_its_wide_values():
+    # the integer family's inputs are exact, so each value is checked
+    # against itself read at window SOLVE_WIDE: the middle case of
+    # pochhammer_thakur (one quotient over the factors of its L, at the
+    # default window), t_m, and rho of the correspondence
+    outcomes = Counter()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(SHIPPED_FIELDS),
+           st.lists(st.integers(-5, 4), min_size=1, max_size=2),
+           st.lists(st.integers(1, 4), max_size=1), st.integers(0, 4),
+           st.sampled_from((None, 7, 32)))
+    def check(params, alphas, betas, m, window):
+        alpha = min(alphas[0], 0)
+        n = min(m, -alpha)
+        one = PerfSeries.one(params)
+        assert_sound(lambda: pochhammer_thakur(params, alpha, n),
+                     lambda: quotient(one, *_thakur_factors(params, alpha, n),
+                                      SOLVE_WIDE))
+        assert_sound(
+            lambda: hyper_thakur_coeff(params, alphas, betas, m, window=window),
+            lambda: hyper_thakur_coeff(params, alphas, betas, m,
+                                       window=SOLVE_WIDE))
+        # rho comes from m = 0; a longer check multiplies wide series
+        assert_sound(
+            lambda: thakur_correspondence(params, alphas, betas, 0,
+                                          window=window).rho,
+            lambda: thakur_correspondence(params, alphas, betas, 0,
+                                          window=SOLVE_WIDE).rho)
+        t_m = hyper_thakur_coeff(params, alphas, betas, m, window=window)
+        outcomes["terms" if t_m.terms and not t_m.is_exact() else "other"] += 1
+    check()
+    assert outcomes["terms"] >= 20, outcomes
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -17,7 +17,7 @@ from itertools import product
 import pytest
 
 from carlitz import INF, PerfSeries, hyper
-from carlitz.brackets import _factorial_factors, _thakur_factor
+from carlitz.brackets import _factorial_factors, _thakur_factors
 from carlitz.series import _twisted_step
 from test_quotient_kernel import KINDS, SHIPPED_FIELDS, outcome
 from test_series_kernel import ref_make
@@ -71,15 +71,15 @@ def test_twisted_step_builds_no_product_or_quotient(params, window, monkeypatch)
 @pytest.mark.parametrize("params", SHIPPED_FIELDS, ids=repr)
 @pytest.mark.parametrize("window", (None, 9))
 def test_thakur_coeff_builds_no_product_or_quotient(params, window, monkeypatch):
-    # negative alpha gives L as a divisor, or a vanishing symbol; the
-    # symbols and the factors of D_m are built before counting, since
-    # building L multiplies
+    # negative alpha gives the factors of L as divisors, or a vanishing
+    # symbol; the factors of the symbols and of D_m are built before
+    # counting, as the library builds them once per call
     cases = [(alphas, betas, m) for alphas in ([-2], [-1], [0], [-1, -2])
              for betas in ([1], [1, 2]) for m in range(4)]
-    factors = {(k, m): _thakur_factor(params, k, m)
+    factors = {(k, m): _thakur_factors(params, k, m)
                for alphas, betas, m in cases for k in alphas + betas}
     D = {m: _factorial_factors(params, m) for m in range(4)}
-    monkeypatch.setattr(hyper, "_thakur_factor",
+    monkeypatch.setattr(hyper, "_thakur_factors",
                         lambda params, k, m: factors[(k, m)])
     monkeypatch.setattr(hyper, "_factorial_factors", lambda params, m: D[m])
     calls = _series_calls(monkeypatch)

@@ -11,9 +11,10 @@ every kind of symbol takes exactly one kernel call.  The cases: exact
 monomial denominators (m = 0), exact non-monomial ones (the field family
 at m >= 1 and the integer family with alpha >= 1), truncated parameters,
 and negative alpha, whose symbols are inverses of L: the quotient divides
-by L, where the oracle multiplies by its truncated inverse; windows None,
-an int and a Fraction, all within the default invert window, and above
-it, where the quotient keeps the window's precision.
+by the factors of L, where the oracle multiplies by the truncated inverse
+of the expanded L; windows None, an int and a Fraction, all within the
+default invert window, and above it, where the quotient keeps the
+window's precision.
 """
 
 from fractions import Fraction
@@ -22,10 +23,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carlitz import hyper, pochhammer, pochhammer_thakur
-from carlitz.brackets import _thakur_factor
 from carlitz.series import DEFAULT_INVERT_WINDOW
 from oracles import (assert_same, ref_coeff_quotient, ref_hyper_coeff,
-                     ref_thakur_coeff, window_of)
+                     ref_pochhammer_thakur, ref_thakur_coeff, ref_thakur_symbol,
+                     window_of)
 from test_hyper_stream import FIELDS, families
 
 WINDOWS = (None, 9, Fraction(23, 2))
@@ -107,9 +108,10 @@ def test_window_governs_the_division_by_L(params, alpha, m):
         got = hyper.hyper_thakur_coeff(params, [alpha], [1], m, window=window)
         assert got.prec == base.prec + window - DEFAULT_INVERT_WINDOW
         assert_same(got.truncate(base.prec), base)
-        value, inverted = _thakur_factor(params, alpha, m)
+        value, inverted = ref_thakur_symbol(params, alpha, m)
         assert inverted
-        upper = value.invert(window=window_of(got.prec + 10, value))
+        upper = ref_pochhammer_thakur(params, alpha, m,
+                                      window=window_of(got.prec + 10, value))
         want = ref_coeff_quotient(params, m, [upper],
-                                  [pochhammer_thakur(params, 1, m)], window)
+                                  [ref_pochhammer_thakur(params, 1, m)], window)
         assert_same(got, want)
