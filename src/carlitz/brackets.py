@@ -25,9 +25,21 @@ shifts
 
 are mutually inverse and extend the integer shift: T_up([-n]) = [-n-1].
 
-D_n, L_n and the brackets are memoized per field configuration (bounded
-caches on the FieldParams instance; entries are immutable, so concurrent
-reads are safe and a racing recompute is benign).
+Every bracket and every symbol factor is one two-term series
+x^(q^i) - x^(q^j), built straight on its exponent grid by ``_two_term``:
+[k]^(q^j) is x^(q^(k+j)) - x^(q^j).  The exact D_n, L_n and (alpha)_n,
+alpha >= 1, are each one product of their factor list.  Choosing one term
+of each factor of D_n gives the exponent (n - |S|) q^n + sum_(k in S)
+q^(n-k), and of L_n the exponent n + sum_(k not in S) (q^k - 1): subset
+sums of powers of q below q^n, and of the superincreasing q^k - 1, so
+distinct choices never meet and D_n and L_n have exactly 2^n terms.  That
+count alone decides the refusal: a product of more than 20 factors, with
+more than ``_TERM_LIMIT`` (2^20) terms, is refused with a UsageError that
+names the limit, before any factor is built.
+
+Only the brackets are memoized per field configuration (a bounded cache
+on the FieldParams instance; entries are immutable, so concurrent reads
+are safe and a racing recompute is benign).
 """
 
 from __future__ import annotations
@@ -42,8 +54,23 @@ from .ffield import FieldParams
 #: Index value for the limit bracket [inf] = -x.
 INFINITY = INF
 
-# Memoize [n], D_n and L_n only for |n| up to this bound.
+# Memoize the bracket [n] only for |n| up to this bound.
 _CACHE_LIMIT = 64
+
+# Expand no product of two-term factors with more terms than this: a
+# product of n factors has up to 2^n terms, D_n and L_n exactly 2^n.
+_TERM_LIMIT = 2 ** 20
+
+
+def _two_term(params: FieldParams, i: int, j: int) -> PerfSeries:
+    """The exact x^(q^i) - x^(q^j) for distinct integers i and j, on its
+    least grid q^dexp, dexp = max(0, -i, -j): the exponents q^(i+dexp) and
+    q^(j+dexp) are integers, and one of them is 1 when dexp > 0."""
+    dexp = max(0, -i, -j)
+    q = params.q
+    return PerfSeries(params, dexp, {q ** (i + dexp): params.one_idx,
+                                     q ** (j + dexp): params.minus_one_idx},
+                      INF)
 
 
 def bracket(params: FieldParams, n) -> PerfSeries:
@@ -56,45 +83,41 @@ def bracket(params: FieldParams, n) -> PerfSeries:
         return cache[n]
     if infinite:
         result = PerfSeries.monomial(params, 1, -1)
+    elif n == 0:
+        result = PerfSeries.zero(params)
     else:
-        from fractions import Fraction
-        e = Fraction(params.q) ** n
-        result = PerfSeries.from_terms(params, {e: 1}) - PerfSeries.x(params)
+        result = _two_term(params, n, 0)
     if infinite or abs(n) <= _CACHE_LIMIT:
         cache[n] = result
     return result
 
 
+def _expand(params: FieldParams, count: int, factors, *args) -> PerfSeries:
+    """The exact product of the ``count`` two-term factors of
+    ``factors(params, count, *args)``, which has at most 2^count terms.
+    Refused with a UsageError, before any factor is built, when 2^count
+    is above ``_TERM_LIMIT``."""
+    if count >= _TERM_LIMIT.bit_length():
+        raise UsageError("an expanded product must have at most %d terms, "
+                         "got 2^%d" % (_TERM_LIMIT, count))
+    return reduce(mul, factors(params, count, *args), PerfSeries.one(params))
+
+
 def carlitz_D(params: FieldParams, n: int) -> PerfSeries:
-    """D_n, computed through D_n = [n] * D_(n-1)^q; D_0 = 1."""
+    """D_n, the product of its n two-term factors
+    (:func:`_factorial_factors`); D_0 = 1.  It has 2^n terms, and n > 20
+    is refused before any factor is built."""
     if n < 0:
         raise UsageError("D_n needs n >= 0")
-    cache = params.d_cache
-    if n in cache:
-        return cache[n]
-    if n == 0:
-        result = PerfSeries.one(params)
-    else:
-        result = bracket(params, n) * carlitz_D(params, n - 1).frobenius(1)
-    if n <= _CACHE_LIMIT:
-        cache[n] = result
-    return result
+    return _expand(params, n, _factorial_factors)
 
 
 def carlitz_L(params: FieldParams, n: int) -> PerfSeries:
-    """L_n = [n][n-1]...[1]; L_0 = 1."""
+    """L_n = [n][n-1]...[1], the product of its n brackets; L_0 = 1.  It
+    has 2^n terms, and n > 20 is refused before any factor is built."""
     if n < 0:
         raise UsageError("L_n needs n >= 0")
-    cache = params.l_cache
-    if n in cache:
-        return cache[n]
-    if n == 0:
-        result = PerfSeries.one(params)
-    else:
-        result = bracket(params, n) * carlitz_L(params, n - 1)
-    if n <= _CACHE_LIMIT:
-        cache[n] = result
-    return result
+    return _expand(params, n, _l_factors)
 
 
 def pochhammer_thakur(params: FieldParams, alpha: int, n: int) -> PerfSeries:
@@ -104,16 +127,18 @@ def pochhammer_thakur(params: FieldParams, alpha: int, n: int) -> PerfSeries:
     (-1)^(n-alpha) L_(-alpha-n)^(-q^n) for alpha <= 0 with n <= -alpha;
     and 0 for alpha <= 0 with n > -alpha.
 
-    The first is built exactly, through D.  The others are one pass of
-    the quotient kernel over the factors of :func:`_thakur_factors`, so L
-    is never expanded.  The middle case, a reciprocal of L, is an
-    infinite series when the L-index is positive; it keeps the default
-    window, DEFAULT_INVERT_WINDOW.  The symbol quotients of
-    :mod:`carlitz.hyper` divide by the same factors under their own
-    window.
+    The first is built exactly, as the product of the upper factors of
+    :func:`_thakur_factors`; it has 2^(n+alpha-1) terms, and
+    n + alpha - 1 > 20 is refused before any factor is built.  The others
+    are one pass of the quotient kernel over the factors of
+    :func:`_thakur_factors`, so L is never expanded.  The middle case, a
+    reciprocal of L, is an infinite series when the L-index is positive;
+    it keeps the default window, DEFAULT_INVERT_WINDOW.  The symbol
+    quotients of :mod:`carlitz.hyper` divide by the same factors under
+    their own window.
     """
     if alpha >= 1 and n >= 0:
-        return carlitz_D(params, n + alpha - 1).frobenius(1 - alpha)
+        return _expand(params, n + alpha - 1, _factorial_factors, n)
     return PerfSeries._canonical(params, *_quotient(
         PerfSeries.one(params), *_thakur_factors(params, alpha, n), None))
 
@@ -128,17 +153,25 @@ def _thakur_factors(params: FieldParams, alpha: int, n: int):
     if n < 0:
         raise UsageError("(alpha)_n needs n >= 0")
     if alpha >= 1:
-        return [bracket(params, k).frobenius(n - k)
-                for k in range(1, n + alpha)], []
+        return _factorial_factors(params, n + alpha - 1, n), []
     if n > -alpha:
         return [PerfSeries.zero(params)], []
     return ([PerfSeries.constant(params, (-1) ** (n - alpha))],
-            [bracket(params, k).frobenius(n) for k in range(1, 1 - alpha - n)])
+            _l_factors(params, -alpha - n, n))
 
 
-def _factorial_factors(params: FieldParams, m: int):
-    """The two-term factors [k]^(q^(m-k)), k = 1..m, whose product is D_m."""
-    return [bracket(params, k).frobenius(m - k) for k in range(1, m + 1)]
+def _factorial_factors(params: FieldParams, m: int, top=None):
+    """The two-term factors [k]^(q^(top-k)) = x^(q^top) - x^(q^(top-k)),
+    k = 1..m, whose product is D_m^(q^(top-m)): D_m itself when ``top`` is
+    m, the default."""
+    top = m if top is None else top
+    return [_two_term(params, top, top - k) for k in range(1, m + 1)]
+
+
+def _l_factors(params: FieldParams, m: int, shift=0):
+    """The two-term factors [k]^(q^shift) = x^(q^(k+shift)) - x^(q^shift),
+    k = 1..m, whose product is L_m^(q^shift)."""
+    return [_two_term(params, k + shift, shift) for k in range(1, m + 1)]
 
 
 def _pochhammer_factors(a: PerfSeries, m: int):

@@ -29,9 +29,9 @@ for that configuration, building its tables only the first time; the
 object is kept for the life of the process, as ``FieldParams.default(q,
 m)`` objects always were, and ``default`` returns the same object.  So a
 configuration read from a file header, a config file or the CLI's
---p/--v/--m/--modulus shares the tables, the bracket, D and L caches and
-the exact one series of every other use of it, and two FieldParams are
-the same field exactly when they are the same object.
+--p/--v/--m/--modulus shares the tables, the bracket cache and the exact
+one series of every other use of it, and two FieldParams are the same
+field exactly when they are the same object.
 """
 
 from __future__ import annotations
@@ -161,6 +161,7 @@ class FieldParams:
         "p", "v", "m", "modulus", "q", "Q", "deg",
         "_exp", "_log", "_neg", "_frob", "_add_table",
         "zero_idx", "one_idx", "minus_one_idx", "gen_idx",
+        # d_cache, l_cache: always empty; only perfbench/run.py:cache_entries reads them
         "d_cache", "l_cache", "bracket_cache", "unit",
     )
 

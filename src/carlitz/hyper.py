@@ -82,7 +82,8 @@ from itertools import count, islice
 from typing import NamedTuple, Optional
 
 from .brackets import (INFINITY, _factorial_factors, _pochhammer_factors,
-                       _thakur_factors, bracket, pochhammer, shift_down, shift_up)
+                       _thakur_factors, _two_term, bracket, pochhammer,
+                       shift_down, shift_up)
 from .errors import (InadmissibleError, ParameterMismatchError,
                      PrecisionError, UsageError)
 from .ffield import FieldParams
@@ -211,13 +212,13 @@ def _hyper_stream(hp: HyperParams, window, first=None):
     params = hp.params
     rel = Fraction(DEFAULT_INVERT_WINDOW if window is None
                    else window) / params.q
-    minus_one = bracket(params, -1)
     h = hyper_coeff(hp, 0, window=window) if first is None else first
     for m in count():
         yield h
         b_m = bracket(params, m)
         h = _twisted_step(h, [b_m - a for a in hp.a_list],
-                          [b_m - minus_one] + [b_m - b for b in hp.b_list], rel)
+                          [_two_term(params, m, -1)]  # [m] - [-1]
+                          + [b_m - b for b in hp.b_list], rel)
 
 
 def _tail_slope(hp: HyperParams) -> Fraction:
@@ -439,7 +440,7 @@ def hyper_residual(hp: HyperParams, M: int, form: str = "product",
         ddu = du.d()
         tau_ddu = ddu.tau()
         term2 = tau_ddu - tau_ddu.tau()              # tau(1 - tau) d^2 u
-        coeff = bracket(params, -1).frobenius(1) + a + b
+        coeff = _two_term(params, 0, 1) + a + b  # [-1]^q + a + b
         term1 = du.tau().scale(coeff) - du.scale(c)  # {([-1]^q+a+b) tau - c} d u
         term0 = series.scale(a * b)
         return term2 + term1 - term0

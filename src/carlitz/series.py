@@ -627,12 +627,16 @@ def _product_prec(factors):
     """The precision of prod(factors): the least, over the truncated
     factors, of a factor's precision plus the valuation lower bounds of the
     others, which is what multiplying them in any order gives; INF when
-    every factor is exact or one is an exact zero."""
+    every factor is exact or one is an exact zero.  The others' bounds are
+    the total less the factor's own, so the work is linear in the factors;
+    the bounds are Fractions (no exact zero reaches the sum), so the
+    difference is exact."""
     if any(f.is_zero() for f in factors):
         return INF
     lbs = [f._val_lb() for f in factors]
-    return min((f.prec + sum(lbs[:i] + lbs[i + 1:])
-                for i, f in enumerate(factors) if f.prec is not INF),
+    total = sum(lbs)
+    return min((f.prec + (total - lb)
+                for f, lb in zip(factors, lbs) if f.prec is not INF),
                default=INF)
 
 

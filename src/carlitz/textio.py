@@ -32,8 +32,8 @@ This module owns the file formats, ``PERFFUNC``, ``PERFPROBLEM`` and
 read one, and no other module splits a file into lines.  One rule reads
 every header line: a key and a value separated by whitespace.  The
 field-config header (p, v, m, modulus) reads as the one FieldParams object
-of its configuration, so parsed files share its field tables and bracket,
-D and L caches with the rest of the process (see :mod:`carlitz.ffield`).
+of its configuration, so parsed files share its field tables and bracket
+cache with the rest of the process (see :mod:`carlitz.ffield`).
 The README states the grammar.
 """
 

@@ -29,15 +29,20 @@ replaced by one quotient pass over the two-term factors of D_m, as it did
 for the expanded D_m and <a>_m of the direct coefficient quotient; and the
 Thakur symbols expanded through D and L, the middle case as a built
 inverse of L and the direct quotient t_m with each L in its divisor,
-which the library replaced by the symbols' two-term factors.  Each is
-kept here once and in no library module.
+which the library replaced by the symbols' two-term factors; and the
+bracket as ``from_terms(...) - x``, D_n and L_n by their recursions
+D_n = [n] D_(n-1)^q and L_n = [n] L_(n-1), (alpha)_n for alpha >= 1 as
+the twist D_(n+alpha-1)^(q^(1-alpha)), and the factor lists as twisted
+brackets [k]^(q^j), which the library replaced by products of two-term
+factors built straight on their grid.  Each is kept here once and in no
+library module.
 """
 
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import product
 
-from carlitz import PerfSeries, bracket, carlitz_D, carlitz_L, pochhammer
+from carlitz import PerfSeries, bracket, pochhammer
 from carlitz.brackets import INFINITY
 from carlitz.cauchy import AdmissibilityReport, _index_values
 from carlitz.errors import NotInvertibleError, PrecisionError, UsageError
@@ -46,11 +51,57 @@ from carlitz.series import (DEFAULT_INVERT_WINDOW, INF, _grid_bound,
                             _product_terms, _quotient)
 
 
+def ref_bracket(params, n):
+    """[n] as x^(q^n) - x from its exponent; [inf] = -x; [0] = 0."""
+    if n != INFINITY and not isinstance(n, int):
+        raise UsageError("bracket index must be an integer or INFINITY")
+    if n == INFINITY:
+        return PerfSeries.monomial(params, 1, -1)
+    return (PerfSeries.from_terms(params, {Fraction(params.q) ** n: 1})
+            - PerfSeries.x(params))
+
+
+def ref_carlitz_D(params, n):
+    """D_n through D_n = [n] * D_(n-1)^q; D_0 = 1."""
+    if n < 0:
+        raise UsageError("D_n needs n >= 0")
+    if n == 0:
+        return PerfSeries.one(params)
+    return ref_bracket(params, n) * ref_carlitz_D(params, n - 1).frobenius(1)
+
+
+def ref_carlitz_L(params, n):
+    """L_n through L_n = [n] * L_(n-1); L_0 = 1."""
+    if n < 0:
+        raise UsageError("L_n needs n >= 0")
+    if n == 0:
+        return PerfSeries.one(params)
+    return ref_bracket(params, n) * ref_carlitz_L(params, n - 1)
+
+
+def ref_factorial_factors(params, m):
+    """The factors [k]^(q^(m-k)), k = 1..m, of D_m as twisted brackets."""
+    return [ref_bracket(params, k).frobenius(m - k) for k in range(1, m + 1)]
+
+
+def ref_thakur_factors(params, alpha, n):
+    """The (upper, lower) factor lists of (alpha)_n as twisted brackets."""
+    if n < 0:
+        raise UsageError("(alpha)_n needs n >= 0")
+    if alpha >= 1:
+        return [ref_bracket(params, k).frobenius(n - k)
+                for k in range(1, n + alpha)], []
+    if n > -alpha:
+        return [PerfSeries.zero(params)], []
+    return ([PerfSeries.constant(params, (-1) ** (n - alpha))],
+            [ref_bracket(params, k).frobenius(n) for k in range(1, 1 - alpha - n)])
+
+
 def ref_coeff_quotient(params, m, upper, lower, window):
     num = PerfSeries.one(params)
     for factor in upper:
         num = num * factor
-    den = carlitz_D(params, m)
+    den = ref_carlitz_D(params, m)
     for factor in lower:
         den = den * factor
     return num * ref_invert(den, window=window)
@@ -65,7 +116,7 @@ def ref_evaluate(f, z, svec, window=None):
     for key in f.support():
         m, ivec = key[0], key[1:]
         if m not in inv_d:
-            inv_d[m] = carlitz_D(params, m).invert(window=window)
+            inv_d[m] = ref_carlitz_D(params, m).invert(window=window)
         term = f.coeffs[key] * inv_d[m] * z.frobenius(m)
         for s, i in zip(svec, ivec):
             term = term * s.frobenius(i)
@@ -100,10 +151,10 @@ def ref_thakur_symbol(params, alpha, n):
     if n < 0:
         raise UsageError("(alpha)_n needs n >= 0")
     if alpha >= 1:
-        return carlitz_D(params, n + alpha - 1).frobenius(1 - alpha), False
+        return ref_carlitz_D(params, n + alpha - 1).frobenius(1 - alpha), False
     if n > -alpha:
         return PerfSeries.zero(params), False
-    value = carlitz_L(params, -alpha - n).frobenius(n)
+    value = ref_carlitz_L(params, -alpha - n).frobenius(n)
     return (-value if (n - alpha) % 2 else value), True
 
 

@@ -4,10 +4,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
-from carlitz import FieldParams, PerfSeries, bracket
+from carlitz import FieldParams, PerfSeries, bracket, brackets
 from carlitz.cauchy import InitialData, format_problem, hypergeometric_equation
 from carlitz.cli import build_parser, main
 
@@ -437,6 +438,46 @@ def test_thakur_symbol_of_a_large_negative_alpha(capsys):
     assert code == 0
     assert json.loads(out) == {"command": "hyper-residual", "form": "thakur",
                                "known": 2, "zero": True}
+
+
+TOO_MANY_TERMS = [
+    (["factorial", "--kind", "D", "--n", "5000"], 5000),
+    (["factorial", "--kind", "L", "--n", "100000"], 100000),
+    (["pochhammer", "--alpha", "3000", "--n", "3"], 3002),
+    (["factorial", "--kind", "D", "--n", "21"], 21),
+]
+
+
+@pytest.mark.parametrize("argv, count", TOO_MANY_TERMS,
+                         ids=[" ".join(argv) for argv, _ in TOO_MANY_TERMS])
+def test_products_of_more_than_2_to_the_20_terms_are_refused(argv, count, capsys):
+    # a product of n two-term factors has 2^n terms, so the count alone
+    # refuses it, long before a recursion or a build could start
+    start = time.perf_counter()
+    _assert_usage_refusal(capsys, ["--q", "2"] + argv,
+                          "at most 1048576 terms, got 2^%d" % count)
+    assert time.perf_counter() - start < 1
+
+
+def test_a_refused_product_builds_no_factor(capsys, monkeypatch):
+    built = []
+    two_term = brackets._two_term
+
+    def counted(params, i, j):
+        built.append((i, j))
+        return two_term(params, i, j)
+    monkeypatch.setattr(brackets, "_two_term", counted)
+    for argv, _ in TOO_MANY_TERMS:
+        assert run(capsys, ["--q", "2"] + argv)[0] == 2
+    assert built == []
+    assert run(capsys, ["--q", "2", "factorial", "--kind", "D", "--n", "3"])[0] == 0
+    assert len(built) == 3
+
+
+def test_the_largest_factorial_prints_its_2_to_the_20_terms(capsys):
+    code, out, _ = run(capsys, ["--q", "2", "factorial", "--kind", "D", "--n", "20"])
+    assert code == 0
+    assert out.count("x^") == 2 ** 20
 
 
 DIM = ["dim-count", "--kind", "gamma", "--n", "1", "--nu-max", "6"]

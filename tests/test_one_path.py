@@ -10,9 +10,11 @@ equality of each map-backed class, and the exponent-grid loop of
 from_terms, shift and the parser's monomials.  Outputs are compared as
 printed text (format_series, to_text, repr), byte for byte, over seeded
 draws in every shipped field (q in {2, 3, 4, 5, 8, 9}, m in {1, 2}).
-Last, the syntax tree of the package shows one division rule: no module
-builds an inverse but the series layer and identity 5.8, and ``hyper``
-and ``funcspace`` name neither Carlitz factorial.
+Last, the syntax tree of the package shows one division rule and one
+builder of two-term factors: no module builds an inverse but the series
+layer and identity 5.8, ``hyper`` and ``funcspace`` name neither Carlitz
+factorial, no function of ``brackets`` calls itself, only ``ffield``
+names the D and L cache slots, and no bracket is twisted into a factor.
 """
 
 import ast
@@ -470,3 +472,47 @@ def test_hyper_and_funcspace_name_no_factorial():
             elif isinstance(node, ast.alias):
                 names.update((node.name, node.asname))
         assert not names & {"carlitz_D", "carlitz_L"}, module
+
+
+def _calls(tree):
+    """The Call nodes of ``tree``."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+
+def _callee(call):
+    """The name a call reads: ``f`` of ``f(...)`` and of ``m.f(...)``."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_brackets_has_no_recursion():
+    # D_n, L_n and (alpha)_n are products of factor lists, not recursions
+    tree = ast.parse((SRC / "brackets.py").read_text())
+    for name, fn in _top_level_defs(tree):
+        assert name.split(".")[-1] not in {_callee(c) for c in _calls(fn)}, name
+
+
+def test_only_ffield_names_the_d_and_l_caches():
+    for path in sorted(SRC.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+        if path.name != "ffield.py":
+            assert not names & {"d_cache", "l_cache"}, path.name
+
+
+def test_no_factor_is_a_twisted_bracket():
+    # every factor x^(q^i) - x^(q^j) comes from brackets._two_term
+    for path in sorted(SRC.glob("*.py")):
+        for call in _calls(ast.parse(path.read_text())):
+            func = call.func
+            if isinstance(func, ast.Attribute) and func.attr == "frobenius":
+                receiver = func.value
+                assert not (isinstance(receiver, ast.Call)
+                            and _callee(receiver) == "bracket"), (
+                    path.name, call.lineno)

@@ -8,7 +8,9 @@ for any factors: exact or truncated, several to a side, with terms or
 without.  Neither multiplies factors out, divides through
 ``PerfSeries.divide`` or truncates a factor, which is what a
 multiply-then-divide path would do.  The values are checked against the
-oracles in ``test_quotient_kernel`` and ``test_symbol_quotient``.
+oracles in ``test_quotient_kernel`` and ``test_symbol_quotient``.  The
+precision of a product of k factors, ``series._product_prec``, takes a
+number of additions linear in k.
 """
 
 from fractions import Fraction
@@ -18,7 +20,7 @@ import pytest
 
 from carlitz import INF, PerfSeries, hyper
 from carlitz.brackets import _factorial_factors, _thakur_factors
-from carlitz.series import _twisted_step
+from carlitz.series import _product_prec, _twisted_step
 from test_quotient_kernel import KINDS, SHIPPED_FIELDS, outcome
 from test_series_kernel import ref_make
 
@@ -86,3 +88,45 @@ def test_thakur_coeff_builds_no_product_or_quotient(params, window, monkeypatch)
     for alphas, betas, m in cases:
         hyper._thakur_quotient(params, alphas, betas, m, window)
     assert calls == []
+
+
+class _Counted(Fraction):
+    """A Fraction whose sums and differences are logged in ``log`` and
+    stay counted."""
+
+    log = []
+
+    def _logged(name):
+        op = getattr(Fraction, name)
+
+        def logged(self, other):
+            _Counted.log.append(name)
+            return _Counted(op(self, other))
+        return logged
+
+    __add__, __radd__, __sub__, __rsub__ = map(
+        _logged, ("__add__", "__radd__", "__sub__", "__rsub__"))
+
+
+class _Stub:
+    """A truncated factor with valuation bound ``lb`` and precision ``prec``."""
+
+    def __init__(self, lb, prec):
+        self.lb, self.prec = _Counted(lb), _Counted(prec)
+
+    def is_zero(self):
+        return False
+
+    def _val_lb(self):
+        return self.lb
+
+
+@pytest.mark.parametrize("k", (1, 2, 10, 60))
+def test_product_precision_is_linear_in_the_factors(k, monkeypatch):
+    monkeypatch.setattr(_Counted, "log", [])
+    stubs = [_Stub(Fraction(i, 3), Fraction(5 * i + 7, 2) - i * i % 11)
+             for i in range(k)]
+    want = min(s.prec + sum(t.lb for t in stubs if t is not s) for s in stubs)
+    _Counted.log.clear()
+    assert _product_prec(stubs) == want
+    assert len(_Counted.log) <= 3 * k
