@@ -15,11 +15,13 @@ one with the three-case definition, and the field-parameter one
 
 which satisfies <a>_(m+1) = ([m]-a)^q <a>_m^q.  D_m, <a>_m and the
 integer-parameter symbols (alpha)_n, a twist of D or the reciprocal of a
-twist of L, are products and quotients of two-term factors, and a
-quotient divides by those factors (``_factorial_factors``,
-``_pochhammer_factors``, ``_thakur_factors``) one at a time rather than
-by the expanded product, which has up to 2^m terms.  The unit parameter
-shifts
+twist of L, are products and quotients of two-term factors
+(``_factorial_factors``, ``_l_factors``, ``_pochhammer_factors``,
+``_thakur_factors``).  Each symbol is one call of the quotient kernel
+``series._quotient`` from the unit over its factor lists: multiplied by
+each upper factor and divided by each lower one.  A quotient of symbols
+divides by the factors one at a time rather than by the expanded product,
+which has up to 2^m terms.  The unit parameter shifts
 
     T_up(a) = (a - [1])^(1/q),     T_down(a) = a^q + [1]
 
@@ -28,14 +30,15 @@ are mutually inverse and extend the integer shift: T_up([-n]) = [-n-1].
 Every bracket and every symbol factor is one two-term series
 x^(q^i) - x^(q^j), built straight on its exponent grid by ``_two_term``:
 [k]^(q^j) is x^(q^(k+j)) - x^(q^j).  The exact D_n, L_n and (alpha)_n,
-alpha >= 1, are each one product of their factor list.  Choosing one term
-of each factor of D_n gives the exponent (n - |S|) q^n + sum_(k in S)
-q^(n-k), and of L_n the exponent n + sum_(k not in S) (q^k - 1): subset
-sums of powers of q below q^n, and of the superincreasing q^k - 1, so
-distinct choices never meet and D_n and L_n have exactly 2^n terms.  That
-count alone decides the refusal: a product of more than 20 factors, with
-more than ``_TERM_LIMIT`` (2^20) terms, is refused with a UsageError that
-names the limit, before any factor is built.
+alpha >= 1, are each the kernel's product of their factor list, with no
+divisor.  Choosing one term of each factor of D_n gives the exponent
+(n - |S|) q^n + sum_(k in S) q^(n-k), and of L_n the exponent
+n + sum_(k not in S) (q^k - 1): subset sums of powers of q below q^n,
+and of the superincreasing q^k - 1, so distinct choices never meet and
+D_n and L_n have exactly 2^n terms.  That count alone decides the
+refusal: a product of more than 20 factors, with more than
+``_TERM_LIMIT`` (2^20) terms, is refused with a UsageError that names
+the limit, before any factor is built.
 
 Only the brackets are memoized per field configuration (a bounded cache
 on the FieldParams instance; entries are immutable, so concurrent reads
@@ -43,9 +46,6 @@ are safe and a racing recompute is benign).
 """
 
 from __future__ import annotations
-
-from functools import reduce
-from operator import mul
 
 from .errors import UsageError
 from .series import INF, PerfSeries, _quotient
@@ -92,15 +92,13 @@ def bracket(params: FieldParams, n) -> PerfSeries:
     return result
 
 
-def _expand(params: FieldParams, count: int, factors, *args) -> PerfSeries:
-    """The exact product of the ``count`` two-term factors of
-    ``factors(params, count, *args)``, which has at most 2^count terms.
-    Refused with a UsageError, before any factor is built, when 2^count
-    is above ``_TERM_LIMIT``."""
+def _check_expansion(count: int):
+    """Refuse, with a UsageError, a product of ``count`` two-term factors
+    whose 2^count terms would pass ``_TERM_LIMIT``: called before any
+    factor is built."""
     if count >= _TERM_LIMIT.bit_length():
         raise UsageError("an expanded product must have at most %d terms, "
                          "got 2^%d" % (_TERM_LIMIT, count))
-    return reduce(mul, factors(params, count, *args), PerfSeries.one(params))
 
 
 def carlitz_D(params: FieldParams, n: int) -> PerfSeries:
@@ -109,7 +107,9 @@ def carlitz_D(params: FieldParams, n: int) -> PerfSeries:
     is refused before any factor is built."""
     if n < 0:
         raise UsageError("D_n needs n >= 0")
-    return _expand(params, n, _factorial_factors)
+    _check_expansion(n)
+    return _quotient(PerfSeries.one(params), _factorial_factors(params, n),
+                     (), None)
 
 
 def carlitz_L(params: FieldParams, n: int) -> PerfSeries:
@@ -117,7 +117,8 @@ def carlitz_L(params: FieldParams, n: int) -> PerfSeries:
     has 2^n terms, and n > 20 is refused before any factor is built."""
     if n < 0:
         raise UsageError("L_n needs n >= 0")
-    return _expand(params, n, _l_factors)
+    _check_expansion(n)
+    return _quotient(PerfSeries.one(params), _l_factors(params, n), (), None)
 
 
 def pochhammer_thakur(params: FieldParams, alpha: int, n: int) -> PerfSeries:
@@ -127,20 +128,19 @@ def pochhammer_thakur(params: FieldParams, alpha: int, n: int) -> PerfSeries:
     (-1)^(n-alpha) L_(-alpha-n)^(-q^n) for alpha <= 0 with n <= -alpha;
     and 0 for alpha <= 0 with n > -alpha.
 
-    The first is built exactly, as the product of the upper factors of
-    :func:`_thakur_factors`; it has 2^(n+alpha-1) terms, and
-    n + alpha - 1 > 20 is refused before any factor is built.  The others
-    are one pass of the quotient kernel over the factors of
-    :func:`_thakur_factors`, so L is never expanded.  The middle case, a
-    reciprocal of L, is an infinite series when the L-index is positive;
-    it keeps the default window, DEFAULT_INVERT_WINDOW.  The symbol
-    quotients of :mod:`carlitz.hyper` divide by the same factors under
-    their own window.
+    Each is one pass of the quotient kernel over the factors of
+    :func:`_thakur_factors`.  The first is the exact product of its upper
+    factors; it has 2^(n+alpha-1) terms, and n + alpha - 1 > 20 is
+    refused before any factor is built.  The middle case divides by the
+    factors of L, so L is never expanded; it is an infinite series when
+    the L-index is positive and keeps the default window,
+    DEFAULT_INVERT_WINDOW.  The symbol quotients of :mod:`carlitz.hyper`
+    divide by the same factors under their own window.
     """
     if alpha >= 1 and n >= 0:
-        return _expand(params, n + alpha - 1, _factorial_factors, n)
-    return PerfSeries._canonical(params, *_quotient(
-        PerfSeries.one(params), *_thakur_factors(params, alpha, n), None))
+        _check_expansion(n + alpha - 1)
+    return _quotient(PerfSeries.one(params),
+                     *_thakur_factors(params, alpha, n), None)
 
 
 def _thakur_factors(params: FieldParams, alpha: int, n: int):
@@ -182,14 +182,16 @@ def _pochhammer_factors(a: PerfSeries, m: int):
 def pochhammer(a: PerfSeries, m: int) -> PerfSeries:
     """The field-parameter symbol <a>_m; exact when ``a`` is exact.
 
-    It multiplies the m Frobenius-twisted factors of
-    :func:`_pochhammer_factors`: iterating the recurrence
+    It is the quotient kernel's product of the m Frobenius-twisted factors
+    of :func:`_pochhammer_factors`, with the terms and precision of
+    multiplying them in any order: iterating the recurrence
     <a>_(m+1) = ([m]-a)^q <a>_m^q gives the same exact product.  A
     quotient of symbols divides by those factors instead of by the product.
     """
     if m < 0:
         raise UsageError("<a>_m needs m >= 0")
-    return reduce(mul, _pochhammer_factors(a, m), PerfSeries.one(a.params))
+    return _quotient(PerfSeries.one(a.params), _pochhammer_factors(a, m),
+                     (), None)
 
 
 def shift_up(a: PerfSeries) -> PerfSeries:

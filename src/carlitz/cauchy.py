@@ -32,9 +32,11 @@ that side's valuation to the other's precision while a sum keeps the least
 precision of its parts, so the nested value has the terms and precision
 of the flat sum of the monomials.
 
-Each step is one call of the q-twisted kernel ``series._twisted_step``,
-the step the hypergeometric stream takes too: it divides P by Q at the
-brackets (long division, no inverse series) and applies the Frobenius.
+Each step is the Frobenius image of one call of the quotient kernel,
+``series._quotient(c, [P], [Q], window, negate=True).frobenius(1)``, the
+step the hypergeometric stream takes too: it divides P by Q at the
+brackets (long division, no inverse series), with the sign taken inside
+the quotient.
 The P/Q quotients divide exact bracket evaluations, so coefficient
 precision decays only through the configured division window.
 
@@ -54,7 +56,7 @@ from .errors import (InadmissibleError, ParameterMismatchError,
 from .ffield import FieldParams
 from .funcspace import MultiFunction
 from .opring import NormalForm
-from .series import INF, PerfSeries, SeriesMap, _twisted_step
+from .series import INF, PerfSeries, SeriesMap, _quotient
 from . import textio
 
 
@@ -318,7 +320,7 @@ def cauchy_solve(eq: EvolutionEquation, init: InitialData, trunc_m: int,
             if qe.is_zero_at_prec():
                 raise PrecisionError(
                     "P/Q quotient indeterminate at indices %r" % (index,))
-            c = _twisted_step(c, [pe], [qe], window, negate=True)
+            c = _quotient(c, [pe], [qe], window, negate=True).frobenius(1)
             step += 1
     return MultiFunction(params, eq.n, trunc_m, trunc_i, coeffs)
 

@@ -230,6 +230,8 @@ class MultiFunction(SeriesMap):
     # -- inspection ---------------------------------------------------------------
 
     def coefficient(self, m, *ivec) -> PerfSeries:
+        if len(ivec) != self.n:
+            raise UsageError("expected %d s-indices" % self.n)
         key = (m,) + tuple(ivec)
         if m > self.trunc_m or any(i > self.trunc_i for i in ivec):
             raise UsageError("slot %r beyond truncation" % (key,))
@@ -263,8 +265,8 @@ class MultiFunction(SeriesMap):
         for key in self.support():
             m = key[0]
             powers = [z.frobenius(m)] + [s.frobenius(i) for s, i in zip(svec, key[1:])]
-            acc = acc + PerfSeries._canonical(params, *_quotient(
-                self.coeffs[key], powers, _factorial_factors(params, m), window))
+            acc = acc + _quotient(self.coeffs[key], powers,
+                                  _factorial_factors(params, m), window)
         return acc
 
     # -- serialization --------------------------------------------------------------

@@ -23,22 +23,23 @@ every further index rather than assumed.
 
 Which path computes a coefficient: there is one coefficient loop,
 ``_hyper_stream``.  For exact parameters it starts from h_0 and takes the
-recursion above for every m > 0, each step one call of the q-twisted
-kernel ``series._twisted_step`` (shared with the Cauchy solver) that
-divides by the factors of its denominator to relative precision R/q
-(R is the ``window``, or DEFAULT_INVERT_WINDOW), so h_m keeps relative
-precision R.  The integer family reads the same loop at the bracket
-parameters, started from t_0, so ``thakur_series``, ``thakur_residual``
-and ``hyper_thakur_coeff`` expand no symbol at all.  h_0, t_0, every h_m
-whose parameters have finite precision (the recursion would compound
-their precision loss), and the t side of ``thakur_correspondence`` (which
-exists to check the stream against the symbols) are the quotient of the
-symbols, divided to relative precision R.  That quotient divides factor
-by factor, whatever the symbols: one pass of the quotient kernel
-``series._quotient`` long-divides by the m two-term factors
-[k]^(q^(m-k)) of D_m and by each lower symbol in turn, cut at the
-quotient's precision, so the product of the symbols, whose terms reach
-far above the R units the quotient keeps, is never built.  A
+recursion above for every m > 0.  Each step is
+``series._quotient(h, num, den, R/q).frobenius(1)``, the Frobenius image
+of one pass of the quotient kernel (the step the Cauchy solver takes
+too), which divides by the factors of its denominator to relative
+precision R/q (R is the ``window``, or DEFAULT_INVERT_WINDOW), so h_m
+keeps relative precision R.  The integer family reads the same loop at
+the bracket parameters, started from t_0, so ``thakur_series``,
+``thakur_residual`` and ``hyper_thakur_coeff`` expand no symbol at all.
+h_0, t_0, every h_m whose parameters have finite precision (the
+recursion would compound their precision loss), and the t side of
+``thakur_correspondence`` (which exists to check the stream against the
+symbols) are the quotient of the symbols, divided to relative precision
+R.  That quotient divides factor by factor, whatever the symbols: one
+pass of the quotient kernel ``series._quotient`` long-divides by the m
+two-term factors [k]^(q^(m-k)) of D_m and by each lower symbol in turn,
+cut at the quotient's precision, so the product of the symbols, whose
+terms reach far above the R units the quotient keeps, is never built.  A
 field-parameter symbol <a>_m enters as its m two-term factors
 ([k]-a)^(q^(m-k)) on either side, and a Thakur symbol (alpha)_m as the
 factors of D_(m+alpha-1)^(q^(1-alpha)) on its own side or, for
@@ -88,7 +89,7 @@ from .errors import (InadmissibleError, ParameterMismatchError,
                      PrecisionError, UsageError)
 from .ffield import FieldParams
 from .funcspace import LinearSeries
-from .series import DEFAULT_INVERT_WINDOW, PerfSeries, _quotient, _twisted_step
+from .series import DEFAULT_INVERT_WINDOW, PerfSeries, _quotient
 
 
 def admissible_profile(b: PerfSeries) -> Fraction:
@@ -153,9 +154,8 @@ def _coeff_quotient(params: FieldParams, m: int, upper, lower,
     in turn, each pass cut at the quotient's precision, so no product of
     factors is built.  Dividing by an exact non-monomial denominator keeps
     relative precision R (``window``, or DEFAULT_INVERT_WINDOW)."""
-    return PerfSeries._canonical(params, *_quotient(
-        PerfSeries.one(params), tuple(upper),
-        [*_factorial_factors(params, m), *lower], window))
+    return _quotient(PerfSeries.one(params), tuple(upper),
+                     [*_factorial_factors(params, m), *lower], window)
 
 
 def _check_truncation(M: int):
@@ -195,17 +195,17 @@ def _hyper_stream(hp: HyperParams, window, first=None):
 
     For exact parameters each step is the q-twisted recursion
     h_(m+1) = (h_m * Q_m)^q with
-    Q_m = prod([m]-a_i) / (([m]-[-1]) * prod([m]-b_j)), one call of
-    series._twisted_step with the factors of Q_m, whose denominator is
-    divided to relative precision R/q: h_m carries relative precision R
-    (or is exact), so h_(m+1) carries exactly R, as the direct quotient
-    does, and every known term is a true one.  The stream starts from
-    ``first``, or from h_0 = hyper_coeff(hp, 0) when it is None; the
-    integer family passes its t_0 over the bracket parameters, which are
-    exact.  Parameters with finite precision take the direct quotient at
-    every index, because the recursion would compound their precision
-    loss from step to step.  Both paths call hyper_coeff through the
-    module, so wrappers see it."""
+    Q_m = prod([m]-a_i) / (([m]-[-1]) * prod([m]-b_j)), the Frobenius
+    image of one series._quotient call over the factors of Q_m, whose
+    denominator is divided to relative precision R/q: h_m carries
+    relative precision R (or is exact), so h_(m+1) carries exactly R, as
+    the direct quotient does, and every known term is a true one.  The
+    stream starts from ``first``, or from h_0 = hyper_coeff(hp, 0) when
+    it is None; the integer family passes its t_0 over the bracket
+    parameters, which are exact.  Parameters with finite precision take
+    the direct quotient at every index, because the recursion would
+    compound their precision loss from step to step.  Both paths call
+    hyper_coeff through the module, so wrappers see it."""
     if not _is_exact(hp):
         for m in count():
             yield hyper_coeff(hp, m, window=window)
@@ -216,9 +216,9 @@ def _hyper_stream(hp: HyperParams, window, first=None):
     for m in count():
         yield h
         b_m = bracket(params, m)
-        h = _twisted_step(h, [b_m - a for a in hp.a_list],
-                          [_two_term(params, m, -1)]  # [m] - [-1]
-                          + [b_m - b for b in hp.b_list], rel)
+        h = _quotient(h, [b_m - a for a in hp.a_list],
+                      [_two_term(params, m, -1)]  # [m] - [-1]
+                      + [b_m - b for b in hp.b_list], rel).frobenius(1)
 
 
 def _tail_slope(hp: HyperParams) -> Fraction:
@@ -496,6 +496,8 @@ def contiguous_check(ident: str, params: FieldParams, *, a=None, b=None,
     if ident in ("5.3", "5.4", "5.5", "5.6"):
         if a is None or m is None:
             raise UsageError("identity %s needs a and m" % ident)
+        if a.params != params:
+            raise ParameterMismatchError("parameter over a different field")
         return _symbol_check(ident, a, m, window)
     if ident in ("5.7", "5.8"):
         if a is None or b is None or c is None or M is None:

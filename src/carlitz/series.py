@@ -30,11 +30,11 @@ no terms).  Terms that come from outside the kernels (``from_terms``,
 go through ``PerfSeries._make``, which drops zero coefficients and terms
 at or above ``prec``; its tail ``PerfSeries._canonical`` only lowers
 ``dexp``, by as many q-powers as divide the gcd of the exponents, read
-with one ``math.gcd``.  Products, quotients, shifts, q-twisted steps and
-sums of equally precise sides produce nonzero terms below their
-precision by construction, so they take the tail alone.  Frobenius
-images skip it as well: the image of a canonical series is canonical in
-closed form, except for e < 0 on the integer grid, which takes the tail.
+with one ``math.gcd``.  Products, quotients, shifts and sums of equally
+precise sides produce nonzero terms below their precision by
+construction, so they take the tail alone.  Frobenius images skip it as
+well: the image of a canonical series is canonical in closed form,
+except for e < 0 on the integer grid, which takes the tail.
 Each field configuration is one :class:`~carlitz.ffield.FieldParams`
 object, so the operand check compares fields by identity.
 
@@ -62,15 +62,20 @@ precision of the inverse, in exponent units above its valuation, capped
 by the input's own.  An absolute output precision P for ``b.invert()`` is
 the window P + val(b).
 
-The q-twisted step (c * prod(num) / prod(den))^q of the hypergeometric
-stream and of the Cauchy solver, :func:`_twisted_step`, and the symbol
-quotients of :mod:`carlitz.hyper` run through the same long division,
-:func:`_quotient`, for any factors, exact or truncated, several to a side:
-it multiplies by each numerator factor and divides by each denominator
-factor, with the output precision worked out once from grid-integer
-valuations, and the step writes the Frobenius image directly.  The
-Cauchy solver's step carries a minus sign, which the Frobenius keeps
-(it is additive), so the sign is taken inside the quotient.
+One kernel, :func:`_quotient`, takes every symbol expression: it returns
+the canonical series c * prod(num) / prod(den) for any factors, exact or
+truncated, several to a side.  It multiplies by each numerator factor and
+divides by each denominator factor, with the output precision worked out
+once from grid-integer valuations.  ``divide`` and ``invert`` are one call
+with one divisor; the symbol quotients of :mod:`carlitz.hyper` and
+``MultiFunction.evaluate`` are one call over the symbols' two-term
+factors; and D_n, L_n, (alpha)_n and <a>_m of :mod:`carlitz.brackets` are
+one call from the unit, with no divisor for the exact products.  The
+q-twisted step (c * prod(num) / prod(den))^q shared by the
+hypergeometric stream and the Cauchy solver is the Frobenius image of
+that call, ``_quotient(c, num, den, window).frobenius(1)``.  The Cauchy
+solver's step carries a minus sign, which the Frobenius keeps (it is
+additive), so the sign is taken inside the quotient (``negate``).
 
 Exact operands skip the precision arithmetic.  Every infinite precision
 is the one ``INF`` object, so exactness is an identity test.  Exact times
@@ -522,8 +527,7 @@ class PerfSeries:
         whose conventions (and refusals) ``window`` follows, but the
         inverse is never built."""
         self._check(other)
-        return PerfSeries._canonical(
-            self.params, *_quotient(self, (), (other,), window))
+        return _quotient(self, (), (other,), window)
 
     # -- comparison -------------------------------------------------------------
 
@@ -640,12 +644,13 @@ def _product_prec(factors):
                default=INF)
 
 
-def _quotient(c: PerfSeries, num, den, window, negate=False):
-    """c * prod(num) / prod(den) as (dexp, terms, prec), with the terms,
+def _quotient(c: PerfSeries, num, den, window, negate=False) -> PerfSeries:
+    """c * prod(num) / prod(den) as a canonical series, with the terms,
     precision and refusals of ``c * prod(num) * prod(den).invert(window)``
-    but no inverse built; its negation when ``negate``,
-    at the cost of one logarithm.  The terms are nonzero and below prec;
-    dexp may not yet be the least.
+    but no inverse built; its negation when ``negate``, at the cost of one
+    logarithm.  With no denominator and ``window`` None it is the exact
+    product when every factor is exact: D_n, L_n, (alpha)_n and <a>_m are
+    each one call over their two-term factors.
 
     Any factors are allowed, exact or truncated, several to a side.  A
     denominator factor without terms is refused as prod(den) would be; a
@@ -695,7 +700,7 @@ def _quotient(c: PerfSeries, num, den, window, negate=False):
         out_prec = _product_prec((c, *num))
         if out_prec is not INF:
             out_prec -= Fraction(v, scale)
-        return 0, {}, out_prec
+        return PerfSeries(params, 0, {}, out_prec)
 
     c_terms = on_grid(c)
     c_val = min(c_terms)
@@ -730,25 +735,7 @@ def _quotient(c: PerfSeries, num, den, window, negate=False):
         terms = _product_terms(params, terms, t, bound)
     for steps in divisors:
         terms = _long_division(params, terms, steps, bound)
-    return d, terms, out_prec
-
-
-def _twisted_step(c: PerfSeries, num, den, window, negate=False) -> PerfSeries:
-    """(c * prod(num) / prod(den))^q, the q-twisted step shared by the
-    hypergeometric stream and the Cauchy solver, with the terms and
-    precision of ``(c * prod(num)).divide(prod(den), window=window)
-    .frobenius(1)``: one :func:`_quotient` pass computes the quotient, and
-    its Frobenius image is written directly.  With ``negate`` it is minus
-    that image, the Cauchy solver's step: the Frobenius is additive, so
-    the sign is taken inside the quotient and no negated copy is built."""
-    params = c.params
-    d, terms, prec = _quotient(c, num, den, window, negate)
-    # x^(k/q^d) goes to x^(k/q^(d-1)), or to x^(kq) on the integer grid
-    q, frob = params.q, params._frob[1 % params.m]
-    s = 1 if d else q
-    return PerfSeries._canonical(params, max(d - 1, 0),
-                                 {k * s: frob[x] for k, x in terms.items()},
-                                 prec * q)
+    return PerfSeries._canonical(params, d, terms, out_prec)
 
 
 # ---------------------------------------------------------------------------

@@ -34,21 +34,30 @@ bracket as ``from_terms(...) - x``, D_n and L_n by their recursions
 D_n = [n] D_(n-1)^q and L_n = [n] L_(n-1), (alpha)_n for alpha >= 1 as
 the twist D_(n+alpha-1)^(q^(1-alpha)), and the factor lists as twisted
 brackets [k]^(q^j), which the library replaced by products of two-term
-factors built straight on their grid.  Each is kept here once and in no
-library module.
+factors built straight on their grid; and the quotient kernel's tuple
+(dexp, terms, prec), which every caller wrapped in
+``PerfSeries._canonical``, the q-twisted step as a function of its own
+on that tuple, and D_n, L_n, <a>_m and (alpha)_n, alpha >= 1, as
+pairwise products of their factors, which the library replaced by one
+kernel call that returns the canonical series, its Frobenius image, and
+one kernel call per symbol.  Each is kept here once and in no library
+module.
 """
 
 from fractions import Fraction
+from functools import reduce
 from heapq import heappop, heappush
 from itertools import product
+from operator import mul
 
 from carlitz import PerfSeries, bracket, pochhammer
-from carlitz.brackets import INFINITY
+from carlitz.brackets import (INFINITY, _factorial_factors, _l_factors,
+                              _pochhammer_factors, _thakur_factors, _two_term)
 from carlitz.cauchy import AdmissibilityReport, _index_values
 from carlitz.errors import NotInvertibleError, PrecisionError, UsageError
 from carlitz.ffield import FFElement
 from carlitz.series import (DEFAULT_INVERT_WINDOW, INF, _grid_bound,
-                            _product_terms, _quotient)
+                            _long_division, _product_prec, _product_terms)
 
 
 def ref_bracket(params, n):
@@ -513,7 +522,7 @@ class MakePath:
     @staticmethod
     def divide(a, b, window=None):
         a._check(b)
-        return MakePath.make(a.params, *_quotient(a, (), (b,), window))
+        return MakePath.make(a.params, *ref_quotient_terms(a, (), (b,), window))
 
     @staticmethod
     def invert(a, window=None):
@@ -527,7 +536,7 @@ class MakePath:
         if (c.terms and all(f.terms for f in factors)
                 and (len(num) <= 1 and len(den) <= 1
                      or all(f.prec == INF for f in factors))):
-            d, terms, prec = _quotient(c, num, den, window)
+            d, terms, prec = ref_quotient_terms(c, num, den, window)
             q, frob = params.q, params._frob[1 % params.m]
             s = 1 if d else q
             return MakePath.make(params, max(d - 1, 0),
@@ -541,3 +550,205 @@ class MakePath:
             divisor = MakePath.mul(divisor, f)
         return MakePath.frobenius(
             MakePath.divide(MakePath.mul(c, product), divisor, window=window), 1)
+
+
+# ---------------------------------------------------------------------------
+# the quotient kernel's tuple form, the separate q-twisted step and the
+# pairwise symbol products
+# ---------------------------------------------------------------------------
+
+def ref_quotient_terms(c, num, den, window, negate=False):
+    """c * prod(num) / prod(den) as (dexp, terms, prec), the tuple the
+    quotient kernel returned before it returned the canonical series: the
+    terms, precision and refusals of
+    ``c * prod(num) * prod(den).invert(window)`` with no inverse built, its
+    negation when ``negate``.  The terms are nonzero and below prec; dexp
+    may not yet be the least.
+
+    Any factors are allowed, exact or truncated, several to a side.  A
+    denominator factor without terms is refused as prod(den) would be; a
+    dividend factor without terms gives no terms, at the precision of the
+    dividend less the valuation of prod(den).  Otherwise the relative
+    precision of a product is the least of its factors', so the quotient
+    keeps the least of the numerators' and the inverse's.  Each factor is
+    moved to valuation 0 on one grid; c's terms, seeded at the quotient's
+    valuation, are multiplied by each numerator and long-divided by each
+    denominator, every pass cut at the quotient's precision."""
+    if window is not None:
+        if not isinstance(window, (int, Fraction)):
+            raise UsageError("window must be an int or a Fraction, got %r"
+                             % (window,))
+        if window <= 0:
+            raise UsageError("window must be positive, got %s" % (window,))
+    if not all(f.terms for f in den):
+        den_prec = _product_prec(den)
+        if den_prec is INF:
+            raise NotInvertibleError("exact zero series is not invertible")
+        raise NotInvertibleError(
+            "not invertible at this precision (zero below %s)" % den_prec)
+    params = c.params
+    q = params.q
+    d = max(f.dexp for f in (c, *num, *den))
+    scale = q ** d
+
+    def on_grid(f):
+        s = q ** (d - f.dexp)
+        return f.terms if s == 1 else {k * s: x for k, x in f.terms.items()}
+
+    dens = [on_grid(f) for f in den]
+    v = sum(min(t) for t in dens)  # valuation of prod(den), on the grid
+    # the relative precision of prod(den), and the one its inverse keeps
+    rel_in = min((f.prec - f._val_lb() for f in den if f.prec is not INF),
+                 default=INF)
+    if window is not None:
+        rel_out = min(Fraction(window), rel_in)
+    elif rel_in is not INF:
+        rel_out = rel_in
+    elif all(len(t) == 1 for t in dens):
+        rel_out = INF  # the exact inverse of a monomial
+    else:
+        rel_out = Fraction(DEFAULT_INVERT_WINDOW)
+    if not all(f.terms for f in (c, *num)):
+        # rel_out > 0, so the dividend's own term is the least
+        out_prec = _product_prec((c, *num))
+        if out_prec is not INF:
+            out_prec -= Fraction(v, scale)
+        return 0, {}, out_prec
+
+    c_terms = on_grid(c)
+    c_val = min(c_terms)
+    offset = -v
+    nums = []
+    for f in num:
+        t = on_grid(f)
+        k0 = min(t)
+        offset += k0
+        nums.append((f.prec, k0, {k - k0: x for k, x in t.items()}))
+    val = c_val + offset  # valuation of the quotient, on the grid
+    # the term of the inverse, then of each truncated numerator
+    out_prec = INF if rel_out is INF else rel_out + Fraction(val, scale)
+    for p, k0 in [(c.prec, c_val)] + [(p, k0) for p, k0, _ in nums]:
+        if p is not INF:
+            out_prec = min(out_prec, p + Fraction(val - k0, scale))
+    bound = INF if out_prec is INF else _grid_bound(out_prec, scale)
+
+    log, exp, neg = params._log, params._exp, params._neg
+    n = params.Q - 1
+    lead_log = log[params.minus_one_idx] if negate else 0
+    divisors = []
+    for t in dens:
+        k0 = min(t)
+        ll = log[t[k0]]
+        lead_log -= ll
+        divisors.append(sorted((k - k0, (log[neg[x]] - ll) % n)
+                               for k, x in t.items() if k > k0))
+    lead_log %= n
+    terms = {k + offset: exp[log[x] + lead_log] for k, x in c_terms.items()}
+    for _, _, t in nums:
+        terms = _product_terms(params, terms, t, bound)
+    for steps in divisors:
+        terms = _long_division(params, terms, steps, bound)
+    return d, terms, out_prec
+
+
+def ref_quotient(c, num, den, window, negate=False):
+    """The quotient as every caller formed it from the tuple:
+    ``PerfSeries._canonical(params, *ref_quotient_terms(...))``."""
+    return PerfSeries._canonical(c.params,
+                                 *ref_quotient_terms(c, num, den, window, negate))
+
+
+def ref_twisted_step(c, num, den, window, negate=False):
+    """(c * prod(num) / prod(den))^q as its own function, with the Frobenius
+    image written straight from the tuple of ``ref_quotient_terms``: the
+    exponents k / q^d go to k / q^(d-1), or to kq on the integer grid.
+    With ``negate`` the sign is taken inside the quotient."""
+    params = c.params
+    d, terms, prec = ref_quotient_terms(c, num, den, window, negate)
+    q, frob = params.q, params._frob[1 % params.m]
+    s = 1 if d else q
+    return PerfSeries._canonical(params, max(d - 1, 0),
+                                 {k * s: frob[x] for k, x in terms.items()},
+                                 prec * q)
+
+
+def ref_product(params, factors):
+    """prod(factors), multiplied pairwise from the unit."""
+    return reduce(mul, factors, PerfSeries.one(params))
+
+
+def ref_expand(params, count, factors, *args):
+    """The product of ``factors(params, count, *args)``, refused before any
+    factor is built when its 2^count terms pass 2^20."""
+    if count >= 21:
+        raise UsageError("an expanded product must have at most %d terms, "
+                         "got 2^%d" % (2 ** 20, count))
+    return ref_product(params, factors(params, count, *args))
+
+
+def ref_kernel_D(params, n):
+    if n < 0:
+        raise UsageError("D_n needs n >= 0")
+    return ref_expand(params, n, _factorial_factors)
+
+
+def ref_kernel_L(params, n):
+    if n < 0:
+        raise UsageError("L_n needs n >= 0")
+    return ref_expand(params, n, _l_factors)
+
+
+def ref_kernel_pochhammer(a, m):
+    """<a>_m as the pairwise product of its two-term factors."""
+    if m < 0:
+        raise UsageError("<a>_m needs m >= 0")
+    return ref_product(a.params, _pochhammer_factors(a, m))
+
+
+def ref_kernel_pochhammer_thakur(params, alpha, n):
+    """(alpha)_n by two paths: the pairwise product of the upper factors
+    for alpha >= 1, the tuple-form quotient of the factors otherwise."""
+    if alpha >= 1 and n >= 0:
+        return ref_expand(params, n + alpha - 1, _factorial_factors, n)
+    return ref_quotient(PerfSeries.one(params),
+                        *_thakur_factors(params, alpha, n), None)
+
+
+def ref_kernel_hyper_coeff(hp, m, window=None):
+    """h_m from the tuple-form quotient over the symbols' factors: directly
+    at m = 0 and for parameters with finite precision, otherwise m steps
+    of ``ref_twisted_step`` from h_0 at relative precision R/q."""
+    params = hp.params
+
+    def direct(k):
+        return ref_quotient(
+            PerfSeries.one(params),
+            [f for a in hp.a_list for f in _pochhammer_factors(a, k)],
+            _factorial_factors(params, k)
+            + [f for b in hp.b_list for f in _pochhammer_factors(b, k)],
+            window)
+    if m == 0 or not all(s.is_exact() for s in hp.a_list + hp.b_list):
+        return direct(m)
+    rel = Fraction(DEFAULT_INVERT_WINDOW if window is None else window) / params.q
+    h = direct(0)
+    for k in range(m):
+        b_k = bracket(params, k)
+        h = ref_twisted_step(h, [b_k - a for a in hp.a_list],
+                             [_two_term(params, k, -1)]
+                             + [b_k - b for b in hp.b_list], rel)
+    return h
+
+
+def ref_kernel_evaluate(f, z, svec, window=None):
+    """``MultiFunction.evaluate`` with each slot a tuple-form quotient by
+    the two-term factors of D_m."""
+    params = f.params
+    if len(svec) != f.n:
+        raise UsageError("expected %d s-arguments" % f.n)
+    acc = PerfSeries.zero(params)
+    for key in f.support():
+        m = key[0]
+        powers = [z.frobenius(m)] + [s.frobenius(i) for s, i in zip(svec, key[1:])]
+        acc = acc + ref_quotient(f.coeffs[key], powers,
+                                 _factorial_factors(params, m), window)
+    return acc

@@ -153,6 +153,16 @@ def test_support_shape_enforced(F2):
         MultiFunction(F2, 2, 3, 3, {(0, 1): PerfSeries.one(F2)})
 
 
+def test_coefficient_refuses_a_wrong_index_count(F2):
+    # a slot of an n = 2 function has m and two s-indices, as evaluate
+    # takes two s-arguments; a shorter or longer tuple names no slot
+    f = one_slot(F2, 2, (0, 0, 0), PerfSeries.x(F2))
+    assert f.coefficient(0, 0, 0) == PerfSeries.x(F2)
+    for ivec in ((), (0,), (0, 0, 0)):
+        with pytest.raises(UsageError, match="expected 2 s-indices"):
+            f.coefficient(0, *ivec)
+
+
 def test_equality_on_common_box(F2):
     a = one_slot(F2, 1, (0, 1), PerfSeries.one(F2), tm=4, ti=4)
     extra = dict(a.coeffs)

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from carlitz import (FieldParams, InadmissibleError, PerfSeries,
-                     PrecisionError, UsageError, bracket, carlitz_D,
+from carlitz import (FieldParams, InadmissibleError, ParameterMismatchError,
+                     PerfSeries, PrecisionError, UsageError, bracket, carlitz_D,
                      pochhammer, shift_down, shift_up)
 from carlitz.cauchy import InitialData, cauchy_solve, hypergeometric_equation
 from carlitz.hyper import (CONTIGUOUS_IDS, HyperParams, admissible_profile,
@@ -328,6 +328,19 @@ def test_58_side_conditions(F2, rng):
     c = sampling.random_admissible(rng, F2, terms=(1, 2))
     with pytest.raises(UsageError):
         contiguous_check("5.8", F2, a=bracket(F2, -1), b=b, c=c, M=2)
+
+
+@pytest.mark.parametrize("ident", CONTIGUOUS_IDS[:4])
+def test_symbol_identities_refuse_a_parameter_over_another_field(F2, F3, ident):
+    # as 5.7 and 5.8 refuse it, through HyperParams
+    a = PerfSeries.x(F3) + PerfSeries.one(F3)
+    c = sampling.random_admissible(random.Random(5), F2, terms=(1, 2))
+    with pytest.raises(ParameterMismatchError) as function_identity:
+        contiguous_check("5.7", F2, a=a, b=c, c=c, M=1)
+    with pytest.raises(ParameterMismatchError) as symbol_identity:
+        contiguous_check(ident, F2, a=a, m=2)
+    assert str(symbol_identity.value) == str(function_identity.value) \
+        == "parameter over a different field"
 
 
 def test_57_coefficient_identity(F2, rng):

@@ -15,6 +15,11 @@ builder of two-term factors: no module builds an inverse but the series
 layer and identity 5.8, ``hyper`` and ``funcspace`` name neither Carlitz
 factorial, no function of ``brackets`` calls itself, only ``ffield``
 names the D and L cache slots, and no bracket is twisted into a factor.
+And one quotient kernel takes every symbol expression: no module defines
+a q-twisted step of its own (``_twisted_step``), no caller unpacks or
+tuple-assigns what ``_quotient`` returns, since it returns the series,
+and ``brackets`` names neither ``reduce`` nor ``mul``, since each symbol
+is one kernel call.
 """
 
 import ast
@@ -460,17 +465,23 @@ def test_invert_is_called_only_by_the_series_layer_and_identity_58():
                                                           "_function_check")}
 
 
+def _names(tree):
+    """Every name, attribute and imported name that ``tree`` reads."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update((node.name, node.asname))
+    return names
+
+
 def test_hyper_and_funcspace_name_no_factorial():
     # D_m, L_m and the Thakur symbols reach them only as factor lists
     for module in ("hyper.py", "funcspace.py"):
-        names = set()
-        for node in ast.walk(ast.parse((SRC / module).read_text())):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.update((node.name, node.asname))
+        names = _names(ast.parse((SRC / module).read_text()))
         assert not names & {"carlitz_D", "carlitz_L"}, module
 
 
@@ -516,3 +527,33 @@ def test_no_factor_is_a_twisted_bracket():
                 assert not (isinstance(receiver, ast.Call)
                             and _callee(receiver) == "bracket"), (
                     path.name, call.lineno)
+
+
+def test_no_twisted_step_is_defined():
+    # the q-twisted step is _quotient(...).frobenius(1), not a function
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                assert node.name != "_twisted_step", (path.name, node.lineno)
+
+
+def test_quotient_results_are_series():
+    # _quotient returns the canonical series: nothing unpacks it
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Starred):
+                assert not (isinstance(node.value, ast.Call)
+                            and _callee(node.value) == "_quotient"), (
+                    path.name, node.lineno)
+            elif isinstance(node, ast.Assign):
+                assert not (isinstance(node.value, ast.Call)
+                            and _callee(node.value) == "_quotient"
+                            and any(isinstance(t, (ast.Tuple, ast.List))
+                                    for t in node.targets)), (
+                    path.name, node.lineno)
+
+
+def test_brackets_names_no_pairwise_product():
+    # D_n, L_n, (alpha)_n and <a>_m are each one call of the kernel
+    names = _names(ast.parse((SRC / "brackets.py").read_text()))
+    assert not names & {"reduce", "mul"}

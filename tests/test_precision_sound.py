@@ -5,11 +5,12 @@ A truncated series a stands for every series that agrees with it below
 terms are added at or above its precision, and the completion A is exact.
 An operation f is sound when f(a) == f(A) at f(a)'s precision, for every
 completion.  Exact inputs are their own completions.  Where f takes a
-window (``divide``, ``invert``, ``_twisted_step``, ``_quotient`` and
-``hyper_eval``), f(A) is computed with a window wider than any relative
-precision the drawn inputs can give, so that f(A) is known at least as far
-as f(a) claims.  An operation that returns a map of series (``op_apply``)
-is checked coefficient by coefficient.
+window (``divide``, ``invert``, the q-twisted step
+``_quotient(...).frobenius(1)``, ``_quotient`` and ``hyper_eval``), f(A)
+is computed with a window wider than any relative precision the drawn
+inputs can give, so that f(A) is known at least as far as f(a) claims.
+An operation that returns a map of series (``op_apply``) is checked
+coefficient by coefficient.
 
 ``cauchy_solve`` is checked the same way, with a truncated parameter of a
 hypergeometric equation, a truncated coefficient of a general Q or a
@@ -64,7 +65,7 @@ from carlitz.hyper import (HyperParams, convergence_bound, hyper_eval,
                            thakur_correspondence)
 from carlitz.opring import (CONVENTIONS, D, TAU, NormalForm, OperatorWord,
                             normalize, scalar_factor)
-from carlitz.series import _quotient, _twisted_step
+from carlitz.series import _quotient
 from test_quotient_kernel import SHIPPED_FIELDS, factors
 
 #: the window f(A) is computed with: above the default invert window and
@@ -153,18 +154,14 @@ def test_pochhammer(pairs, m):
     assert_sound(lambda: pochhammer(a, m), lambda: pochhammer(A, m))
 
 
-def quotient(c, num, den, window):
-    return PerfSeries._canonical(c.params, *_quotient(c, num, den, window))
-
-
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(operands(5), st.booleans())
 def test_twisted_step_and_two_factor_quotient(pairs, negate):
     (c, C), (n1, N1), (n2, N2), (d1, D1), (d2, D2) = pairs
-    assert_sound(lambda: _twisted_step(c, [n1], [d1], None, negate),
-                 lambda: _twisted_step(C, [N1], [D1], WIDE, negate))
-    assert_sound(lambda: quotient(c, (n1, n2), (d1, d2), None),
-                 lambda: quotient(C, (N1, N2), (D1, D2), WIDE))
+    assert_sound(lambda: _quotient(c, [n1], [d1], None, negate).frobenius(1),
+                 lambda: _quotient(C, [N1], [D1], WIDE, negate).frobenius(1))
+    assert_sound(lambda: _quotient(c, (n1, n2), (d1, d2), None),
+                 lambda: _quotient(C, (N1, N2), (D1, D2), WIDE))
 
 
 @st.composite
@@ -282,8 +279,8 @@ def test_integer_family_against_its_wide_values():
         n = min(m, -alpha)
         one = PerfSeries.one(params)
         assert_sound(lambda: pochhammer_thakur(params, alpha, n),
-                     lambda: quotient(one, *_thakur_factors(params, alpha, n),
-                                      SOLVE_WIDE))
+                     lambda: _quotient(one, *_thakur_factors(params, alpha, n),
+                                       SOLVE_WIDE))
         assert_sound(
             lambda: hyper_thakur_coeff(params, alphas, betas, m, window=window),
             lambda: hyper_thakur_coeff(params, alphas, betas, m,

@@ -2,7 +2,8 @@
 
 ``PerfSeries.divide`` and ``invert`` are long division seeded with the
 dividend's terms, and the hypergeometric stream and the Cauchy solver take
-one q-twisted step, ``series._twisted_step``, through the same code.  The
+one q-twisted step, the Frobenius image of the same kernel's quotient,
+``series._quotient(...).frobenius(1)``.  The
 oracles are the bodies these replaced, kept in ``oracles``: the inverse
 built as a series of its own, the quotient as a product with it, and the
 two step expressions on top of them.  Every result must match its oracle
@@ -25,7 +26,7 @@ from carlitz.cauchy import (DeltaPoly, EvolutionEquation, InitialData,
                             hypergeometric_equation)
 from carlitz.errors import CarlitzError
 from carlitz.funcspace import MultiFunction
-from carlitz.series import _twisted_step
+from carlitz.series import _quotient
 from oracles import (assert_same, ref_cauchy_coeffs, ref_cauchy_step,
                      ref_divide, ref_hyper_coeff, ref_invert, ref_stream_step,
                      window_of)
@@ -108,6 +109,12 @@ def outcome(fn, *args, **kwargs):
         return type(exc), str(exc)
 
 
+def twisted_step(c, num, den, window, negate=False):
+    """(c * prod(num) / prod(den))^q as the stream and the Cauchy solver
+    take it: the Frobenius image of one quotient."""
+    return _quotient(c, num, den, window, negate).frobenius(1)
+
+
 def assert_same_outcome(got, want):
     if isinstance(want, tuple):
         assert got == want
@@ -167,7 +174,7 @@ def test_divide_matches_the_schoolbook_product_and_inverse(ab, mode, size):
        WINDOWS)
 def test_twisted_step_matches_the_stream_step(step, window):
     c, num, den = step
-    assert_same_outcome(outcome(_twisted_step, c, num, den, window),
+    assert_same_outcome(outcome(twisted_step, c, num, den, window),
                         outcome(ref_stream_step, c, num, den, window))
 
 
@@ -177,7 +184,7 @@ def test_twisted_step_matches_the_stream_step(step, window):
        WINDOWS)
 def test_twisted_step_matches_the_cauchy_step(step, window):
     c, pe, qe = step
-    assert_same_outcome(outcome(_twisted_step, c, [pe], [qe], window, negate=True),
+    assert_same_outcome(outcome(twisted_step, c, [pe], [qe], window, negate=True),
                         outcome(ref_cauchy_step, c, pe, qe, window))
 
 
@@ -268,18 +275,21 @@ def test_hyper_eval_reads_the_stream_up_to_its_tail_bound(F2, monkeypatch):
     b = ref_make(F2, 0, {0: 1, 5: 1}, INF)          # 1 + x^5
     z = ref_make(F2, 0, {20: 1}, INF)               # x^20
     hp = hyper.HyperParams(F2, [a], [b])
-    steps = []
+    dividends = []
 
-    def counted(*args):
-        steps.append(None)
-        return _twisted_step(*args)
+    def counted(c, *args):
+        dividends.append(c)
+        return _quotient(c, *args)
 
-    monkeypatch.setattr(hyper, "_twisted_step", counted)
+    monkeypatch.setattr(hyper, "_quotient", counted)
     results, counts = [], []
+    unit = PerfSeries.one(F2)
     for M in (10, 30, 200):
-        del steps[:]
+        del dividends[:]
         results.append(hyper.hyper_eval(hp, z, M))
-        counts.append(len(steps))
+        # one quotient from the unit gives h_0; every other call is a step
+        assert sum(c is unit for c in dividends) == 1
+        counts.append(len(dividends) - 1)
     for r in results[1:]:
         assert_same(r, results[0])
     # the sum of every term up to M, capped by the tail bound past M

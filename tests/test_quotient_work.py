@@ -1,12 +1,11 @@
 """Work-count guards of the one quotient kernel.
 
-The q-twisted step ``series._twisted_step`` and the direct symbol
-quotient of the integer family, ``hyper._thakur_quotient`` (t_0 of its
-stream, and the t side of ``thakur_correspondence``), each run one pass
-of ``series._quotient``
-for any factors: exact or truncated, several to a side, with terms or
-without.  Neither multiplies factors out, divides through
-``PerfSeries.divide`` or truncates a factor, which is what a
+The q-twisted step ``series._quotient(...).frobenius(1)`` and the direct
+symbol quotient of the integer family, ``hyper._thakur_quotient`` (t_0 of
+its stream, and the t side of ``thakur_correspondence``), each run one
+pass of ``series._quotient`` for any factors: exact or truncated, several
+to a side, with terms or without.  Neither multiplies factors out, divides
+through ``PerfSeries.divide`` or truncates a factor, which is what a
 multiply-then-divide path would do.  The values are checked against the
 oracles in ``test_quotient_kernel`` and ``test_symbol_quotient``.  The
 precision of a product of k factors, ``series._product_prec``, takes a
@@ -20,8 +19,8 @@ import pytest
 
 from carlitz import INF, PerfSeries, hyper
 from carlitz.brackets import _factorial_factors, _thakur_factors
-from carlitz.series import _product_prec, _twisted_step
-from test_quotient_kernel import KINDS, SHIPPED_FIELDS, outcome
+from carlitz.series import _product_prec
+from test_quotient_kernel import KINDS, SHIPPED_FIELDS, outcome, twisted_step
 from test_series_kernel import ref_make
 
 
@@ -63,7 +62,7 @@ def test_twisted_step_builds_no_product_or_quotient(params, window, monkeypatch)
     steps += [(truncated, [f], [truncated, kinds["truncated-monomial"]])
               for f in series]
     calls = _series_calls(monkeypatch)
-    results = [outcome(_twisted_step, c, num, den, window) for c, num, den in steps]
+    results = [outcome(twisted_step, c, num, den, window) for c, num, den in steps]
     assert calls == []
     assert any(isinstance(r, PerfSeries) and r.terms for r in results)
     assert any(isinstance(r, PerfSeries) and not r.terms for r in results)

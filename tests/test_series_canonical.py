@@ -5,7 +5,8 @@ the least exponent grid ``dexp`` that holds every exponent (0 for a series
 without terms).  Terms from outside the kernels (``from_terms``,
 ``truncate``, and sums whose sides differ in precision) are filtered by
 ``PerfSeries._make``; the products, quotients, Frobenius images and
-q-twisted steps only lower ``dexp`` (``PerfSeries._canonical``).  Each
+q-twisted steps (the Frobenius image of a quotient) only lower ``dexp``
+(``PerfSeries._canonical``).  Each
 result is checked against the invariant directly, and against
 ``oracles.MakePath``, the same operations with every result re-filtered:
 same terms, same dexp, same prec (value and type), same refusals.  The
@@ -32,11 +33,10 @@ from hypothesis import given, settings, strategies as st
 
 from carlitz import INF, FieldParams, PerfSeries, hyper, sampling
 from carlitz.cauchy import InitialData, cauchy_solve, hypergeometric_equation
-from carlitz.series import _twisted_step
 from oracles import MakePath, assert_same, ref_canonical
 from test_quotient_kernel import (SHIPPED_FIELDS, WINDOWS, as_window,
                                   assert_same_outcome, factors, outcome,
-                                  quotient_kwargs)
+                                  quotient_kwargs, twisted_step)
 from test_series_kernel import FIELDS
 
 EXACT_KINDS = ("exact", "monomial", "exact-zero")
@@ -123,7 +123,7 @@ def test_unary_operations(drawn):
        WINDOWS)
 def test_twisted_step(step, window):
     c, num, den = step
-    check(outcome(_twisted_step, c, num, den, window),
+    check(outcome(twisted_step, c, num, den, window),
           outcome(MakePath.twisted_step, c, num, den, window))
 
 
@@ -195,8 +195,8 @@ def test_kernel_results_skip_the_filter(drawn, window):
         outcome(b.invert)
         for e in range(-2, 3):
             a.frobenius(e)
-        outcome(_twisted_step, a, [b], [b, a], window)
-        outcome(_twisted_step, a, [], [b], window)
+        outcome(twisted_step, a, [b], [b, a], window)
+        outcome(twisted_step, a, [], [b], window)
         assert made.calls == 0
         # a Frobenius image is canonical in closed form, except for e < 0
         # on the integer grid, where the exponents' gcd decides

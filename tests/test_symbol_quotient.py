@@ -7,14 +7,15 @@ builds the product, whatever the symbols: exact or truncated, with terms
 or without.  The oracle multiplies both sides out and multiplies by the
 built inverse of the denominator (``oracles.ref_coeff_quotient``); every
 coefficient must match it exactly (terms, dexp, prec value and type), and
-every kind of symbol takes exactly one kernel call.  The cases: exact
-monomial denominators (m = 0), exact non-monomial ones (the field family
-at m >= 1 and the integer family with alpha >= 1), truncated parameters,
-and negative alpha, whose symbols are inverses of L: the quotient divides
-by the factors of L, where the oracle multiplies by the truncated inverse
-of the expanded L; windows None, an int and a Fraction, all within the
-default invert window, and above it, where the quotient keeps the
-window's precision.
+every kind of symbol takes exactly one kernel call from the unit, and t_m
+exactly m more: the q-twisted steps of the stream that carry t_0 to t_m.
+The cases: exact monomial denominators (m = 0), exact non-monomial ones
+(the field family at m >= 1 and the integer family with alpha >= 1),
+truncated parameters, and negative alpha, whose symbols are inverses of L:
+the quotient divides by the factors of L, where the oracle multiplies by
+the truncated inverse of the expanded L; windows None, an int and a
+Fraction, all within the default invert window, and above it, where the
+quotient keeps the window's precision.
 """
 
 from fractions import Fraction
@@ -22,7 +23,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carlitz import hyper, pochhammer, pochhammer_thakur
+from carlitz import PerfSeries, hyper, pochhammer, pochhammer_thakur
 from carlitz.series import DEFAULT_INVERT_WINDOW
 from oracles import (assert_same, ref_coeff_quotient, ref_hyper_coeff,
                      ref_pochhammer_thakur, ref_thakur_coeff, ref_thakur_symbol,
@@ -33,15 +34,23 @@ WINDOWS = (None, 9, Fraction(23, 2))
 
 
 def _kernel_calls(monkeypatch):
-    """Count the calls hyper makes of the quotient kernel."""
-    calls = []
+    """Record the dividend of each call hyper makes of the quotient kernel."""
+    dividends = []
     kernel = hyper._quotient
 
-    def counted(*args):
-        calls.append(None)
-        return kernel(*args)
+    def counted(c, *args):
+        dividends.append(c)
+        return kernel(c, *args)
     monkeypatch.setattr(hyper, "_quotient", counted)
-    return calls
+    return dividends
+
+
+def _split(dividends, params):
+    """(the calls from the unit, the others): a symbol quotient divides
+    the unit, and a step of the stream its last coefficient."""
+    unit = PerfSeries.one(params)
+    from_unit = sum(c is unit for c in dividends)
+    return from_unit, len(dividends) - from_unit
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -54,7 +63,7 @@ def test_field_family_symbol_quotient(hp, m, window):
     with pytest.MonkeyPatch.context() as mp:
         calls = _kernel_calls(mp)
         assert_same(hyper._coeff_quotient(params, m, upper, lower, window), want)
-    assert len(calls) == 1
+    assert _split(calls, params) == (1, 0)
     if m == 0 or not hyper._is_exact(hp):
         assert_same(hyper.hyper_coeff(hp, m, window=window), want)
 
@@ -69,7 +78,7 @@ def test_integer_family_symbol_quotient(params, alphas, betas, m, window):
         calls = _kernel_calls(mp)
         got = hyper.hyper_thakur_coeff(params, alphas, betas, m, window=window)
     assert_same(got, ref_thakur_coeff(params, alphas, betas, m, window))
-    assert len(calls) == 1
+    assert _split(calls, params) == (1, m)
 
 
 @pytest.mark.parametrize("params", FIELDS, ids=repr)
@@ -91,7 +100,7 @@ def test_each_kind_of_symbol(params, window, monkeypatch):
         calls = _kernel_calls(monkeypatch)
         got = hyper.hyper_thakur_coeff(params, alphas, betas, m, window=window)
         monkeypatch.undo()
-        assert len(calls) == 1
+        assert _split(calls, params) == (1, m)
         assert_same(got, ref_thakur_coeff(params, alphas, betas, m, window))
     # D_0 (1)_0 = 1: the quotient of monomials is exact unless a window cuts it
     assert hyper.hyper_thakur_coeff(params, [1], [1], 0, window=window).is_exact() \
