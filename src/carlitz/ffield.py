@@ -4,9 +4,13 @@ A :class:`FieldParams` fixes the prime p, the Carlitz parameter q = p^v,
 the constant-field extension degree m, and an irreducible modulus of degree
 v*m over Z/p.  Field elements are residues modulo that modulus; internally
 they are encoded as integers (base-p digit strings), and all arithmetic is
-table driven: a discrete-log/exp pair for multiplication and per-power
-Frobenius tables.  Fields this small (Q <= a few thousand) make the tables
-essentially free and every coefficient operation O(1).  A field of order
+table driven: a discrete-log/exp pair for multiplication, per-power
+Frobenius tables, and one addition table that every field has and every
+sum reads as ``_add_table[a][b]``.  Up to ``_ADD_TABLE_LIMIT`` elements its
+Q rows are stored; above it the table is a view that adds the base-p
+digits of a and b on demand, so only this module knows which kind a field
+has.  Fields this small (Q <= a few thousand) make the tables essentially
+free and every coefficient operation O(1).  A field of order
 above ``_FIELD_ORDER_LIMIT`` (2^20) is refused with a UsageError that
 names the limit, before p is factored or any table is built.
 
@@ -38,8 +42,9 @@ from __future__ import annotations
 
 from .errors import UsageError
 
-# Build a full Q x Q addition table only below this size; beyond it,
-# addition falls back to digitwise base-p arithmetic.
+# Store the Q x Q addition table only up to this order.  A larger field's
+# table reads the same, table[a][b], but adds the base-p digits of a and b
+# on demand (_DigitSums), so it holds no rows.
 _ADD_TABLE_LIMIT = 512
 
 # Build no field of order Q = p^(v*m) above this size: the log, exp,
@@ -146,6 +151,35 @@ def _configuration(p, v, m, modulus):
         inv = pow(modulus[-1], -1, p)
         modulus = tuple(c * inv % p for c in modulus)
     return p, v, m, modulus
+
+
+class _DigitSumRow:
+    """Row a of an addition table: row[b] is a + b, the base-p digits of
+    the two indices added mod p."""
+
+    __slots__ = ("params", "digits")
+
+    def __init__(self, params, a):
+        self.params, self.digits = params, params._coeffs_of(a)
+
+    def __getitem__(self, b):
+        params, p = self.params, self.params.p
+        return params._idx_of([(x + y) % p for x, y in
+                               zip(self.digits, params._coeffs_of(b))])
+
+
+class _DigitSums:
+    """The addition table of a field, read as table[a][b], that makes each
+    row on demand: a field stores its rows only up to ``_ADD_TABLE_LIMIT``,
+    and above it keeps this view, which holds nothing but the field."""
+
+    __slots__ = ("params",)
+
+    def __init__(self, params):
+        self.params = params
+
+    def __getitem__(self, a):
+        return _DigitSumRow(self.params, a)
 
 
 class FieldParams:
@@ -267,19 +301,11 @@ class FieldParams:
         self._exp = exp + exp
         self._log = log
 
-        # addition table (small fields only)
+        # the addition table: its rows, or above the limit the view
+        table = _DigitSums(self)
         if Q <= _ADD_TABLE_LIMIT:
-            tbl = []
-            for a in range(Q):
-                ca = self._coeffs_of(a)
-                row = []
-                for b in range(Q):
-                    cb = self._coeffs_of(b)
-                    row.append(self._idx_of([(x + y) % p for x, y in zip(ca, cb)]))
-                tbl.append(row)
-            self._add_table = tbl
-        else:
-            self._add_table = None
+            table = [list(map(table[a].__getitem__, range(Q))) for a in range(Q)]
+        self._add_table = table
 
         # frob[e][i] = i^(q^e) for e in 0..m-1 (q^m is the identity on F_Q)
         frob = [list(range(Q))]
@@ -291,12 +317,7 @@ class FieldParams:
     # -- low level integer-index arithmetic ----------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        p = self.p
-        ca = self._coeffs_of(a)
-        cb = self._coeffs_of(b)
-        return self._idx_of([(x + y) % p for x, y in zip(ca, cb)])
+        return self._add_table[a][b]
 
     def neg(self, a: int) -> int:
         return self._neg[a]

@@ -142,6 +142,15 @@ class LinearSeries(SeriesMap):
         return body
 
 
+def _check_basis_key(key):
+    """Refuse a key (m, i_1..i_n) that names no basis monomial."""
+    m, ivec = key[0], key[1:]
+    if m < 0 or any(i < 0 for i in ivec):
+        raise UsageError("negative index in key %r" % (key,))
+    if m > min(ivec):
+        raise UsageError("key %r violates m <= min(i)" % (key,))
+
+
 class MultiFunction(SeriesMap):
     """Function of (z, s_1..s_n) in the basis described in the module doc."""
 
@@ -160,10 +169,7 @@ class MultiFunction(SeriesMap):
             m, ivec = key[0], key[1:]
             if len(ivec) != n:
                 raise UsageError("key %r has wrong arity" % (key,))
-            if m < 0 or any(i < 0 for i in ivec):
-                raise UsageError("negative index in key %r" % (key,))
-            if m > min(ivec):
-                raise UsageError("key %r violates m <= min(i)" % (key,))
+            _check_basis_key(key)
             if m > trunc_m or any(i > trunc_i for i in ivec):
                 continue
             if not c.is_zero():
@@ -233,6 +239,7 @@ class MultiFunction(SeriesMap):
         if len(ivec) != self.n:
             raise UsageError("expected %d s-indices" % self.n)
         key = (m,) + tuple(ivec)
+        _check_basis_key(key)
         if m > self.trunc_m or any(i > self.trunc_i for i in ivec):
             raise UsageError("slot %r beyond truncation" % (key,))
         return self.coeffs.get(key, PerfSeries.zero(self.params))

@@ -18,8 +18,12 @@ read from one table of relations  x y - y x = s g  (reversed: -s):
 Every rule strictly reduces the number of inversions against the order
 (ties broken by word length), which terminates; confluence is exercised
 by the test suite with independent reduction strategies.  Within one
-convention the resulting coefficient map is unique, so equality of normal
-forms is equality of term maps (coefficient equality at common precision).
+convention the resulting coefficient map is unique at common precision,
+so equality of normal forms is equality of term maps (coefficient
+equality at common precision).  With exact scalars every reduction order
+gives the same map; with truncated scalars each coefficient's stated
+precision, and whether a key whose coefficient is zero at its precision
+is kept, can depend on the order, so printed normal forms can differ.
 
 The module also carries the filtration machinery: total-degree filtration
 dimension counts for the full ring, the lower-bound monomial count behind
@@ -270,7 +274,9 @@ def normalize(words, params: FieldParams, convention: str = "standard",
     """Rewrite a word, a list of words, or a NormalForm to normal form.
 
     ``strategy`` picks which reducible pair fires first ("leftmost" or
-    "rightmost"); the result must not depend on it.
+    "rightmost").  The results of the two are equal at common precision;
+    with truncated scalars their stated precisions, and so their printed
+    forms, can differ (module docstring).
     """
     if isinstance(words, NormalForm):
         return normalize(words.words(), params, convention, strategy)

@@ -567,8 +567,7 @@ def _product_terms(params: FieldParams, ta: dict, tb: dict, bound) -> dict:
     """The terms below ``bound`` of the product of two term maps on one
     grid.  Coefficients multiply as exp[log a + log b] (the exp table is
     doubled, so the sum needs no reduction) and add by table lookup."""
-    log, exp = params._log, params._exp
-    add, add_table = params.add, params._add_table
+    log, exp, add_table = params._log, params._exp, params._add_table
     out = {}
     for ka, ca in ta.items():
         la = log[ca]
@@ -578,10 +577,7 @@ def _product_terms(params: FieldParams, ta: dict, tb: dict, bound) -> dict:
                 continue
             c = exp[la + log[cb]]
             if k in out:
-                if add_table is not None:
-                    s = add_table[out[k]][c]
-                else:
-                    s = add(out[k], c)
+                s = add_table[out[k]][c]
                 if s:
                     out[k] = s
                 else:
@@ -598,8 +594,7 @@ def _long_division(params: FieldParams, seeds: dict, steps, bound) -> dict:
     w_k is pushed forward to k + j for each step, so only exponents
     reachable from a seed by such steps are visited, in increasing order,
     each once all its terms have arrived."""
-    log, exp = params._log, params._exp
-    add, add_table = params.add, params._add_table
+    log, exp, add_table = params._log, params._exp, params._add_table
     pending = {k: c for k, c in seeds.items() if k < bound}
     heap = list(pending)
     heapify(heap)
@@ -617,10 +612,7 @@ def _long_division(params: FieldParams, seeds: dict, steps, bound) -> dict:
                 break
             term = exp[lc + lu]
             if t in pending:
-                if add_table is not None:
-                    pending[t] = add_table[pending[t]][term]
-                else:
-                    pending[t] = add(pending[t], term)
+                pending[t] = add_table[pending[t]][term]
             else:
                 pending[t] = term
                 heappush(heap, t)

@@ -357,7 +357,6 @@ def parse_operator(text: str, params: FieldParams, n: int):
 
     words = parse_expr()
     cur.expect("eof")
-    from .opring import OperatorWord
     return [OperatorWord(n, w) for w in words]
 
 

@@ -7,7 +7,8 @@ several lines counts each of them.
 
 A knob is a parameter with a default of a public function, or of a public
 method of a public class, defined at module level; dunder methods and
-names that start with ``_`` are not counted.
+names that start with ``_`` are not counted.  A knob is named
+``module:function(param)`` or ``module:Class.method(param)``.
 
     python3 tests/code_lines.py            # the working tree
     python3 tests/code_lines.py HEAD~1     # a commit
@@ -15,6 +16,10 @@ names that start with ``_`` are not counted.
     python3 tests/code_lines.py --since REF
         # code lines and knobs per module at REF and in the working tree,
         # with their differences and a total row
+    python3 tests/code_lines.py [REF] --knobs
+        # each knob by name, one a line
+    python3 tests/code_lines.py --since REF --knobs
+        # the knobs added (+) and removed (-) since REF
 """
 
 from __future__ import annotations
@@ -62,16 +67,47 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def knobs(source: str) -> int:
-    """The number of knobs in ``source``."""
+def knob_names(source: str, module: str = "") -> list:
+    """The knobs in ``source``, in source order, each named
+    ``module:function(param)`` or ``module:Class.method(param)``."""
     functions = []
     for node in ast.parse(source).body:
         if isinstance(node, ast.FunctionDef):
-            functions.append(node)
+            functions.append((node.name, node))
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            functions.extend(f for f in node.body if isinstance(f, ast.FunctionDef))
-    return sum(len(f.args.defaults) + sum(d is not None for d in f.args.kw_defaults)
-               for f in functions if not f.name.startswith("_"))
+            functions.extend(("%s.%s" % (node.name, f.name), f) for f in node.body
+                             if isinstance(f, ast.FunctionDef))
+    names = []
+    for name, f in functions:
+        if f.name.startswith("_"):
+            continue
+        args = f.args
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):] + [
+            a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        names += ["%s:%s(%s)" % (module, name, a.arg) for a in defaulted]
+    return names
+
+
+def knobs(source: str) -> int:
+    """The number of knobs in ``source``."""
+    return len(knob_names(source))
+
+
+def module_knobs(modules):
+    """The knob names of every module of an iterable of (module file name,
+    source)."""
+    return [knob for name, source in modules
+            for knob in knob_names(source, pathlib.PurePosixPath(name).stem)]
+
+
+def knob_changes(before, after):
+    """Lines ``+ knob`` for each knob of ``after`` that ``before`` lacks,
+    then ``- knob`` for each knob of ``before`` that ``after`` lacks, each
+    an iterable of (module file name, source)."""
+    old, new = set(module_knobs(before)), set(module_knobs(after))
+    return (["+ " + k for k in sorted(new - old)]
+            + ["- " + k for k in sorted(old - new)])
 
 
 def sources(ref=None):
@@ -122,9 +158,19 @@ def main(argv=None):
                              "and the knob total")
     parser.add_argument("--since", metavar="REF",
                         help="compare each module at REF with the working tree")
+    parser.add_argument("--knobs", action="store_true",
+                        help="name each knob; with --since, the knobs added "
+                             "and removed")
     args = parser.parse_args(argv)
+    if args.since and args.knobs:
+        print("\n".join(knob_changes(sources(args.since), sources())
+                        or ["no knob added or removed since %s" % args.since]))
+        return 0
     if args.since:
         print(format_since(since_table(sources(args.since), sources()), args.since))
+        return 0
+    if args.knobs:
+        print("\n".join(module_knobs(sources(args.ref))))
         return 0
     total = total_knobs = 0
     for name, source in sources(args.ref):

@@ -6,14 +6,18 @@ strings joined into one); a token that spans several lines counts each of
 them.  ``knobs`` counts the parameters with a default of the public
 module-level functions and of the public methods of public classes.
 ``since_table`` compares two sets of module sources, and ``format_since``
-prints the comparison that ``--since REF`` shows.
+prints the comparison that ``--since REF`` shows.  ``knob_names`` names
+each knob ``module:Class.method(param)``, which ``--knobs`` lists, and
+``knob_changes`` gives the knobs added and removed that ``--since REF
+--knobs`` lists.
 """
 
 import textwrap
 
 import pytest
 
-from code_lines import code_lines, format_since, knobs, since_table
+from code_lines import (code_lines, format_since, knob_changes, knob_names,
+                        knobs, main, since_table)
 
 
 def source(text):
@@ -100,6 +104,18 @@ def test_knobs(name):
     assert knobs(source(text)) == want
 
 
+def test_knob_names():
+    assert knob_names(source(KNOBS["keyword-only"][0]), "m") == ["m:f(b)", "m:f(c)"]
+    assert knob_names(source(KNOBS["private and dunder"][0]), "mod") == [
+        "mod:Shown.method(a)", "mod:Shown.method(b)", "mod:public(a)"]
+    # positional-only defaults count; the defaults belong to the last
+    # positional parameters
+    assert knob_names(source('''
+        def g(a, b=1, /, c=2):
+            pass
+        '''), "m") == ["m:g(b)", "m:g(c)"]
+
+
 # two module sets: a module that grows a knob, one that loses a line, one
 # that is removed and one that is added
 BEFORE = {"a.py": source('''
@@ -137,3 +153,36 @@ def test_format_since():
         "gone.py                 1      0     -1         0      0     +0\n"
         "new.py                  0      2     +2         0      2     +2\n"
         "total                   5      5     +0         0      3     +3")
+
+
+def test_knob_changes():
+    # a knob moved to another parameter is one removed and one added
+    before = {"a.py": source('''
+        def f(x, scale=1):
+            pass
+        class C:
+            def run(self, *, fast=True):
+                pass
+        ''')}
+    after = {"a.py": source('''
+        def f(x, factor=1):
+            pass
+        class C:
+            def run(self, *, fast=True):
+                pass
+        '''), "new.py": source('''
+        def g(a=None):
+            pass
+        ''')}
+    assert knob_changes(before.items(), after.items()) == [
+        "+ a:f(factor)", "+ new:g(a)", "- a:f(scale)"]
+    assert knob_changes(after.items(), after.items()) == []
+
+
+def test_the_knob_listing_names_every_counted_knob(capsys):
+    main(["-v"])
+    total = int(capsys.readouterr().out.splitlines()[-1].split()[-1])
+    main(["--knobs"])
+    listed = capsys.readouterr().out.split()
+    assert len(listed) == len(set(listed)) == total
+    assert all(":" in k and k.endswith(")") for k in listed)

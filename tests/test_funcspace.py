@@ -163,6 +163,20 @@ def test_coefficient_refuses_a_wrong_index_count(F2):
             f.coefficient(0, *ivec)
 
 
+def test_coefficient_refuses_the_keys_the_constructor_refuses(F2):
+    # a key that names no basis monomial is refused, not read as zero
+    x = PerfSeries.x(F2)
+    f = MultiFunction(F2, 1, 4, 4, {(0, 1): x})
+    for key, reason in (((-1, 0), "negative index in key"),
+                        ((0, -3), "negative index in key"),
+                        ((2, 1), "violates m <= min")):
+        with pytest.raises(UsageError, match=reason):
+            MultiFunction(F2, 1, 4, 4, {key: x})
+        with pytest.raises(UsageError, match=reason):
+            f.coefficient(*key)
+    assert f.coefficient(0, 1) == x and f.coefficient(1, 1).is_zero()
+
+
 def test_equality_on_common_box(F2):
     a = one_slot(F2, 1, (0, 1), PerfSeries.one(F2), tm=4, ti=4)
     extra = dict(a.coeffs)

@@ -19,7 +19,9 @@ And one quotient kernel takes every symbol expression: no module defines
 a q-twisted step of its own (``_twisted_step``), no caller unpacks or
 tuple-assigns what ``_quotient`` returns, since it returns the series,
 and ``brackets`` names neither ``reduce`` nor ``mul``, since each symbol
-is one kernel call.
+is one kernel call.  And one addition rule: every field has an addition
+table, so no module compares one with None, and only ``ffield`` names
+``_ADD_TABLE_LIMIT``, the order above which its rows are not stored.
 """
 
 import ast
@@ -557,3 +559,19 @@ def test_brackets_names_no_pairwise_product():
     # D_n, L_n, (alpha)_n and <a>_m are each one call of the kernel
     names = _names(ast.parse((SRC / "brackets.py").read_text()))
     assert not names & {"reduce", "mul"}
+
+
+def test_only_ffield_knows_which_tables_are_stored():
+    # the kernels read table[a][b] of every field, stored or not
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name != "ffield.py":
+            assert "_ADD_TABLE_LIMIT" not in _names(tree), path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                assert not (
+                    any(isinstance(o, ast.Constant) and o.value is None
+                        for o in operands)
+                    and any("add_table" in name for o in operands
+                            for name in _names(o))), (path.name, node.lineno)

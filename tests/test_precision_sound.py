@@ -32,7 +32,11 @@ window ``SOLVE_WIDE``, which it takes for its divisions by D_m.
 truncated upper or lower parameter against the residual of the completed
 parameters at ``SOLVE_WIDE``, every stored coefficient, the one above
 the known range included; and ``normalize`` of d^k s tau^k t, k = 1..3,
-in both conventions, with truncated scalars s and t, term by term.
+with or without a delta_1 after d^k and after tau^k, in both conventions
+and both reduction orders, with truncated scalars s and t, term by term.
+The two orders can state different precisions for one word (the
+``opring`` module docstring), so they are compared with each other only
+at common precision.
 
 The integer family's inputs are exact, so its values are checked against
 the same values read at ``SOLVE_WIDE``: the middle case of
@@ -64,9 +68,12 @@ from carlitz.hyper import (HyperParams, convergence_bound, hyper_eval,
                            hyper_residual, hyper_thakur_coeff,
                            thakur_correspondence)
 from carlitz.opring import (CONVENTIONS, D, TAU, NormalForm, OperatorWord,
-                            normalize, scalar_factor)
+                            delta, normalize, scalar_factor)
 from carlitz.series import _quotient
 from test_quotient_kernel import SHIPPED_FIELDS, factors
+
+#: the reduction orders of ``normalize``
+STRATEGIES = ("leftmost", "rightmost")
 
 #: the window f(A) is computed with: above the default invert window and
 #: above the relative precision of any drawn input
@@ -315,20 +322,27 @@ def test_op_apply_with_a_truncated_scalar(pairs, seed, convention):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(operands(2), st.integers(1, 3), st.sampled_from(CONVENTIONS))
-def test_normalize_with_truncated_scalars(pairs, k, convention):
+@given(operands(2), st.integers(1, 3), st.sampled_from(CONVENTIONS),
+       st.tuples(st.booleans(), st.booleans()))
+def test_normalize_with_truncated_scalars(pairs, k, convention, deltas):
     (s, S), (t, T) = pairs
     params = s.params
+    after_d, after_tau = ([delta(1)] * has_delta for has_delta in deltas)
 
-    def normal_form(s, t):
-        word = OperatorWord(0, [D] * k + [scalar_factor(s)] + [TAU] * k
-                            + [scalar_factor(t)])
-        return normalize(word, params, convention)
-    got, want = normal_form(s, t), normal_form(S, T)
+    def normal_form(s, t, strategy):
+        word = OperatorWord(1, [D] * k + after_d + [scalar_factor(s)]
+                            + [TAU] * k + after_tau + [scalar_factor(t)])
+        return normalize(word, params, convention, strategy)
     zero = PerfSeries.zero(params)
-    for key in set(got.terms) | set(want.terms):
-        assert_sound(lambda: got.terms.get(key, zero),
-                     lambda: want.terms.get(key, zero))
+    forms = []
+    for strategy in STRATEGIES:
+        got, want = normal_form(s, t, strategy), normal_form(S, T, strategy)
+        for key in set(got.terms) | set(want.terms):
+            assert_sound(lambda: got.terms.get(key, zero),
+                         lambda: want.terms.get(key, zero))
+        forms.append(got)
+    # the orders may state different precisions, but agree as far as both do
+    assert forms[0] == forms[1], forms
 
 
 @st.composite

@@ -1,13 +1,19 @@
 """Scaling guards: each complexity claim as the growth of a work count.
 
-Every case runs at three sizes, each double the last, and counts through
-the module bindings: the calls of the quotient kernel ``_quotient`` and
-the factors passed to it (numerator and denominator together), the
-two-term factors built by ``brackets._two_term``, and the calls of
-``PerfSeries.frobenius``.  Each size starts from an empty bracket cache,
-so it counts every bracket it builds, whatever ran before.  Every count
-may grow per doubling by at most the case's bound: ``LINEAR`` (2.2x) or
-``QUADRATIC`` (4.2x).
+Every case runs at three sizes and counts through the module bindings:
+the calls of the quotient kernel ``_quotient`` and the factors passed to
+it (numerator and denominator together), the two-term factors built by
+``brackets._two_term``, the calls of ``PerfSeries.frobenius``, the term
+pairs of the product kernel ``_product_terms``, the rewrites of
+``opring._rewrite_pair`` and the calls of ``DeltaPoly.eval_at``.  Each
+size starts from an empty bracket cache, so it counts every bracket it
+builds, whatever ran before.  Each case bounds some of the counts; every
+one of them is nonzero at every size and may grow from one size to the
+next by at most the case's bound.
+
+The kernel counts (quotient calls, factors, two-term factors, Frobenius
+calls) of the series cases grow per doubling of the size by at most
+``LINEAR`` (2.2x) or ``QUADRATIC`` (4.2x):
 
 * the exact ``hyper_series`` at M = 16 / 32 / 64 is linear: one
   q-twisted step per coefficient (48 / 96 / 192 factors over F_2);
@@ -23,8 +29,24 @@ may grow per doubling by at most the case's bound: ``LINEAR`` (2.2x) or
 
 The last two grow about 3.9x and 3.5x per doubling, so ``LINEAR`` fails
 them; folding the factors that cannot act (ROADMAP item 12) is what would
-let them take it.  A change that wins a complexity class tightens its
-bound here; no bound is loosened.
+let them take it.
+
+Two cases grow by a step of one in their size:
+
+* ``normalize(d^k tau^k)`` over F_2 at k = 3 / 4 / 5, in each convention,
+  bounds the rewrites (96 / 736 / 6145) and the product term pairs
+  (112 / 1208 / 13816) by ``NORMALIZE_STEP`` (12x) per step of k; the
+  pairs grow about 11x, while the normal form grows about 3x, which a
+  closed-form left action (ROADMAP item 4) would follow;
+* ``admissibility_check`` at i_max = 3 of
+  ``hypergeometric_equation(F2, [a] * n, [b] * n, n)``, a = x^3 + x^(1/2),
+  b = x^2 + x^5, whose Q no dominant term certifies, at n = 2 / 3 / 4,
+  evaluates Q at every tuple: (i_max + 2)^n = 25 / 125 / 625 calls of
+  ``eval_at``, bounded by i_max + 2 per step of n; a product certificate
+  (ROADMAP item 5) would take n (i_max + 2).
+
+A change that wins a complexity class tightens its bound here; no bound
+is loosened.
 """
 
 from collections import Counter
@@ -33,11 +55,19 @@ from fractions import Fraction
 import pytest
 
 from carlitz import FieldParams, PerfSeries, brackets, cauchy, funcspace, hyper
-from carlitz import series
+from carlitz import opring, series
+from carlitz.cauchy import DeltaPoly
 from carlitz.funcspace import MultiFunction
+from carlitz.opring import D, TAU, OperatorWord
 
 LINEAR = 2.2
 QUADRATIC = 4.2
+NORMALIZE_STEP = 12
+I_MAX = 3
+
+#: the counts each kind of case bounds
+KERNEL = ("quotient", "factors", "two_term", "frobenius")
+REWRITING = ("rewrite_pair", "term_pairs")
 
 F2 = FieldParams.default(2)
 X = PerfSeries.x(F2)
@@ -49,7 +79,8 @@ def work(monkeypatch):
     """A Counter of the work counts, filled while the test runs."""
     counts = Counter()
     kernel, two_term = series._quotient, brackets._two_term
-    frobenius = PerfSeries.frobenius
+    frobenius, eval_at = PerfSeries.frobenius, DeltaPoly.eval_at
+    product_terms, rewrite_pair = series._product_terms, opring._rewrite_pair
 
     def quotient(c, num, den, *args, **kwargs):
         counts["quotient"] += 1
@@ -64,11 +95,26 @@ def work(monkeypatch):
         counts["frobenius"] += 1
         return frobenius(self, e)
 
+    def counted_product_terms(params, ta, tb, bound):
+        counts["term_pairs"] += len(ta) * len(tb)
+        return product_terms(params, ta, tb, bound)
+
+    def counted_rewrite_pair(*args):
+        counts["rewrite_pair"] += 1
+        return rewrite_pair(*args)
+
+    def counted_eval_at(self, values):
+        counts["eval_at"] += 1
+        return eval_at(self, values)
+
     for module in (series, brackets, hyper, funcspace, cauchy):
         monkeypatch.setattr(module, "_quotient", quotient)
     for module in (brackets, hyper):
         monkeypatch.setattr(module, "_two_term", counted_two_term)
     monkeypatch.setattr(PerfSeries, "frobenius", counted_frobenius)
+    monkeypatch.setattr(series, "_product_terms", counted_product_terms)
+    monkeypatch.setattr(opring, "_rewrite_pair", counted_rewrite_pair)
+    monkeypatch.setattr(DeltaPoly, "eval_at", counted_eval_at)
     monkeypatch.setattr(F2, "bracket_cache", {})
     return counts
 
@@ -91,11 +137,32 @@ def _thakur_correspondence(M):
     assert hyper.thakur_correspondence(F2, [2], [3], M).ok
 
 
+def _normalize(convention):
+    def run(k):
+        opring.normalize(OperatorWord(0, [D] * k + [TAU] * k), F2, convention)
+    return run
+
+
+def _admissibility_scan(n):
+    a = PerfSeries.from_terms(F2, {3: 1, Fraction(1, 2): 1})
+    b = PerfSeries.from_terms(F2, {2: 1, 5: 1})
+    eq = cauchy.hypergeometric_equation(F2, [a] * n, [b] * n, n)
+    assert cauchy.admissibility_check(eq, I_MAX).status == "ok"
+
+
+#: case: (run, sizes, bound per size step, the counts bounded)
 CASES = {
-    "exact_hyper_series": (_exact_hyper_series, (16, 32, 64), LINEAR),
-    "one_slot_evaluate": (_one_slot_evaluate, (4, 8, 16), LINEAR),
-    "truncated_hyper_series": (_truncated_hyper_series, (16, 32, 64), QUADRATIC),
-    "thakur_correspondence": (_thakur_correspondence, (8, 16, 32), QUADRATIC),
+    "exact_hyper_series": (_exact_hyper_series, (16, 32, 64), LINEAR, KERNEL),
+    "one_slot_evaluate": (_one_slot_evaluate, (4, 8, 16), LINEAR, KERNEL),
+    "truncated_hyper_series": (_truncated_hyper_series, (16, 32, 64), QUADRATIC,
+                               KERNEL),
+    "thakur_correspondence": (_thakur_correspondence, (8, 16, 32), QUADRATIC,
+                              KERNEL),
+    "normalize_standard": (_normalize("standard"), (3, 4, 5), NORMALIZE_STEP,
+                           REWRITING),
+    "normalize_alt": (_normalize("alt"), (3, 4, 5), NORMALIZE_STEP, REWRITING),
+    "admissibility_scan": (_admissibility_scan, (2, 3, 4), I_MAX + 2,
+                           ("eval_at",)),
 }
 
 
@@ -112,20 +179,27 @@ def _counts(work, run, sizes):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_work_grows_within_its_bound(case, work):
-    run, sizes, bound = CASES[case]
+    run, sizes, bound, names = CASES[case]
     counts = _counts(work, run, sizes)
-    assert all(c["quotient"] and c["factors"] for c in counts)
+    assert all(c.get(name) for c in counts for name in names), (case, counts)
     for small, large in zip(counts, counts[1:]):
-        for name in ("quotient", "factors", "two_term", "frobenius"):
+        for name in names:
             assert large.get(name, 0) <= bound * small.get(name, 0), (
                 case, name, small, large)
 
 
 def test_the_counts_of_the_cases(work):
     # the figures the bounds are set against
-    factors = {case: [c["factors"] for c in _counts(work, run, sizes)]
-               for case, (run, sizes, _) in CASES.items()}
-    assert factors == {"exact_hyper_series": [48, 96, 192],
-                       "one_slot_evaluate": [6, 10, 18],
-                       "truncated_hyper_series": [408, 1584, 6240],
-                       "thakur_correspondence": [160, 508, 1780]}
+    def figures(case, name):
+        run, sizes, _, _ = CASES[case]
+        return [c[name] for c in _counts(work, run, sizes)]
+    assert {case: figures(case, "factors") for case, (*_, names) in CASES.items()
+            if names == KERNEL} == {"exact_hyper_series": [48, 96, 192],
+                                    "one_slot_evaluate": [6, 10, 18],
+                                    "truncated_hyper_series": [408, 1584, 6240],
+                                    "thakur_correspondence": [160, 508, 1780]}
+    for case in ("normalize_standard", "normalize_alt"):
+        assert figures(case, "rewrite_pair") == [96, 736, 6145]
+        assert figures(case, "term_pairs") == [112, 1208, 13816]
+    assert figures("admissibility_scan", "eval_at") == [
+        (I_MAX + 2) ** n for n in (2, 3, 4)]

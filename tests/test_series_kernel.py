@@ -152,10 +152,11 @@ SHIPPED = [(q, m) for q in (2, 3, 4, 5, 8, 9) for m in (1, 2)]
 
 
 def _field_without_add_table():
-    """F_9 as q = 3, m = 2, built with the addition table switched off, so
-    products take the FieldParams.add fallback of large fields.  It is
-    built against an empty configuration store, so it is a field object
-    of its own and the stored F_9 keeps its table."""
+    """F_9 as q = 3, m = 2, built with the addition-table limit at 0, so
+    that its table is the digit-sum view of large fields, which the
+    kernels read as they read a stored table.  It is built against an
+    empty configuration store, so it is a field object of its own and the
+    stored F_9 keeps its stored table."""
     saved = ffield._ADD_TABLE_LIMIT, ffield._params_cache
     ffield._ADD_TABLE_LIMIT, ffield._params_cache = 0, {}
     try:
@@ -168,8 +169,12 @@ FIELDS = [FieldParams.default(q, m) for q, m in SHIPPED] + [_field_without_add_t
 
 
 def test_fallback_field_has_no_add_table():
-    assert FIELDS[-1]._add_table is None
-    assert all(f._add_table is not None for f in FIELDS[:-1])
+    # no stored rows, but the same sums, read the same way
+    fallback, stored = FIELDS[-1], FieldParams.default(3, 2)
+    assert not isinstance(fallback._add_table, list)
+    assert all(isinstance(f._add_table, list) for f in FIELDS[:-1])
+    assert all(fallback._add_table[a][b] == stored._add_table[a][b]
+               for a in range(stored.Q) for b in range(stored.Q))
 
 
 @st.composite
