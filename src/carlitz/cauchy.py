@@ -33,10 +33,12 @@ precision of its parts, so the nested value has the terms and precision
 of the flat sum of the monomials.
 
 Each step is the Frobenius image of one call of the quotient kernel,
-``series._quotient(c, [P], [Q], window, negate=True).frobenius(1)``, the
-step the hypergeometric stream takes too: it divides P by Q at the
-brackets (long division, no inverse series), with the sign taken inside
-the quotient.
+``series._quotient(c, [P], [Q], window, negate=True).frobenius(1)``: it
+divides P by Q at the brackets (long division, no inverse series), with
+the sign taken inside the quotient, and twists the quotient, since
+``window`` is defined on the untwisted P/Q quotient.  (The hypergeometric
+stream twists its inputs first instead, which is the rule of the direct
+quotient of its symbols.)
 The P/Q quotients divide exact bracket evaluations, so coefficient
 precision decays only through the configured division window.
 

@@ -35,6 +35,16 @@ USAGE_ERRORS = (ParameterMismatchError, ParseError, UsageError)
 
 
 def _field_params(args) -> FieldParams:
+    """The field of the flags: --p/--v (with --modulus), --field-config,
+    --q, or else CARLITZ_FIELD_CONFIG or F_2.  Flags that cannot apply
+    together are refused before any field is built."""
+    for flag, value in (("--v", args.v), ("--modulus", args.modulus)):
+        if value is not None and args.p is None:
+            raise UsageError("%s needs --p" % flag)
+    if args.p is not None and args.q is not None:
+        raise UsageError("pass either --q or --p, not both")
+    if args.field_config is not None and (args.q, args.p) != (None, None):
+        raise UsageError("pass either --field-config or --q/--p, not both")
     if args.p is not None:
         if args.v is None:
             raise UsageError("--p needs --v as well")

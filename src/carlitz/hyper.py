@@ -22,32 +22,33 @@ z -> rho z; rho is determined by the m = 0 coefficients and verified at
 every further index rather than assumed.
 
 Which path computes a coefficient: there is one coefficient loop,
-``_hyper_stream``.  For exact parameters it starts from h_0 and takes the
-recursion above for every m > 0.  Each step is
-``series._quotient(h, num, den, R/q).frobenius(1)``, the Frobenius image
-of one pass of the quotient kernel (the step the Cauchy solver takes
-too), which divides by the factors of its denominator to relative
-precision R/q (R is the ``window``, or DEFAULT_INVERT_WINDOW), so h_m
-keeps relative precision R.  The integer family reads the same loop at
-the bracket parameters, started from t_0, so ``thakur_series``,
-``thakur_residual`` and ``hyper_thakur_coeff`` expand no symbol at all.
-h_0, t_0, every h_m whose parameters have finite precision (the
-recursion would compound their precision loss), and the t side of
-``thakur_correspondence`` (which exists to check the stream against the
-symbols) are the quotient of the symbols, divided to relative precision
-R.  That quotient divides factor by factor, whatever the symbols: one
-pass of the quotient kernel ``series._quotient`` long-divides by the m
-two-term factors [k]^(q^(m-k)) of D_m and by each lower symbol in turn,
-cut at the quotient's precision, so the product of the symbols, whose
-terms reach far above the R units the quotient keeps, is never built.  A
-field-parameter symbol <a>_m enters as its m two-term factors
-([k]-a)^(q^(m-k)) on either side, and a Thakur symbol (alpha)_m as the
-factors of D_(m+alpha-1)^(q^(1-alpha)) on its own side or, for
-alpha <= 0, of L_(-alpha-m)^(q^m) on the other
-(``brackets._thakur_factors``), so no symbol is ever expanded.  Both
-paths give the same terms and the same precision; the recursion costs
-O(M) small steps for h_0..h_M where the quotient passes over O(m)
-factors at every index.
+``_hyper_stream``, whatever the precision of the parameters.  It starts
+from h_0 and takes the recursion above for every m > 0.  Each step is the
+direct quotient's own rule applied to the twisted inputs: one call of the
+quotient kernel ``series._quotient`` with dividend h_m^q, upper factors
+([m]-a_i)^q and lower factors [m+1] and ([m]-b_j)^q, at the caller's
+window.  The Frobenius is a ring automorphism that scales exponents and
+precisions by q, so h_m^q is the quotient of every older factor of
+h_(m+1), known as far as the direct quotient knows it, and the step
+divides by the newest factors as the direct quotient does: each h_m has
+the terms and precision of the quotient of its symbols, divided to
+relative precision R (the ``window``; without one, the relative precision
+of the lower factors, or the default invert window when they are exact).
+The integer family reads the same loop at the bracket parameters,
+started from t_0, so ``thakur_series``, ``thakur_residual`` and
+``hyper_thakur_coeff`` expand no symbol at all.  h_0, t_0 and the t side
+of ``thakur_correspondence`` (which exists to check the stream against
+the symbols) are the quotient of the symbols, divided to relative
+precision R.  That quotient divides factor by factor, whatever the
+symbols: one pass of the quotient kernel long-divides by the m two-term
+factors [k]^(q^(m-k)) of D_m and by each lower symbol in turn, cut at the
+quotient's precision, so the product of the symbols, whose terms reach far
+above the R units the quotient keeps, is never built.  A Thakur symbol
+(alpha)_m enters as the factors of D_(m+alpha-1)^(q^(1-alpha)) on its own
+side or, for alpha <= 0, of L_(-alpha-m)^(q^m) on the other
+(``brackets._thakur_factors``), so no symbol is ever expanded.  The
+recursion costs O(M) small steps for h_0..h_M, where a quotient of
+symbols passes over O(m) factors at every index.
 
 Residual checks apply the defining operators to the truncated series:
 
@@ -82,14 +83,13 @@ from fractions import Fraction
 from itertools import count, islice
 from typing import NamedTuple, Optional
 
-from .brackets import (INFINITY, _factorial_factors, _pochhammer_factors,
-                       _thakur_factors, _two_term, bracket, pochhammer,
-                       shift_down, shift_up)
+from .brackets import (INFINITY, _factorial_factors, _thakur_factors,
+                       _two_term, bracket, pochhammer, shift_down, shift_up)
 from .errors import (InadmissibleError, ParameterMismatchError,
                      PrecisionError, UsageError)
 from .ffield import FieldParams
 from .funcspace import LinearSeries
-from .series import DEFAULT_INVERT_WINDOW, PerfSeries, _quotient
+from .series import PerfSeries, _quotient
 
 
 def admissible_profile(b: PerfSeries) -> Fraction:
@@ -153,7 +153,7 @@ def _coeff_quotient(params: FieldParams, m: int, upper, lower,
     long-divides by the m two-term factors of D_m and by each lower factor
     in turn, each pass cut at the quotient's precision, so no product of
     factors is built.  Dividing by an exact non-monomial denominator keeps
-    relative precision R (``window``, or DEFAULT_INVERT_WINDOW)."""
+    relative precision R (``window``, or the default invert window)."""
     return _quotient(PerfSeries.one(params), tuple(upper),
                      [*_factorial_factors(params, m), *lower], window)
 
@@ -173,52 +173,41 @@ def _linear_series(params: FieldParams, coeffs, M: int) -> LinearSeries:
 def hyper_coeff(hp: HyperParams, m: int, window=None) -> PerfSeries:
     """h_m = prod <a_i>_m / (prod <b_j>_m * D_m).
 
-    h_0, and every h_m of parameters with finite precision, is that
-    quotient, taken over the two-term factors of every symbol; h_m for
-    m > 0 of exact parameters is read from the recursion in
-    :func:`_hyper_stream`, with the same terms and precision."""
+    h_0 is that quotient at m = 0, the unit, cut to ``window`` when one is
+    given; h_m for m > 0 is read from the recursion in
+    :func:`_hyper_stream`, m steps from h_0, with the terms and precision
+    of the quotient taken over the two-term factors of every symbol."""
     if m < 0:
         raise UsageError("need m >= 0")
-    if m == 0 or not _is_exact(hp):
-        return _coeff_quotient(
-            hp.params, m, [f for a in hp.a_list for f in _pochhammer_factors(a, m)],
-            [f for b in hp.b_list for f in _pochhammer_factors(b, m)], window)
+    if m == 0:
+        return _coeff_quotient(hp.params, 0, (), (), window)
     return next(islice(_hyper_stream(hp, window), m, None))
-
-
-def _is_exact(hp: HyperParams) -> bool:
-    return all(s.is_exact() for s in hp.a_list + hp.b_list)
 
 
 def _hyper_stream(hp: HyperParams, window, first=None):
     """The coefficients h_0, h_1, ... of one family, endlessly.
 
-    For exact parameters each step is the q-twisted recursion
-    h_(m+1) = (h_m * Q_m)^q with
-    Q_m = prod([m]-a_i) / (([m]-[-1]) * prod([m]-b_j)), the Frobenius
-    image of one series._quotient call over the factors of Q_m, whose
-    denominator is divided to relative precision R/q: h_m carries
-    relative precision R (or is exact), so h_(m+1) carries exactly R, as
-    the direct quotient does, and every known term is a true one.  The
-    stream starts from ``first``, or from h_0 = hyper_coeff(hp, 0) when
-    it is None; the integer family passes its t_0 over the bracket
-    parameters, which are exact.  Parameters with finite precision take
-    the direct quotient at every index, because the recursion would
-    compound their precision loss from step to step.  Both paths call
-    hyper_coeff through the module, so wrappers see it."""
-    if not _is_exact(hp):
-        for m in count():
-            yield hyper_coeff(hp, m, window=window)
+    Each step is the direct quotient's own rule applied to the twisted
+    inputs: h_(m+1) = h_m^q * prod([m]-a_i)^q / ([m+1] * prod([m]-b_j)^q),
+    one series._quotient call with dividend h_m^q and ``window``.  The
+    Frobenius is a ring automorphism that scales exponents and precisions
+    by q, so h_m^q carries every factor of h_(m+1) but its newest ones,
+    ([m]-a_i)^q, [m+1] = ([m]-[-1])^q and ([m]-b_j)^q, exactly as the
+    direct quotient knows them, and the step divides by those newest ones
+    as the direct quotient does: every coefficient has its terms and
+    precision, whatever the precision of the parameters.  The stream
+    starts from ``first``, or from h_0 = hyper_coeff(hp, 0) when it is
+    None, called through the module so wrappers see it; the integer
+    family passes its t_0 over the bracket parameters."""
     params = hp.params
-    rel = Fraction(DEFAULT_INVERT_WINDOW if window is None
-                   else window) / params.q
     h = hyper_coeff(hp, 0, window=window) if first is None else first
     for m in count():
         yield h
         b_m = bracket(params, m)
-        h = _quotient(h, [b_m - a for a in hp.a_list],
-                      [_two_term(params, m, -1)]  # [m] - [-1]
-                      + [b_m - b for b in hp.b_list], rel).frobenius(1)
+        h = _quotient(h.frobenius(1),
+                      [(b_m - a).frobenius(1) for a in hp.a_list],
+                      [bracket(params, m + 1)]
+                      + [(b_m - b).frobenius(1) for b in hp.b_list], window)
 
 
 def _tail_slope(hp: HyperParams) -> Fraction:

@@ -70,12 +70,14 @@ once from grid-integer valuations.  ``divide`` and ``invert`` are one call
 with one divisor; the symbol quotients of :mod:`carlitz.hyper` and
 ``MultiFunction.evaluate`` are one call over the symbols' two-term
 factors; and D_n, L_n, (alpha)_n and <a>_m of :mod:`carlitz.brackets` are
-one call from the unit, with no divisor for the exact products.  The
-q-twisted step (c * prod(num) / prod(den))^q shared by the
-hypergeometric stream and the Cauchy solver is the Frobenius image of
-that call, ``_quotient(c, num, den, window).frobenius(1)``.  The Cauchy
-solver's step carries a minus sign, which the Frobenius keeps (it is
-additive), so the sign is taken inside the quotient (``negate``).
+one call from the unit, with no divisor for the exact products.  The two
+q-twisted steps take it in two orders.  The hypergeometric stream divides
+the twisted inputs, ``_quotient(h.frobenius(1), twisted num, twisted den,
+window)``, which is the rule of the direct quotient of the symbols.  The
+Cauchy solver twists the quotient, ``_quotient(c, [P], [Q], window,
+negate=True).frobenius(1)``, since its window is defined on the untwisted
+P/Q quotient; its step carries a minus sign, which the Frobenius keeps
+(it is additive), so the sign is taken inside the quotient (``negate``).
 
 Exact operands skip the precision arithmetic.  Every infinite precision
 is the one ``INF`` object, so exactness is an identity test.  Exact times

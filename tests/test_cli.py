@@ -550,6 +550,43 @@ def test_field_flags_stay_allowed_with_a_params_file(capsys):
     assert code == code2 == 0 and out == out2
 
 
+BRACKET = ["bracket", "--n", "1"]
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["--q", "3", "--modulus", "1,1,1"], "--modulus needs --p"),
+    (["--modulus", "0,1"], "--modulus needs --p"),
+    (["--v", "2"], "--v needs --p"),
+    (["--q", "3", "--v", "1"], "--v needs --p"),
+    (["--q", "3", "--p", "2", "--v", "1"], "pass either --q or --p, not both"),
+    (["--q", "2", "--field-config", "/nonexistent"],
+     "pass either --field-config or --q/--p, not both"),
+    (["--p", "3", "--v", "1", "--field-config", "/nonexistent"],
+     "pass either --field-config or --q/--p, not both"),
+], ids=["q-and-modulus", "modulus-alone", "v-alone", "q-and-v", "q-and-p",
+        "q-and-field-config", "p-and-field-config"])
+def test_field_flags_that_cannot_apply_together_are_refused(argv, what, capsys,
+                                                            monkeypatch):
+    # refused before any field is built or any config file is opened
+    def no_field(*args, **kwargs):
+        raise AssertionError("a field was built")
+    monkeypatch.setattr("carlitz.cli.FieldParams", no_field)
+    monkeypatch.setattr("carlitz.textio.parse_config", no_field)
+    monkeypatch.setattr("builtins.open", no_field)
+    _assert_usage_refusal(capsys, argv + BRACKET, what)
+
+
+def test_the_field_config_variable_yields_to_the_field_flags(tmp_path, capsys,
+                                                             monkeypatch):
+    cfg = tmp_path / "field.cfg"
+    cfg.write_text("p 3\nv 1\nm 1\nmodulus 0,1\n")
+    monkeypatch.setenv("CARLITZ_FIELD_CONFIG", str(cfg))
+    assert run(capsys, BRACKET) == (0, "2*x + x^3\n", "")
+    assert run(capsys, ["--q", "2"] + BRACKET) == (0, "x + x^2\n", "")
+    assert run(capsys, ["--p", "2", "--v", "1"] + BRACKET) == (
+        0, "x + x^2\n", "")
+
+
 def test_zero_variable_count_keeps_its_normal_form(capsys):
     code, out, _ = run(capsys, ["--q", "2", "op-normalize", "d*tau", "--vars", "0"])
     assert code == 0

@@ -4,17 +4,26 @@ of the Carlitz symbols.
 D_m = [m] [m-1]^q ... [1]^(q^(m-1)) and <a>_m = prod_(k<m) ([k]-a)^(q^(m-k))
 enter every quotient as their factor lists, ``brackets._factorial_factors``
 and ``brackets._pochhammer_factors``, never expanded:
-``hyper._coeff_quotient`` long-divides by the factors of D_m, the
-coefficient of parameters with finite precision passes each symbol's
-factors, and ``MultiFunction.evaluate`` takes one quotient pass per slot.
-The oracles expand the symbols: ``oracles.ref_coeff_quotient`` multiplies
-by the built inverse of D_m times the lower symbols, and
-``oracles.ref_evaluate`` multiplies each slot by the inverse of D_m.
-Every result must match exactly (terms, dexp, prec value and type), and
-every refusal must have the same exception type and text, over the 12
-shipped fields, m <= 8, windows None, small and large, and exact,
-truncated and zero-at-precision parameters.  A work guard checks that
-none of these paths builds a D_m at all.
+``hyper._coeff_quotient`` long-divides by the factors of D_m, and
+``MultiFunction.evaluate`` takes one quotient pass per slot.  The oracles
+expand the symbols: ``oracles.ref_coeff_quotient`` multiplies by the built
+inverse of D_m times the lower symbols, and ``oracles.ref_evaluate``
+multiplies each slot by the inverse of D_m.  Every result must match
+exactly (terms, dexp, prec value and type), and every refusal must have
+the same exception type and text, over the 12 shipped fields, m <= 8,
+windows None, small and large, and exact, truncated and zero-at-precision
+parameters.  A work guard checks that none of these paths builds a D_m at
+all.
+
+Every h_m is h_0 and m q-twisted steps of ``hyper._hyper_stream``,
+whatever the precision of the parameters.  ``hyper_series`` and
+``hyper_eval`` at M <= 12 are compared coefficient by coefficient with
+``oracles.ref_kernel_hyper_coeff``, which takes the direct quotient over
+every symbol's factors for parameters of finite precision: near-bracket
+upper parameters, truncated lower parameters without a window (whose
+factors keep more relative precision than the default invert window, so a
+step that divided at R/q before twisting loses precision there), Fraction
+windows and the refused windows 0, -1 and 2.5.
 """
 
 import random
@@ -26,12 +35,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from carlitz import (INF, FieldParams, PerfSeries, bracket, brackets, funcspace,
-                     hyper, sampling)
+                     hyper, sampling, textio)
 from carlitz.brackets import _factorial_factors, _pochhammer_factors, carlitz_D
 from carlitz.errors import CarlitzError
 from carlitz.funcspace import MultiFunction
+from carlitz.series import DEFAULT_INVERT_WINDOW
 from oracles import (assert_same, ref_coeff_quotient, ref_evaluate,
-                     ref_hyper_coeff, ref_pochhammer_recurrent)
+                     ref_hyper_coeff, ref_kernel_hyper_coeff,
+                     ref_pochhammer_recurrent)
 from test_quotient_kernel import (SHIPPED_FIELDS, assert_same_outcome, factors,
                                   outcome)
 
@@ -72,12 +83,22 @@ def test_coeff_quotient_matches_the_expanded_D(drawn, m, window):
 
 def _parameter(rng, params, kind, m):
     """An upper or lower parameter of the kind: exact; truncated a few
-    units above its valuation; a bracket [k] with k < m (k = 0 at m = 0),
-    exact or cut so that the factor [k] - a is zero at its precision; or
-    zero at its own precision."""
+    units above its valuation; truncated wide, so that its twisted
+    factors keep more relative precision than the default invert window;
+    a bracket [k] with k < m (k = 0 at m = 0), exact or cut so that the
+    factor [k] - a is zero at its precision; a bracket moved a few units
+    above x^(q^k); or zero at its own precision."""
     if kind == "zero-at-prec":
         return PerfSeries.zero(params, prec=Fraction(rng.randint(1, 2 * params.q),
                                                      params.q))
+    if kind == "near-bracket":
+        # [k] - a is a monomial a few units above x^(q^k), maybe truncated
+        k = rng.randint(0, 3)
+        e = params.q ** k + rng.randint(1, params.q)
+        s = bracket(params, k) + PerfSeries.monomial(params, e)
+        if rng.random() < .5:
+            s = s.truncate(e + rng.randint(1, 2 * params.q))
+        return s
     if kind.endswith("bracket"):
         k = rng.randint(0, max(m - 1, 0))
         s = bracket(params, k)
@@ -85,6 +106,9 @@ def _parameter(rng, params, kind, m):
     s = sampling.random_admissible(rng, params, terms=(1, 2), lo=0, hi=3)
     if kind == "truncated":
         s = s.truncate(s.valuation() + rng.randint(1, 2 * params.q))
+    elif kind == "wide-truncated":
+        wide = DEFAULT_INVERT_WINDOW // params.q
+        s = s.truncate(s.valuation() + rng.randint(wide + 1, 2 * wide))
     return s
 
 
@@ -115,9 +139,13 @@ def truncated_families(draw, m):
        st.sampled_from(WINDOWS))
 def test_truncated_parameter_coeff_matches_the_expanded_symbols(drawn, window):
     m, hp = drawn
-    assert not hyper._is_exact(hp)
+    assert hp.a_list[0].prec is not INF
     assert_same(hyper.hyper_coeff(hp, m, window=window),
                 ref_hyper_coeff(hp, m, window))
+    series = hyper.hyper_series(hp, m, window=window)
+    for k in range(m + 1):
+        assert_same(series.coeffs.get(k, PerfSeries.zero(hp.params)),
+                    ref_hyper_coeff(hp, k, window))
 
 
 @pytest.mark.parametrize("params", SHIPPED_FIELDS, ids=repr)
@@ -141,6 +169,112 @@ def test_each_kind_of_truncated_coefficient(params, window):
         assert ("terms" if got.terms else "exact zero" if got.prec is INF
                 else "zero at prec") == kind
         assert_same(got, ref_hyper_coeff(hp, m, window))
+
+
+# ---------------------------------------------------------------------------
+# the one coefficient path: hyper_series and hyper_eval
+# ---------------------------------------------------------------------------
+
+SERIES_WINDOWS = (None, Fraction(5, 2), 3, Fraction(7, 2), 16)
+REFUSED_WINDOWS = (0, -1, 2.5)
+
+
+def _family(rng, params, upper, lower):
+    """HyperParams of the kinds, redrawn while a truncated lower parameter
+    is indeterminate at its precision."""
+    while True:
+        try:
+            return hyper.HyperParams(
+                params, [_parameter(rng, params, k, 2) for k in upper],
+                [_parameter(rng, params, k, 2) for k in lower])
+        except CarlitzError:
+            continue
+
+
+def _argument(rng, hp):
+    """A z strictly above the convergence threshold of ``hp``."""
+    low = max(int(hyper.convergence_bound(hp)) + 1, 1) + rng.randint(0, 2)
+    step = Fraction(1, hp.params.q)
+    return PerfSeries.from_terms(hp.params, {low: 1, low + step: 1})
+
+
+def _series_outcome(hp, M, window):
+    series = hyper.hyper_series(hp, M, window=window)
+    zero = PerfSeries.zero(hp.params)
+    return [series.coeffs.get(m, zero) for m in range(M + 1)]
+
+
+def _ref_series(hp, M, window):
+    return [ref_kernel_hyper_coeff(hp, m, window) for m in range(M + 1)]
+
+
+def _ref_eval(hp, z, M, window):
+    """Every term summed, cut at the tail bound of index M + 1."""
+    acc = PerfSeries.zero(hp.params)
+    for m, h in enumerate(_ref_series(hp, M, window)):
+        acc = acc + h * z.frobenius(m)
+    return acc.truncate(hyper._tail_valuation(hp, z.valuation(), M + 1))
+
+
+def assert_one_path(hp, z, M, window):
+    """hyper_series and hyper_eval against the oracle: every coefficient
+    and the sum the same, or the same refusal."""
+    got, want = (outcome(_series_outcome, hp, M, window),
+                 outcome(_ref_series, hp, M, window))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple), got
+        for g, w in zip(got, want, strict=True):
+            assert_same(g, w)
+    assert_same_outcome(outcome(hyper.hyper_eval, hp, z, M, window=window),
+                        outcome(_ref_eval, hp, z, M, window))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(SHIPPED_FIELDS),
+       st.lists(st.sampled_from(UPPER_KINDS + ("near-bracket",)), min_size=1,
+                max_size=2),
+       st.lists(st.sampled_from(("exact", "truncated", "wide-truncated")),
+                max_size=1),
+       st.integers(0, 12),
+       st.one_of(st.none(), st.sampled_from(SERIES_WINDOWS[1:] + REFUSED_WINDOWS)),
+       st.integers(0, 2 ** 32))
+def test_series_and_eval_match_the_direct_quotient(params, upper, lower, M,
+                                                   window, seed):
+    rng = random.Random(seed)
+    hp = _family(rng, params, upper, lower)
+    assert_one_path(hp, _argument(rng, hp), M, window)
+
+
+@pytest.mark.parametrize("params", SHIPPED_FIELDS, ids=repr)
+def test_truncated_lower_parameter_without_window(params):
+    # the direct quotient keeps the lower factors' own relative precision,
+    # above the default invert window: the twisted step divides by the
+    # twisted factors, not at R/q before twisting
+    rng = random.Random("lower-%d-%d" % (params.q, params.m))
+    hp = _family(rng, params, ["exact"], ["wide-truncated"])
+    assert_one_path(hp, _argument(rng, hp), 12, None)
+
+
+@pytest.mark.parametrize("params", SHIPPED_FIELDS, ids=repr)
+def test_refused_windows(params):
+    rng = random.Random("refused-%d-%d" % (params.q, params.m))
+    hp = _family(rng, params, ["exact", "truncated"], ["truncated"])
+    for window in REFUSED_WINDOWS:
+        assert_one_path(hp, _argument(rng, hp), 3, window)
+
+
+def test_the_twisted_step_keeps_the_precision_of_the_lower_factor(F4):
+    # (b^q) keeps relative precision 4 * 9 = 36 > 32: the quotient that
+    # divided at 32 / q before twisting gave O(x^39)
+    x = PerfSeries.x(F4)
+    b = textio.parse_series("g*x + x^2 + O(x^10)", F4)
+    hp = hyper.HyperParams(F4, [x * x * x], [b])
+    h_1 = hyper.hyper_series(hp, 1).coeffs[1]
+    assert h_1.prec == 43
+    assert_same(h_1, ref_kernel_hyper_coeff(hp, 1))
+    assert_one_path(hp, _argument(random.Random(4), hp), 12, None)
 
 
 # ---------------------------------------------------------------------------

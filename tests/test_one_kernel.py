@@ -85,8 +85,8 @@ def test_pochhammer_thakur(params, alpha, n):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(families(), st.integers(0, 4), st.sampled_from((None, 7, 20)))
 def test_hyper_coeff(hp, m, window):
-    # exact parameters read m steps of the stream; truncated ones, and
-    # m = 0, take the symbol quotient directly
+    # every h_m is m steps of the stream from h_0; the oracle takes the
+    # symbol quotient directly for truncated parameters and at m = 0
     assert_same(outcome(hyper.hyper_coeff, hp, m, window),
                 outcome(ref_kernel_hyper_coeff, hp, m, window))
 

@@ -22,6 +22,10 @@ and ``brackets`` names neither ``reduce`` nor ``mul``, since each symbol
 is one kernel call.  And one addition rule: every field has an addition
 table, so no module compares one with None, and only ``ffield`` names
 ``_ADD_TABLE_LIMIT``, the order above which its rows are not stored.
+And one coefficient path: ``hyper`` names neither ``_is_exact`` nor
+``_pochhammer_factors`` nor ``DEFAULT_INVERT_WINDOW``, since no step
+branches on the precision of the parameters, no coefficient past h_0 is a
+quotient of symbols, and no step divides at a window of its own.
 """
 
 import ast
@@ -559,6 +563,13 @@ def test_brackets_names_no_pairwise_product():
     # D_n, L_n, (alpha)_n and <a>_m are each one call of the kernel
     names = _names(ast.parse((SRC / "brackets.py").read_text()))
     assert not names & {"reduce", "mul"}
+
+
+def test_hyper_has_one_coefficient_path():
+    # every h_m past h_0 is a step of the stream, at the caller's window
+    names = _names(ast.parse((SRC / "hyper.py").read_text()))
+    assert not names & {"_is_exact", "_pochhammer_factors",
+                        "DEFAULT_INVERT_WINDOW"}
 
 
 def test_only_ffield_knows_which_tables_are_stored():

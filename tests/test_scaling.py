@@ -2,34 +2,38 @@
 
 Every case runs at three sizes and counts through the module bindings:
 the calls of the quotient kernel ``_quotient`` and the factors passed to
-it (numerator and denominator together), the two-term factors built by
-``brackets._two_term``, the calls of ``PerfSeries.frobenius``, the term
-pairs of the product kernel ``_product_terms``, the rewrites of
+it (numerator and denominator together), the terms that the long division
+``_long_division`` returns, the two-term factors built by
+``brackets._two_term``, the calls of ``bracket`` through every module
+that binds it, the calls of ``PerfSeries.frobenius``, the term pairs of
+the product kernel ``_product_terms``, the rewrites of
 ``opring._rewrite_pair`` and the calls of ``DeltaPoly.eval_at``.  Each
 size starts from an empty bracket cache, so it counts every bracket it
 builds, whatever ran before.  Each case bounds some of the counts; every
 one of them is nonzero at every size and may grow from one size to the
-next by at most the case's bound.
+next by at most the case's bound for it.
 
-The kernel counts (quotient calls, factors, two-term factors, Frobenius
-calls) of the series cases grow per doubling of the size by at most
-``LINEAR`` (2.2x) or ``QUADRATIC`` (4.2x):
+The kernel counts (quotient calls, factors, division terms, two-term
+factors, Frobenius calls) and the bracket calls of the series cases grow
+per doubling of the size by at most ``LINEAR`` (2.2x) or ``QUADRATIC``
+(4.2x):
 
 * the exact ``hyper_series`` at M = 16 / 32 / 64 is linear: one
-  q-twisted step per coefficient (48 / 96 / 192 factors over F_2);
+  q-twisted step per coefficient (48 / 96 / 192 factors over F_2, two
+  brackets a step);
 * ``MultiFunction.evaluate`` of one slot at m = 4 / 8 / 16 is linear:
   one quotient over the m factors of D_m;
 * ``hyper_series`` with a truncated parameter (F_2, a = x + O(x^5),
-  b = 1 + x) at M = 16 / 32 / 64 is quadratic: every coefficient is a
-  direct quotient over the factors of its symbols (408 / 1584 / 6240
-  factors);
+  b = 1 + x) at M = 16 / 32 / 64 is linear too: it takes the same steps
+  (48 / 96 / 192 factors), where the direct quotient at every index
+  passed 408 / 1584 / 6240;
 * ``thakur_correspondence(F2, [2], [3], M)`` at M = 8 / 16 / 32 is
   quadratic: the t side divides by the factors of every symbol at every
   index (160 / 508 / 1780 factors).
 
-The last two grow about 3.9x and 3.5x per doubling, so ``LINEAR`` fails
-them; folding the factors that cannot act (ROADMAP item 12) is what would
-let them take it.
+The last grows about 3.5x per doubling, so ``LINEAR`` fails it; folding
+the factors that cannot act (ROADMAP item 12) is what would let it take
+it.
 
 Two cases grow by a step of one in their size:
 
@@ -42,8 +46,10 @@ Two cases grow by a step of one in their size:
   ``hypergeometric_equation(F2, [a] * n, [b] * n, n)``, a = x^3 + x^(1/2),
   b = x^2 + x^5, whose Q no dominant term certifies, at n = 2 / 3 / 4,
   evaluates Q at every tuple: (i_max + 2)^n = 25 / 125 / 625 calls of
-  ``eval_at``, bounded by i_max + 2 per step of n; a product certificate
-  (ROADMAP item 5) would take n (i_max + 2).
+  ``eval_at``, bounded by i_max + 2 per step of n, and n (i_max + 2)^n
+  = 50 / 375 / 2500 bracket calls, bounded by 3/2 (i_max + 2); a product
+  certificate (ROADMAP item 5) would take n (i_max + 2).  The normalize
+  cases read one bracket at every k, bounded by ``NORMALIZE_STEP`` too.
 
 A change that wins a complexity class tightens its bound here; no bound
 is loosened.
@@ -54,6 +60,7 @@ from fractions import Fraction
 
 import pytest
 
+import carlitz
 from carlitz import FieldParams, PerfSeries, brackets, cauchy, funcspace, hyper
 from carlitz import opring, series
 from carlitz.cauchy import DeltaPoly
@@ -66,8 +73,14 @@ NORMALIZE_STEP = 12
 I_MAX = 3
 
 #: the counts each kind of case bounds
-KERNEL = ("quotient", "factors", "two_term", "frobenius")
+KERNEL = ("quotient", "factors", "two_term", "frobenius", "division_terms")
 REWRITING = ("rewrite_pair", "term_pairs")
+
+
+def _bounded(bound, *names):
+    """The bound per size step of each named count."""
+    return dict.fromkeys(names, bound)
+
 
 F2 = FieldParams.default(2)
 X = PerfSeries.x(F2)
@@ -81,6 +94,7 @@ def work(monkeypatch):
     kernel, two_term = series._quotient, brackets._two_term
     frobenius, eval_at = PerfSeries.frobenius, DeltaPoly.eval_at
     product_terms, rewrite_pair = series._product_terms, opring._rewrite_pair
+    long_division, bracket = series._long_division, brackets.bracket
 
     def quotient(c, num, den, *args, **kwargs):
         counts["quotient"] += 1
@@ -99,6 +113,15 @@ def work(monkeypatch):
         counts["term_pairs"] += len(ta) * len(tb)
         return product_terms(params, ta, tb, bound)
 
+    def counted_long_division(*args):
+        out = long_division(*args)
+        counts["division_terms"] += len(out)
+        return out
+
+    def counted_bracket(*args):
+        counts["bracket"] += 1
+        return bracket(*args)
+
     def counted_rewrite_pair(*args):
         counts["rewrite_pair"] += 1
         return rewrite_pair(*args)
@@ -113,6 +136,10 @@ def work(monkeypatch):
         monkeypatch.setattr(module, "_two_term", counted_two_term)
     monkeypatch.setattr(PerfSeries, "frobenius", counted_frobenius)
     monkeypatch.setattr(series, "_product_terms", counted_product_terms)
+    monkeypatch.setattr(series, "_long_division", counted_long_division)
+    for module in (carlitz, *vars(carlitz).values()):
+        if getattr(module, "bracket", None) is bracket:
+            monkeypatch.setattr(module, "bracket", counted_bracket)
     monkeypatch.setattr(opring, "_rewrite_pair", counted_rewrite_pair)
     monkeypatch.setattr(DeltaPoly, "eval_at", counted_eval_at)
     monkeypatch.setattr(F2, "bracket_cache", {})
@@ -150,19 +177,25 @@ def _admissibility_scan(n):
     assert cauchy.admissibility_check(eq, I_MAX).status == "ok"
 
 
-#: case: (run, sizes, bound per size step, the counts bounded)
+#: case: (run, sizes, the bound per size step of each count bounded)
 CASES = {
-    "exact_hyper_series": (_exact_hyper_series, (16, 32, 64), LINEAR, KERNEL),
-    "one_slot_evaluate": (_one_slot_evaluate, (4, 8, 16), LINEAR, KERNEL),
-    "truncated_hyper_series": (_truncated_hyper_series, (16, 32, 64), QUADRATIC,
-                               KERNEL),
-    "thakur_correspondence": (_thakur_correspondence, (8, 16, 32), QUADRATIC,
-                              KERNEL),
-    "normalize_standard": (_normalize("standard"), (3, 4, 5), NORMALIZE_STEP,
-                           REWRITING),
-    "normalize_alt": (_normalize("alt"), (3, 4, 5), NORMALIZE_STEP, REWRITING),
-    "admissibility_scan": (_admissibility_scan, (2, 3, 4), I_MAX + 2,
-                           ("eval_at",)),
+    "exact_hyper_series": (_exact_hyper_series, (16, 32, 64),
+                           _bounded(LINEAR, *KERNEL, "bracket")),
+    "one_slot_evaluate": (_one_slot_evaluate, (4, 8, 16),
+                          _bounded(LINEAR, *KERNEL)),
+    "truncated_hyper_series": (_truncated_hyper_series, (16, 32, 64),
+                               _bounded(LINEAR, *KERNEL, "bracket")),
+    "thakur_correspondence": (_thakur_correspondence, (8, 16, 32),
+                              _bounded(QUADRATIC, *KERNEL, "bracket")),
+    "normalize_standard": (_normalize("standard"), (3, 4, 5),
+                           _bounded(NORMALIZE_STEP, *REWRITING, "bracket")),
+    "normalize_alt": (_normalize("alt"), (3, 4, 5),
+                      _bounded(NORMALIZE_STEP, *REWRITING, "bracket")),
+    # each tuple reads its n brackets: n (i_max + 2)^n calls, which grow
+    # by (i_max + 2) (n + 1) / n <= 3/2 (i_max + 2) from n = 2
+    "admissibility_scan": (_admissibility_scan, (2, 3, 4),
+                           {"eval_at": I_MAX + 2,
+                            "bracket": Fraction(3, 2) * (I_MAX + 2)}),
 }
 
 
@@ -179,11 +212,11 @@ def _counts(work, run, sizes):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_work_grows_within_its_bound(case, work):
-    run, sizes, bound, names = CASES[case]
+    run, sizes, bounds = CASES[case]
     counts = _counts(work, run, sizes)
-    assert all(c.get(name) for c in counts for name in names), (case, counts)
+    assert all(c.get(name) for c in counts for name in bounds), (case, counts)
     for small, large in zip(counts, counts[1:]):
-        for name in names:
+        for name, bound in bounds.items():
             assert large.get(name, 0) <= bound * small.get(name, 0), (
                 case, name, small, large)
 
@@ -191,13 +224,27 @@ def test_work_grows_within_its_bound(case, work):
 def test_the_counts_of_the_cases(work):
     # the figures the bounds are set against
     def figures(case, name):
-        run, sizes, _, _ = CASES[case]
+        run, sizes, _ = CASES[case]
         return [c[name] for c in _counts(work, run, sizes)]
-    assert {case: figures(case, "factors") for case, (*_, names) in CASES.items()
-            if names == KERNEL} == {"exact_hyper_series": [48, 96, 192],
-                                    "one_slot_evaluate": [6, 10, 18],
-                                    "truncated_hyper_series": [408, 1584, 6240],
-                                    "thakur_correspondence": [160, 508, 1780]}
+
+    def table(name):
+        return {case: figures(case, name)
+                for case, (*_, bounds) in CASES.items() if name in bounds}
+    assert table("factors") == {"exact_hyper_series": [48, 96, 192],
+                                "one_slot_evaluate": [6, 10, 18],
+                                "truncated_hyper_series": [48, 96, 192],
+                                "thakur_correspondence": [160, 508, 1780]}
+    assert table("division_terms") == {
+        "exact_hyper_series": [259, 451, 835],
+        "one_slot_evaluate": [32, 8, 16],
+        "truncated_hyper_series": [23, 23, 23],
+        "thakur_correspondence": [1084, 1316, 2164]}
+    assert table("bracket") == {"exact_hyper_series": [32, 64, 128],
+                                "truncated_hyper_series": [32, 64, 128],
+                                "thakur_correspondence": [18, 34, 66],
+                                "normalize_standard": [1, 1, 1],
+                                "normalize_alt": [1, 1, 1],
+                                "admissibility_scan": [50, 375, 2500]}
     for case in ("normalize_standard", "normalize_alt"):
         assert figures(case, "rewrite_pair") == [96, 736, 6145]
         assert figures(case, "term_pairs") == [112, 1208, 13816]

@@ -7,8 +7,9 @@ builds the product, whatever the symbols: exact or truncated, with terms
 or without.  The oracle multiplies both sides out and multiplies by the
 built inverse of the denominator (``oracles.ref_coeff_quotient``); every
 coefficient must match it exactly (terms, dexp, prec value and type), and
-every kind of symbol takes exactly one kernel call from the unit, and t_m
-exactly m more: the q-twisted steps of the stream that carry t_0 to t_m.
+every kind of symbol takes exactly one kernel call from the unit, and
+``hyper_coeff`` and t_m exactly m more: the q-twisted steps of the stream
+that carry h_0 to h_m and t_0 to t_m, whatever the parameters.
 The cases: exact monomial denominators (m = 0), exact non-monomial ones
 (the field family at m >= 1 and the integer family with alpha >= 1),
 truncated parameters, and negative alpha, whose symbols are inverses of L:
@@ -64,8 +65,11 @@ def test_field_family_symbol_quotient(hp, m, window):
         calls = _kernel_calls(mp)
         assert_same(hyper._coeff_quotient(params, m, upper, lower, window), want)
     assert _split(calls, params) == (1, 0)
-    if m == 0 or not hyper._is_exact(hp):
+    # every h_m is h_0 and m steps of the stream, whatever the parameters
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _kernel_calls(mp)
         assert_same(hyper.hyper_coeff(hp, m, window=window), want)
+    assert _split(calls, params) == (1, m)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
