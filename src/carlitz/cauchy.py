@@ -261,12 +261,13 @@ def admissibility_check(eq: EvolutionEquation, i_max: int) -> AdmissibilityRepor
     When Q's constant coefficient dominates (its lowest term at v lies
     strictly below every other monomial's valuation bound, module
     docstring) the report is "ok" with mu_valuation v, and no tuple is
-    evaluated.  Otherwise Q is evaluated at every tuple in product order:
-    exact zeros report failure with the offending tuple; a value with no
-    terms but finite precision reports "indeterminate" instead, which is a
-    different state from failure.  On success the report carries the
-    largest valuation seen, i.e. mu = min |Q| = q^(-mu_valuation).  Both
-    ways give the same report.
+    evaluated.  Otherwise Q is evaluated at every tuple in product order,
+    and each of the i_max + 2 bracket values is read once, when a tuple
+    first needs it.  Exact zeros report failure with the offending tuple; a
+    value with no terms but finite precision reports "indeterminate"
+    instead, which is a different state from failure.  On success the
+    report carries the largest valuation seen, i.e. mu = min |Q| =
+    q^(-mu_valuation).  Both ways give the same report.
     """
     if i_max < 0:
         raise UsageError("i_max must be >= 0")
@@ -275,8 +276,12 @@ def admissibility_check(eq: EvolutionEquation, i_max: int) -> AdmissibilityRepor
         return AdmissibilityReport("ok", v, None, i_max)
     worst = None
     choices = list(range(i_max + 1)) + [INFINITY]
+    values = {}  # each bracket value, read from its cache on first use
     for combo in itertools.product(choices, repeat=eq.n):
-        value = eq.Q.eval_at(_index_values(eq.params, combo))
+        for i in combo:
+            if i not in values:
+                values[i] = bracket(eq.params, i)
+        value = eq.Q.eval_at([values[i] for i in combo])
         if value.is_zero():
             return AdmissibilityReport("fail", None, combo, i_max)
         if value.is_zero_at_prec():

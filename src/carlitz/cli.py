@@ -45,6 +45,7 @@ def _field_params(args) -> FieldParams:
         raise UsageError("pass either --q or --p, not both")
     if args.field_config is not None and (args.q, args.p) != (None, None):
         raise UsageError("pass either --field-config or --q/--p, not both")
+    m = args.m if args.m is not None else 1
     if args.p is not None:
         if args.v is None:
             raise UsageError("--p needs --v as well")
@@ -52,13 +53,25 @@ def _field_params(args) -> FieldParams:
         if args.modulus:
             modulus = tuple(textio._read_int(c, "--modulus coefficient")
                             for c in args.modulus.split(","))
-        return FieldParams(args.p, args.v, args.m, modulus)
+        return FieldParams(args.p, args.v, m, modulus)
     config = args.field_config or os.environ.get("CARLITZ_FIELD_CONFIG")
     if args.q is None and config:
         with open(config) as fh:
             return textio.parse_config(fh.read())
     q = args.q if args.q is not None else 2
-    return FieldParams.default(q, args.m)
+    return FieldParams.default(q, m)
+
+
+def _refuse_field_flags(args, why: str):
+    """Refuse, as usage, the field flags given to a verb that builds no
+    field from them (``why`` says where its field comes from, if any)."""
+    given = [flag for flag, value in (
+        ("--q", args.q), ("--m", args.m), ("--p", args.p), ("--v", args.v),
+        ("--modulus", args.modulus), ("--field-config", args.field_config))
+        if value is not None]
+    if given:
+        raise UsageError("%s %s, so it takes no %s"
+                         % (args.verb, why, ", ".join(given)))
 
 
 def _emit(args, human: str, payload: dict):
@@ -158,6 +171,7 @@ def cmd_op_apply(args):
 
 
 def cmd_cauchy_solve(args):
+    _refuse_field_flags(args, "reads its field from the problem file")
     from . import cauchy
     with open(args.problem) as fh:
         eq, init, trunc_m, trunc_i = cauchy.parse_problem(fh.read())
@@ -300,6 +314,7 @@ def _commutation_trial(params, rng):
 
 
 def cmd_dim_count(args):
+    _refuse_field_flags(args, "counts over no field")
     if args.n < 1 or args.nu_max < 0:  # the counts' own refusal
         raise UsageError("need n >= 1 and nu >= 0")
     if args.step is not None and args.step < 1:
@@ -364,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "problems, hypergeometric identities.")
     parser.add_argument("--q", type=int, default=None,
                         help="Carlitz parameter (shipped configs: 2,3,4,5,8,9)")
-    parser.add_argument("--m", type=int, default=1,
+    parser.add_argument("--m", type=int, default=None,
                         help="constant-field extension degree")
     parser.add_argument("--p", type=int, default=None, help="prime (advanced)")
     parser.add_argument("--v", type=int, default=None, help="q = p^v (advanced)")

@@ -27,7 +27,9 @@ from h_0 and takes the recursion above for every m > 0.  Each step is the
 direct quotient's own rule applied to the twisted inputs: one call of the
 quotient kernel ``series._quotient`` with dividend h_m^q, upper factors
 ([m]-a_i)^q and lower factors [m+1] and ([m]-b_j)^q, at the caller's
-window.  The Frobenius is a ring automorphism that scales exponents and
+window.  Each twisted factor is built without a twist, as ([m]-a)^q =
+[m+1] - T_down(a), from the one T_down(a) = a^q + [1] of each parameter.
+The Frobenius is a ring automorphism that scales exponents and
 precisions by q, so h_m^q is the quotient of every older factor of
 h_(m+1), known as far as the direct quotient knows it, and the step
 divides by the newest factors as the direct quotient does: each h_m has
@@ -47,8 +49,13 @@ above the R units the quotient keeps, is never built.  A Thakur symbol
 (alpha)_m enters as the factors of D_(m+alpha-1)^(q^(1-alpha)) on its own
 side or, for alpha <= 0, of L_(-alpha-m)^(q^m) on the other
 (``brackets._thakur_factors``), so no symbol is ever expanded.  The
-recursion costs O(M) small steps for h_0..h_M, where a quotient of
-symbols passes over O(m) factors at every index.
+kernel divides by few of those factors: the factors [k]^(q^(m-k)) that
+(alpha)_m and (beta)_m, alpha, beta >= 1, share with each other and with
+D_m cancel, and a factor whose step q^m - q^(m-k) passes the R units kept
+acts only through its lead, so ``thakur_correspondence(F_2, [2], [3], M)``
+takes 31 long-division passes in all, at every M.  The recursion
+costs O(M) small steps for h_0..h_M, where a quotient of symbols still
+builds O(m) factors at every index.
 
 Residual checks apply the defining operators to the truncated series:
 
@@ -195,19 +202,25 @@ def _hyper_stream(hp: HyperParams, window, first=None):
     ([m]-a_i)^q, [m+1] = ([m]-[-1])^q and ([m]-b_j)^q, exactly as the
     direct quotient knows them, and the step divides by those newest ones
     as the direct quotient does: every coefficient has its terms and
-    precision, whatever the precision of the parameters.  The stream
+    precision, whatever the precision of the parameters.
+
+    A step twists only h_m: since [m]^q = [m+1] - [1], each newest factor
+    is ([m]-a)^q = [m+1] - T_down(a), with T_down(a) = a^q + [1] built once
+    per parameter.  An exact parameter [-1] has T_down 0, so its factor is
+    [m+1] itself, and equal exact upper and lower parameters give one
+    factor on both sides: the kernel cancels such pairs.  The stream
     starts from ``first``, or from h_0 = hyper_coeff(hp, 0) when it is
     None, called through the module so wrappers see it; the integer
     family passes its t_0 over the bracket parameters."""
     params = hp.params
     h = hyper_coeff(hp, 0, window=window) if first is None else first
+    upper = [shift_down(a) for a in hp.a_list]
+    lower = [shift_down(b) for b in hp.b_list]
     for m in count():
         yield h
-        b_m = bracket(params, m)
-        h = _quotient(h.frobenius(1),
-                      [(b_m - a).frobenius(1) for a in hp.a_list],
-                      [bracket(params, m + 1)]
-                      + [(b_m - b).frobenius(1) for b in hp.b_list], window)
+        top = bracket(params, m + 1)
+        h = _quotient(h.frobenius(1), [top - a for a in upper],
+                      [top] + [top - b for b in lower], window)
 
 
 def _tail_slope(hp: HyperParams) -> Fraction:

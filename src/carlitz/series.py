@@ -66,7 +66,14 @@ One kernel, :func:`_quotient`, takes every symbol expression: it returns
 the canonical series c * prod(num) / prod(den) for any factors, exact or
 truncated, several to a side.  It multiplies by each numerator factor and
 divides by each denominator factor, with the output precision worked out
-once from grid-integer valuations.  ``divide`` and ``invert`` are one call
+once from grid-integer valuations over all the factors.  It then passes
+only over the factors that act: an exact factor on both sides cancels, a
+divisor whose least step lands at or past the precision from the
+quotient's valuation acts only through its lead and is not divided, and
+the dividend's terms are cut at the precision before the first pass.  A
+divisor of one step, such as every two-term factor, is divided along
+chains, one residue class of exponents mod its step at a time
+(:func:`_long_division`).  ``divide`` and ``invert`` are one call
 with one divisor; the symbol quotients of :mod:`carlitz.hyper` and
 ``MultiFunction.evaluate`` are one call over the symbols' two-term
 factors; and D_n, L_n, (alpha)_n and <a>_m of :mod:`carlitz.brackets` are
@@ -591,12 +598,42 @@ def _product_terms(params: FieldParams, ta: dict, tb: dict, bound) -> dict:
 
 def _long_division(params: FieldParams, seeds: dict, steps, bound) -> dict:
     """The terms below ``bound`` of seeds / (1 + eps), in one pass of long
-    division: w_k = seeds_k - sum_(j>0) eps_j w_(k-j).  ``steps`` holds
-    (j, log(-eps_j)) for the terms of eps, in increasing j.  Every nonzero
-    w_k is pushed forward to k + j for each step, so only exponents
-    reachable from a seed by such steps are visited, in increasing order,
-    each once all its terms have arrived."""
+    division: w_k = seeds_k - sum_(j>0) eps_j w_(k-j).  ``seeds`` holds
+    nonzero coefficients, and ``steps`` holds (j, log(-eps_j)) for the
+    terms of eps, in increasing j.
+
+    With one step, w_k = seeds_k + u w_(k-j) links only exponents of one
+    residue class mod j, so the division is walked as chains, with no
+    heap: a chain starts at the least seed that no chain has reached and
+    goes up by j, adding each seed it meets, until it passes the bound or
+    a seed cancels it.  A later seed of a cancelled chain's class starts a
+    new chain of its own.  With two or more steps every nonzero w_k is
+    pushed forward to k + j for each step, so only exponents reachable from
+    a seed by such steps are visited, in increasing order off a heap, each
+    once all its terms have arrived."""
     log, exp, add_table = params._log, params._exp, params._add_table
+    if len(steps) == 1:
+        ((j, lu),) = steps
+        out = {}
+        cancelled = set()
+        for k in sorted(seeds):
+            if k >= bound:
+                break
+            if k in out or k in cancelled:
+                continue  # reached by an earlier chain
+            c = seeds[k]
+            while True:
+                out[k] = c
+                k += j
+                if k >= bound:
+                    break
+                c = exp[log[c] + lu]
+                if k in seeds:
+                    c = add_table[c][seeds[k]]
+                    if not c:
+                        cancelled.add(k)
+                        break
+        return out
     pending = {k: c for k, c in seeds.items() if k < bound}
     heap = list(pending)
     heapify(heap)
@@ -653,8 +690,24 @@ def _quotient(c: PerfSeries, num, den, window, negate=False) -> PerfSeries:
     precision of a product is the least of its factors', so the quotient
     keeps the least of the numerators' and the inverse's.  Each factor is
     moved to valuation 0 on one grid; c's terms, seeded at the quotient's
-    valuation, are multiplied by each numerator and long-divided by each
-    denominator, every pass cut at the quotient's precision."""
+    valuation and cut at its precision, are multiplied by each numerator
+    and long-divided by each denominator, every pass cut at the quotient's
+    precision.
+
+    The precision, the bound it gives on the grid and every refusal come
+    from the full factor lists, so they are the ones the product and the
+    inverse of all the factors would give.  Only then are the passes cut
+    to the factors that act, which leaves the terms as they are, since
+    every pass computes the terms below the bound exactly:
+
+    * an exact factor that occurs on both sides, with the same ``dexp``
+      and terms, is taken from both (:func:`_shared_factors`): it would
+      add its valuation to the quotient's and take it away again, and
+      multiply by its lead and divide by it;
+    * a divisor none of whose steps lands below the bound from the
+      quotient's valuation changes no term kept: it acts only through its
+      lead, which is taken with the others', and it is not long-divided.
+      This is how most factors of D_m go, whose steps are q^m - q^(m-k)."""
     if window is not None:
         if not isinstance(window, (int, Fraction)):
             raise UsageError("window must be an int or a Fraction, got %r"
@@ -713,23 +766,56 @@ def _quotient(c: PerfSeries, num, den, window, negate=False) -> PerfSeries:
             out_prec = min(out_prec, p + Fraction(val - k0, scale))
     bound = INF if out_prec is INF else _grid_bound(out_prec, scale)
 
+    # the passes: a factor on both sides cancels, with its offset and lead
+    dropped_num, dropped_den = (_shared_factors(num, den) if num and den
+                                else ((), ()))
     log, exp, neg = params._log, params._exp, params._neg
     n = params.Q - 1
     lead_log = log[params.minus_one_idx] if negate else 0
     divisors = []
-    for t in dens:
+    for i, t in enumerate(dens):
+        if i in dropped_den:
+            continue
         k0 = min(t)
         ll = log[t[k0]]
         lead_log -= ll
-        divisors.append(sorted((k - k0, (log[neg[x]] - ll) % n)
-                               for k, x in t.items() if k > k0))
+        steps = sorted((k - k0, (log[neg[x]] - ll) % n)
+                       for k, x in t.items() if k > k0)
+        # every term stays at or above val, so a step from val that lands
+        # at the bound moves none of the terms kept: only the lead acts
+        if steps and val + steps[0][0] < bound:
+            divisors.append(steps)
     lead_log %= n
-    terms = {k + offset: exp[log[x] + lead_log] for k, x in c_terms.items()}
-    for _, _, t in nums:
-        terms = _product_terms(params, terms, t, bound)
+    terms = {k + offset: exp[log[x] + lead_log] for k, x in c_terms.items()
+             if k + offset < bound}
+    for i, (_, _, t) in enumerate(nums):
+        if i not in dropped_num:
+            terms = _product_terms(params, terms, t, bound)
     for steps in divisors:
         terms = _long_division(params, terms, steps, bound)
     return PerfSeries._canonical(params, d, terms, out_prec)
+
+
+def _shared_factors(num, den):
+    """The positions (in ``num``, in ``den``) of the exact factors that
+    occur on both sides, with the same ``dexp`` and terms, paired off one
+    for one: each pair cancels from c * prod(num) / prod(den).  The
+    divisors wait in buckets keyed by dexp and the sum of the exponents,
+    and a numerator factor compares terms only within its bucket."""
+    waiting = {}
+    for i, f in enumerate(den):
+        if f.prec is INF:
+            waiting.setdefault((f.dexp, sum(f.terms)), []).append(i)
+    dropped_num, dropped_den = set(), set()
+    if waiting:
+        for i, f in enumerate(num):
+            if f.prec is INF:
+                for slot in waiting.get((f.dexp, sum(f.terms)), ()):
+                    if slot not in dropped_den and den[slot].terms == f.terms:
+                        dropped_num.add(i)
+                        dropped_den.add(slot)
+                        break
+    return dropped_num, dropped_den
 
 
 # ---------------------------------------------------------------------------

@@ -44,15 +44,14 @@ class Mutant(NamedTuple):
 
 
 STREAM_STEP = """\
-        h = _quotient(h.frobenius(1),
-                      [(b_m - a).frobenius(1) for a in hp.a_list],
-                      [bracket(params, m + 1)]
-                      + [(b_m - b).frobenius(1) for b in hp.b_list], window)
+        h = _quotient(h.frobenius(1), [top - a for a in upper],
+                      [top] + [top - b for b in lower], window)
 """
 
 MUTANTS = (
     Mutant("stream-divides-at-r-over-q", "src/carlitz/hyper.py", STREAM_STEP,
            """\
+        b_m = bracket(params, m)
         h = _quotient(h, [b_m - a for a in hp.a_list],
                       [_two_term(params, m, -1)]
                       + [b_m - b for b in hp.b_list],
@@ -69,7 +68,8 @@ MUTANTS = (
            "parameter: a truncated lower parameter without a window is cut "
            "at the default invert window"),
     Mutant("stream-divides-by-bracket-m", "src/carlitz/hyper.py",
-           "[bracket(params, m + 1)]", "[bracket(params, m)]",
+           "[top] + [top - b for b in lower]",
+           "[bracket(params, m)] + [top - b for b in lower]",
            ("tests/test_hyper_stream.py::test_stream_matches_direct_quotient",),
            "the step divides by [m] in place of [m+1] = ([m]-[-1])^q"),
     Mutant("stream-keeps-h-untwisted", "src/carlitz/hyper.py",
@@ -120,6 +120,37 @@ MUTANTS = (
            ("tests/test_two_term.py::"
             "test_products_above_the_term_limit_are_refused",),
            "a product of 21 factors, 2^21 terms, is expanded"),
+    Mutant("cancel-keeps-divisor-lead", "src/carlitz/series.py",
+           """\
+        if i in dropped_den:
+            continue
+        k0 = min(t)
+        ll = log[t[k0]]
+        lead_log -= ll
+""",
+           """\
+        k0 = min(t)
+        ll = log[t[k0]]
+        lead_log -= ll
+        if i in dropped_den:
+            continue
+""",
+           ("tests/test_quotient_fold.py::"
+            "test_shared_factors_cancel_as_the_oracle_divides",),
+           "a divisor cancelled against a numerator factor still divides "
+           "the lead by its own"),
+    Mutant("fold-one-unit-early", "src/carlitz/series.py",
+           "if steps and val + steps[0][0] < bound:",
+           "if steps and val + steps[0][0] < bound - 1:",
+           ("tests/test_quotient_fold.py::"
+            "test_divisors_that_reach_the_bound_fold_as_the_oracle_divides",),
+           "a divisor whose least step lands one unit below the bound is "
+           "not divided"),
+    Mutant("chain-walk-never-restarts", "src/carlitz/series.py",
+           "if k in out or k in cancelled:", "if k in out or cancelled:",
+           ("tests/test_quotient_fold.py::"
+            "test_one_step_chains_restart_as_the_heap_loop_divides",),
+           "once a seed cancels a chain, no later seed starts a new one"),
     Mutant("canonical-sheds-one-q-power", "src/carlitz/series.py",
            "while dexp and g % q == 0:", "if dexp and g % q == 0:",
            ("tests/test_series_canonical.py::test_canonical_grid_matches_the_scan",),

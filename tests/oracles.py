@@ -41,12 +41,16 @@ on that tuple, and D_n, L_n, <a>_m and (alpha)_n, alpha >= 1, as
 pairwise products of their factors, which the library replaced by one
 kernel call that returns the canonical series, its Frobenius image, and
 one kernel call per symbol.  Each is kept here once and in no library
-module.
+module.  The kernel's own body before it cancelled shared factors, folded
+divisors that cannot act and cut the seeds at the bound is the
+tuple-form quotient here, and the long division before one-step divisors
+were walked as chains is ``ref_long_division``, the heap loop for every
+divisor, which that quotient calls.
 """
 
 from fractions import Fraction
 from functools import reduce
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import product
 from operator import mul
 
@@ -57,7 +61,7 @@ from carlitz.cauchy import AdmissibilityReport, _index_values
 from carlitz.errors import NotInvertibleError, PrecisionError, UsageError
 from carlitz.ffield import FFElement
 from carlitz.series import (DEFAULT_INVERT_WINDOW, INF, _grid_bound,
-                            _long_division, _product_prec, _product_terms)
+                            _product_prec, _product_terms)
 
 
 def ref_bracket(params, n):
@@ -647,8 +651,40 @@ def ref_quotient_terms(c, num, den, window, negate=False):
     for _, _, t in nums:
         terms = _product_terms(params, terms, t, bound)
     for steps in divisors:
-        terms = _long_division(params, terms, steps, bound)
+        terms = ref_long_division(params, terms, steps, bound)
     return d, terms, out_prec
+
+
+def ref_long_division(params, seeds, steps, bound):
+    """The terms below ``bound`` of seeds / (1 + eps), in one pass of long
+    division: w_k = seeds_k - sum_(j>0) eps_j w_(k-j).  ``steps`` holds
+    (j, log(-eps_j)) for the terms of eps, in increasing j.  Every nonzero
+    w_k is pushed forward to k + j for each step, so only exponents
+    reachable from a seed by such steps are visited, in increasing order,
+    each once all its terms have arrived."""
+    log, exp, add_table = params._log, params._exp, params._add_table
+    pending = {k: c for k, c in seeds.items() if k < bound}
+    heap = list(pending)
+    heapify(heap)
+    out = {}
+    while heap:
+        k = heappop(heap)
+        c = pending.pop(k)
+        if not c:
+            continue
+        out[k] = c
+        lc = log[c]
+        for j, lu in steps:
+            t = k + j
+            if t >= bound:
+                break
+            term = exp[lc + lu]
+            if t in pending:
+                pending[t] = add_table[pending[t]][term]
+            else:
+                pending[t] = term
+                heappush(heap, t)
+    return out
 
 
 def ref_quotient(c, num, den, window, negate=False):

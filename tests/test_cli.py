@@ -527,7 +527,9 @@ MIXED = "either in --params or as --a/--b/--alpha/--beta, not both"
         "hyper-eval-window-0", "hyper-eval-window-negative",
         "cauchy-solve-window-0", "thakur-beta-0"])
 def test_refusal_of_arguments_that_would_crash_or_pass_vacuously(argv, what, capsys):
-    _assert_usage_refusal(capsys, ["--q", "2"] + argv, what)
+    # dim-count and cauchy-solve refuse the field flags themselves
+    flags = [] if argv[0] in ("dim-count", "cauchy-solve") else ["--q", "2"]
+    _assert_usage_refusal(capsys, flags + argv, what)
 
 
 @pytest.mark.parametrize("argv, code, err", [
@@ -574,6 +576,34 @@ def test_field_flags_that_cannot_apply_together_are_refused(argv, what, capsys,
     monkeypatch.setattr("carlitz.textio.parse_config", no_field)
     monkeypatch.setattr("builtins.open", no_field)
     _assert_usage_refusal(capsys, argv + BRACKET, what)
+
+
+DIM_COUNT = ["dim-count", "--kind", "gamma", "--n", "1", "--nu-max", "2"]
+
+
+@pytest.mark.parametrize("flags, verb, what", [
+    (["--q", "9"], ["cauchy-solve", PROBLEM_N1],
+     "cauchy-solve reads its field from the problem file, so it takes no --q"),
+    (["--q", "2", "--m", "1"], ["cauchy-solve", PROBLEM_N1],
+     "so it takes no --q, --m"),
+    (["--p", "2", "--v", "1", "--modulus", "0,1"], ["cauchy-solve", PROBLEM_N1],
+     "so it takes no --p, --v, --modulus"),
+    (["--field-config", "/nonexistent"], ["cauchy-solve", PROBLEM_N1],
+     "so it takes no --field-config"),
+    (["--q", "3", "--p", "2", "--v", "1"], DIM_COUNT,
+     "dim-count counts over no field, so it takes no --q, --p, --v"),
+    (["--m", "1"], DIM_COUNT, "so it takes no --m"),
+], ids=["cauchy-q", "cauchy-q-m", "cauchy-p-v-modulus", "cauchy-field-config",
+        "dim-count-q-p-v", "dim-count-m"])
+def test_verbs_without_a_field_from_the_flags_refuse_them(flags, verb, what,
+                                                          capsys):
+    _assert_usage_refusal(capsys, flags + verb, what)
+
+
+def test_verbs_without_a_field_from_the_flags_run_without_them(capsys):
+    code, out, _ = run(capsys, ["cauchy-solve", PROBLEM_N1])
+    assert code == 0 and out.startswith("PERFFUNC 1\np 2\n")
+    assert run(capsys, DIM_COUNT) == (0, "nu=0 dim=1\nnu=1 dim=4\nnu=2 dim=10\n", "")
 
 
 def test_the_field_config_variable_yields_to_the_field_flags(tmp_path, capsys,

@@ -2,8 +2,8 @@
 
 Every case runs at three sizes and counts through the module bindings:
 the calls of the quotient kernel ``_quotient`` and the factors passed to
-it (numerator and denominator together), the terms that the long division
-``_long_division`` returns, the two-term factors built by
+it (numerator and denominator together), the passes of the long division
+``_long_division`` and the terms they return, the two-term factors built by
 ``brackets._two_term``, the calls of ``bracket`` through every module
 that binds it, the calls of ``PerfSeries.frobenius``, the term pairs of
 the product kernel ``_product_terms``, the rewrites of
@@ -13,27 +13,30 @@ builds, whatever ran before.  Each case bounds some of the counts; every
 one of them is nonzero at every size and may grow from one size to the
 next by at most the case's bound for it.
 
-The kernel counts (quotient calls, factors, division terms, two-term
-factors, Frobenius calls) and the bracket calls of the series cases grow
-per doubling of the size by at most ``LINEAR`` (2.2x) or ``QUADRATIC``
-(4.2x):
+The kernel counts (quotient calls, factors, two-term factors, Frobenius
+calls), the division counts (passes, division terms) and the bracket
+calls of the series cases grow per doubling of the size by at most
+``LINEAR`` (2.2x) or ``QUADRATIC`` (4.2x), or not at all (``CONSTANT``):
 
 * the exact ``hyper_series`` at M = 16 / 32 / 64 is linear: one
-  q-twisted step per coefficient (48 / 96 / 192 factors over F_2, two
-  brackets a step);
+  q-twisted step per coefficient (48 / 96 / 192 factors over F_2, one
+  bracket a step and one for each parameter's T_down);
 * ``MultiFunction.evaluate`` of one slot at m = 4 / 8 / 16 is linear:
-  one quotient over the m factors of D_m;
+  one quotient over the m factors of D_m.  At m = 8 and 16 every factor
+  of D_m steps past the default window, so the quotient divides by none
+  of them: its passes (4 / 0 / 0) and division terms (32 / 0 / 0) are
+  pinned, not bounded, since a ratio bound needs a nonzero count;
 * ``hyper_series`` with a truncated parameter (F_2, a = x + O(x^5),
   b = 1 + x) at M = 16 / 32 / 64 is linear too: it takes the same steps
   (48 / 96 / 192 factors), where the direct quotient at every index
   passed 408 / 1584 / 6240;
-* ``thakur_correspondence(F2, [2], [3], M)`` at M = 8 / 16 / 32 is
-  quadratic: the t side divides by the factors of every symbol at every
-  index (160 / 508 / 1780 factors).
-
-The last grows about 3.5x per doubling, so ``LINEAR`` fails it; folding
-the factors that cannot act (ROADMAP item 12) is what would let it take
-it.
+* ``thakur_correspondence(F2, [2], [3], M)`` at M = 8 / 16 / 32 builds
+  a quadratic number of factors: the t side passes the factors of every
+  symbol at every index (160 / 508 / 1780 factors).  Its passes are
+  constant, 31 at every M: the factors shared by (2)_m, (3)_m and D_m
+  cancel, and the rest step past the window and fold (ROADMAP item 12),
+  where dividing by each took 107 / 339 / 1187 passes.  Building only
+  the factors that act would make the factors linear too.
 
 Two cases grow by a step of one in their size:
 
@@ -46,10 +49,11 @@ Two cases grow by a step of one in their size:
   ``hypergeometric_equation(F2, [a] * n, [b] * n, n)``, a = x^3 + x^(1/2),
   b = x^2 + x^5, whose Q no dominant term certifies, at n = 2 / 3 / 4,
   evaluates Q at every tuple: (i_max + 2)^n = 25 / 125 / 625 calls of
-  ``eval_at``, bounded by i_max + 2 per step of n, and n (i_max + 2)^n
-  = 50 / 375 / 2500 bracket calls, bounded by 3/2 (i_max + 2); a product
-  certificate (ROADMAP item 5) would take n (i_max + 2).  The normalize
-  cases read one bracket at every k, bounded by ``NORMALIZE_STEP`` too.
+  ``eval_at``, bounded by i_max + 2 per step of n; a product certificate
+  (ROADMAP item 5) would take n (i_max + 2).  It reads each of the
+  i_max + 2 brackets once at every n, which is ``CONSTANT``.  The
+  normalize cases read one bracket at every k, bounded by
+  ``NORMALIZE_STEP`` too.
 
 A change that wins a complexity class tightens its bound here; no bound
 is loosened.
@@ -67,13 +71,15 @@ from carlitz.cauchy import DeltaPoly
 from carlitz.funcspace import MultiFunction
 from carlitz.opring import D, TAU, OperatorWord
 
+CONSTANT = 1
 LINEAR = 2.2
 QUADRATIC = 4.2
 NORMALIZE_STEP = 12
 I_MAX = 3
 
 #: the counts each kind of case bounds
-KERNEL = ("quotient", "factors", "two_term", "frobenius", "division_terms")
+KERNEL = ("quotient", "factors", "two_term", "frobenius")
+DIVISION = ("passes", "division_terms")
 REWRITING = ("rewrite_pair", "term_pairs")
 
 
@@ -115,6 +121,7 @@ def work(monkeypatch):
 
     def counted_long_division(*args):
         out = long_division(*args)
+        counts["passes"] += 1
         counts["division_terms"] += len(out)
         return out
 
@@ -180,22 +187,21 @@ def _admissibility_scan(n):
 #: case: (run, sizes, the bound per size step of each count bounded)
 CASES = {
     "exact_hyper_series": (_exact_hyper_series, (16, 32, 64),
-                           _bounded(LINEAR, *KERNEL, "bracket")),
+                           _bounded(LINEAR, *KERNEL, *DIVISION, "bracket")),
     "one_slot_evaluate": (_one_slot_evaluate, (4, 8, 16),
                           _bounded(LINEAR, *KERNEL)),
     "truncated_hyper_series": (_truncated_hyper_series, (16, 32, 64),
-                               _bounded(LINEAR, *KERNEL, "bracket")),
+                               _bounded(LINEAR, *KERNEL, *DIVISION, "bracket")),
     "thakur_correspondence": (_thakur_correspondence, (8, 16, 32),
-                              _bounded(QUADRATIC, *KERNEL, "bracket")),
+                              {**_bounded(QUADRATIC, *KERNEL),
+                               **_bounded(LINEAR, "frobenius", "bracket"),
+                               **_bounded(CONSTANT, *DIVISION)}),
     "normalize_standard": (_normalize("standard"), (3, 4, 5),
                            _bounded(NORMALIZE_STEP, *REWRITING, "bracket")),
     "normalize_alt": (_normalize("alt"), (3, 4, 5),
                       _bounded(NORMALIZE_STEP, *REWRITING, "bracket")),
-    # each tuple reads its n brackets: n (i_max + 2)^n calls, which grow
-    # by (i_max + 2) (n + 1) / n <= 3/2 (i_max + 2) from n = 2
     "admissibility_scan": (_admissibility_scan, (2, 3, 4),
-                           {"eval_at": I_MAX + 2,
-                            "bracket": Fraction(3, 2) * (I_MAX + 2)}),
+                           {"eval_at": I_MAX + 2, "bracket": CONSTANT}),
 }
 
 
@@ -225,7 +231,7 @@ def test_the_counts_of_the_cases(work):
     # the figures the bounds are set against
     def figures(case, name):
         run, sizes, _ = CASES[case]
-        return [c[name] for c in _counts(work, run, sizes)]
+        return [c.get(name, 0) for c in _counts(work, run, sizes)]
 
     def table(name):
         return {case: figures(case, name)
@@ -234,17 +240,21 @@ def test_the_counts_of_the_cases(work):
                                 "one_slot_evaluate": [6, 10, 18],
                                 "truncated_hyper_series": [48, 96, 192],
                                 "thakur_correspondence": [160, 508, 1780]}
+    assert table("passes") == {"exact_hyper_series": [21, 37, 69],
+                               "truncated_hyper_series": [4, 4, 4],
+                               "thakur_correspondence": [31, 31, 31]}
     assert table("division_terms") == {
-        "exact_hyper_series": [259, 451, 835],
-        "one_slot_evaluate": [32, 8, 16],
-        "truncated_hyper_series": [23, 23, 23],
-        "thakur_correspondence": [1084, 1316, 2164]}
-    assert table("bracket") == {"exact_hyper_series": [32, 64, 128],
-                                "truncated_hyper_series": [32, 64, 128],
-                                "thakur_correspondence": [18, 34, 66],
+        "exact_hyper_series": [160, 208, 304],
+        "truncated_hyper_series": [21, 21, 21],
+        "thakur_correspondence": [721, 721, 721]}
+    assert figures("one_slot_evaluate", "passes") == [4, 0, 0]
+    assert figures("one_slot_evaluate", "division_terms") == [32, 0, 0]
+    assert table("bracket") == {"exact_hyper_series": [18, 34, 66],
+                                "truncated_hyper_series": [18, 34, 66],
+                                "thakur_correspondence": [12, 20, 36],
                                 "normalize_standard": [1, 1, 1],
                                 "normalize_alt": [1, 1, 1],
-                                "admissibility_scan": [50, 375, 2500]}
+                                "admissibility_scan": [I_MAX + 2] * 3}
     for case in ("normalize_standard", "normalize_alt"):
         assert figures(case, "rewrite_pair") == [96, 736, 6145]
         assert figures(case, "term_pairs") == [112, 1208, 13816]
