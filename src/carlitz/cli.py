@@ -10,6 +10,9 @@ Field configuration comes from --q/--m (shipped moduli), from explicit
 --p/--v/--m/--modulus, or from a config file given by --field-config or
 the CARLITZ_FIELD_CONFIG environment variable.  :mod:`carlitz.textio`
 reads the config file and the PERFFUNC, PERFPROBLEM and PERFHYPER files.
+A verb whose input file names its field (``op-apply``, ``cauchy-solve``,
+and ``hyper-eval`` and ``hyper-residual`` with --params) refuses every
+field flag as usage, as ``dim-count`` does, which counts over no field.
 
 Each run is a fresh interpreter that serves one verb, so this module
 imports at its top only what every verb uses (errors, ffield, series,
@@ -158,15 +161,13 @@ def cmd_op_normalize(args):
 
 
 def cmd_op_apply(args):
+    _refuse_field_flags(args, "reads its field from the function file")
     from . import opring
     from .funcspace import MultiFunction
-    params = _field_params(args)
     with open(args.function) as fh:
         f = MultiFunction.from_text(fh.read())
-    if f.params != params:
-        params = f.params  # the function file pins the field
-    words = textio.parse_operator(args.expr, params, f.n)
-    nf = opring.normalize(words, params, "standard")
+    words = textio.parse_operator(args.expr, f.params, f.n)
+    nf = opring.normalize(words, f.params, "standard")
     return _emit_function(args, "op-apply", "function", nf.op_apply(f))
 
 
@@ -180,14 +181,18 @@ def cmd_cauchy_solve(args):
     return _emit_function(args, "cauchy-solve", "solution", u)
 
 
-def _hyper_params_from_args(args, params):
+def _hyper_params_from_args(args):
+    """(kind, upper, lower, params): from the --params file, which names
+    its field, or from --a/--b/--alpha/--beta over the field of the flags."""
     series, integer = args.a or args.b, args.alpha or args.beta
     if args.params:
         if series or integer:
             raise UsageError("pass the parameters either in --params or as "
                              "--a/--b/--alpha/--beta, not both")
+        _refuse_field_flags(args, "reads its field from the parameter file")
         with open(args.params) as fh:
             return _load_hyper_file(fh.read())
+    params = _field_params(args)
     if integer:
         if series:
             raise UsageError("pass either --a/--b or --alpha/--beta, not both")
@@ -219,8 +224,7 @@ def _series_hyper_params(kind, upper, lower, params):
 
 def cmd_hyper_eval(args):
     from . import hyper
-    params = _field_params(args)
-    hp = _series_hyper_params(*_hyper_params_from_args(args, params))
+    hp = _series_hyper_params(*_hyper_params_from_args(args))
     z = textio.parse_series(args.z, hp.params)
     value = hyper.hyper_eval(hp, z, args.M, window=args.window)
     text = textio.format_series(value)
@@ -230,8 +234,7 @@ def cmd_hyper_eval(args):
 
 def cmd_hyper_residual(args):
     from . import hyper
-    params = _field_params(args)
-    kind, upper, lower, params = _hyper_params_from_args(args, params)
+    kind, upper, lower, params = _hyper_params_from_args(args)
     if args.form == "thakur":
         if kind != "integer":
             raise UsageError("--form thakur needs integer parameters "

@@ -49,11 +49,12 @@ above the R units the quotient keeps, is never built.  A Thakur symbol
 (alpha)_m enters as the factors of D_(m+alpha-1)^(q^(1-alpha)) on its own
 side or, for alpha <= 0, of L_(-alpha-m)^(q^m) on the other
 (``brackets._thakur_factors``), so no symbol is ever expanded.  The
-kernel divides by few of those factors: the factors [k]^(q^(m-k)) that
+kernel passes over few of those factors: the factors [k]^(q^(m-k)) that
 (alpha)_m and (beta)_m, alpha, beta >= 1, share with each other and with
 D_m cancel, and a factor whose step q^m - q^(m-k) passes the R units kept
-acts only through its lead, so ``thakur_correspondence(F_2, [2], [3], M)``
-takes 31 long-division passes in all, at every M.  The recursion
+acts only through its lead, on either side of the line, so
+``thakur_correspondence(F_2, [2], [3], M)`` takes 31 long-division passes
+and 5 products in all, at every M.  The recursion
 costs O(M) small steps for h_0..h_M, where a quotient of symbols still
 builds O(m) factors at every index.
 

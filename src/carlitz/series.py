@@ -64,15 +64,18 @@ the window P + val(b).
 
 One kernel, :func:`_quotient`, takes every symbol expression: it returns
 the canonical series c * prod(num) / prod(den) for any factors, exact or
-truncated, several to a side.  It multiplies by each numerator factor and
-divides by each denominator factor, with the output precision worked out
-once from grid-integer valuations over all the factors.  It then passes
-only over the factors that act: an exact factor on both sides cancels, a
-divisor whose least step lands at or past the precision from the
-quotient's valuation acts only through its lead and is not divided, and
-the dividend's terms are cut at the precision before the first pass.  A
-divisor of one step, such as every two-term factor, is divided along
-chains, one residue class of exponents mod its step at a time
+truncated, several to a side.  It works out the output precision once
+from grid-integer valuations over all the factors, then takes every
+factor, above the line or below it, by one rule: the factor is
+x^k0 * lead * (1 + eps), whose k0 and lead join the quotient's valuation
+and the one scalar the dividend's terms are seeded with.  The parts
+1 + eps of exact factors cancel across the line, also those of factors
+equal only up to a monomial and a scalar; a part whose least step lands
+at or past the precision from the quotient's valuation acts only through
+its lead, on either side; every other part multiplies or long-divides
+the dividend's terms, which are cut at the precision before the first
+pass.  A divisor of one step, such as every two-term factor, is divided
+along chains, one residue class of exponents mod its step at a time
 (:func:`_long_division`).  ``divide`` and ``invert`` are one call
 with one divisor; the symbol quotients of :mod:`carlitz.hyper` and
 ``MultiFunction.evaluate`` are one call over the symbols' two-term
@@ -688,26 +691,31 @@ def _quotient(c: PerfSeries, num, den, window, negate=False) -> PerfSeries:
     dividend factor without terms gives no terms, at the precision of the
     dividend less the valuation of prod(den).  Otherwise the relative
     precision of a product is the least of its factors', so the quotient
-    keeps the least of the numerators' and the inverse's.  Each factor is
-    moved to valuation 0 on one grid; c's terms, seeded at the quotient's
-    valuation and cut at its precision, are multiplied by each numerator
-    and long-divided by each denominator, every pass cut at the quotient's
-    precision.
+    keeps the least of the numerators' and the inverse's.  The precision,
+    the bound it gives on the grid and every refusal come from the full
+    factor lists, so they are the ones the product and the inverse of all
+    the factors would give.
 
-    The precision, the bound it gives on the grid and every refusal come
-    from the full factor lists, so they are the ones the product and the
-    inverse of all the factors would give.  Only then are the passes cut
-    to the factors that act, which leaves the terms as they are, since
-    every pass computes the terms below the bound exactly:
+    Every factor, above the line or below it, follows one rule.  On one
+    grid it is x^k0 * lead * (1 + eps): k0 goes into the quotient's
+    valuation, the lead into the one scalar that c's terms are seeded
+    with, and 1 + eps is a part with steps (j, eps_j), j > 0.  c is no
+    factor: its terms are the seeds.  Every term stays at or above the
+    quotient's valuation, so the passes go only over the parts that act,
+    which leaves the terms below the bound as they are:
 
-    * an exact factor that occurs on both sides, with the same ``dexp``
-      and terms, is taken from both (:func:`_shared_factors`): it would
-      add its valuation to the quotient's and take it away again, and
-      multiply by its lead and divide by it;
-    * a divisor none of whose steps lands below the bound from the
-      quotient's valuation changes no term kept: it acts only through its
-      lead, which is taken with the others', and it is not long-divided.
-      This is how most factors of D_m go, whose steps are q^m - q^(m-k)."""
+    * a part whose least step from the valuation lands at or past the
+      bound (or that has no step) moves no term kept, on either side, and
+      only its lead acts.  This is how most factors of D_m go, whose steps
+      are q^m - q^(m-k);
+    * an exact part that acts counts +1 above the line and -1 below it,
+      in one map keyed by its steps, so equal parts cancel, also those of
+      factors equal only up to a monomial and a scalar; truncated parts
+      never cancel;
+    * every other part multiplies c's seeds, as the map {0: 1, j: eps_j},
+      or long-divides them (:func:`_long_division`), every pass cut at the
+      bound.  The step list, sorted by j, is built only where it is read:
+      as the key of an exact part and as a divisor's steps."""
     if window is not None:
         if not isinstance(window, (int, Fraction)):
             raise UsageError("window must be an int or a Fraction, got %r"
@@ -721,6 +729,24 @@ def _quotient(c: PerfSeries, num, den, window, negate=False) -> PerfSeries:
         raise NotInvertibleError(
             "not invertible at this precision (zero below %s)" % den_prec)
     params = c.params
+    if not all(f.terms for f in (c, *num)):
+        # the inverse keeps a positive relative precision, so the
+        # dividend's own term is the least
+        out_prec = _product_prec((c, *num))
+        if out_prec is not INF:
+            out_prec -= sum(f._val_lb() for f in den)
+        return PerfSeries(params, 0, {}, out_prec)
+    # the relative precision of prod(den), and the one its inverse keeps
+    rel_in = min((f.prec - f._val_lb() for f in den if f.prec is not INF),
+                 default=INF)
+    if window is not None:
+        rel_out = min(Fraction(window), rel_in)
+    elif rel_in is not INF:
+        rel_out = rel_in
+    elif all(len(f.terms) == 1 for f in den):
+        rel_out = INF  # the exact inverse of a monomial
+    else:
+        rel_out = Fraction(DEFAULT_INVERT_WINDOW)
     q = params.q
     d = max(f.dexp for f in (c, *num, *den))
     scale = q ** d
@@ -729,93 +755,58 @@ def _quotient(c: PerfSeries, num, den, window, negate=False) -> PerfSeries:
         s = q ** (d - f.dexp)
         return f.terms if s == 1 else {k * s: x for k, x in f.terms.items()}
 
-    dens = [on_grid(f) for f in den]
-    v = sum(min(t) for t in dens)  # valuation of prod(den), on the grid
-    # the relative precision of prod(den), and the one its inverse keeps
-    rel_in = min((f.prec - f._val_lb() for f in den if f.prec is not INF),
-                 default=INF)
-    if window is not None:
-        rel_out = min(Fraction(window), rel_in)
-    elif rel_in is not INF:
-        rel_out = rel_in
-    elif all(len(t) == 1 for t in dens):
-        rel_out = INF  # the exact inverse of a monomial
-    else:
-        rel_out = Fraction(DEFAULT_INVERT_WINDOW)
-    if not all(f.terms for f in (c, *num)):
-        # rel_out > 0, so the dividend's own term is the least
-        out_prec = _product_prec((c, *num))
-        if out_prec is not INF:
-            out_prec -= Fraction(v, scale)
-        return PerfSeries(params, 0, {}, out_prec)
-
     c_terms = on_grid(c)
-    c_val = min(c_terms)
-    offset = -v
-    nums = []
-    for f in num:
-        t = on_grid(f)
-        k0 = min(t)
-        offset += k0
-        nums.append((f.prec, k0, {k - k0: x for k, x in t.items()}))
-    val = c_val + offset  # valuation of the quotient, on the grid
-    # the term of the inverse, then of each truncated numerator
+    val = c_val = min(c_terms)  # valuation of the quotient, on the grid
+    parts = []  # (+1 above the line or -1 below, prec, terms, exponents)
+    for sign, side in ((1, num), (-1, den)):
+        for f in side:
+            t = on_grid(f)
+            ks = sorted(t)
+            val += sign * ks[0]
+            parts.append((sign, f.prec, t, ks))
+    # the term of the inverse, then of c and each truncated numerator
     out_prec = INF if rel_out is INF else rel_out + Fraction(val, scale)
-    for p, k0 in [(c.prec, c_val)] + [(p, k0) for p, k0, _ in nums]:
-        if p is not INF:
-            out_prec = min(out_prec, p + Fraction(val - k0, scale))
+    for sign, p, _, ks in ((1, c.prec, None, (c_val,)), *parts):
+        if sign > 0 and p is not INF:
+            out_prec = min(out_prec, p + Fraction(val - ks[0], scale))
     bound = INF if out_prec is INF else _grid_bound(out_prec, scale)
 
-    # the passes: a factor on both sides cancels, with its offset and lead
-    dropped_num, dropped_den = (_shared_factors(num, den) if num and den
-                                else ((), ()))
     log, exp, neg = params._log, params._exp, params._neg
     n = params.Q - 1
-    lead_log = log[params.minus_one_idx] if negate else 0
-    divisors = []
-    for i, t in enumerate(dens):
-        if i in dropped_den:
-            continue
-        k0 = min(t)
+    minus = log[params.minus_one_idx]
+    lead_log = minus if negate else 0
+    counts, factors, divisors = {}, [], []
+    for sign, p, t, ks in parts:
+        k0 = ks[0]
         ll = log[t[k0]]
-        lead_log -= ll
-        steps = sorted((k - k0, (log[neg[x]] - ll) % n)
-                       for k, x in t.items() if k > k0)
-        # every term stays at or above val, so a step from val that lands
-        # at the bound moves none of the terms kept: only the lead acts
-        if steps and val + steps[0][0] < bound:
+        lead_log += sign * ll
+        if len(ks) == 1 or val + ks[1] - k0 >= bound:
+            continue  # no step lands below the bound: only the lead acts
+        if sign > 0 and p is not INF:
+            factors.append({k - k0: exp[log[x] - ll + n] for k, x in t.items()})
+            continue
+        # (j, log(-eps_j)) in increasing j, the form long division takes
+        steps = tuple([(k - k0, (log[neg[t[k]]] - ll) % n) for k in ks[1:]])
+        if p is INF:
+            counts[steps] = counts.get(steps, 0) + sign
+        else:
             divisors.append(steps)
+    for steps, times in counts.items():
+        if times < 0:
+            divisors.extend([steps] * -times)
+        elif times:
+            factor = {j: exp[lu + minus] for j, lu in steps}
+            factor[0] = params.one_idx
+            factors.extend([factor] * times)
     lead_log %= n
-    terms = {k + offset: exp[log[x] + lead_log] for k, x in c_terms.items()
-             if k + offset < bound}
-    for i, (_, _, t) in enumerate(nums):
-        if i not in dropped_num:
-            terms = _product_terms(params, terms, t, bound)
+    shift = val - c_val
+    terms = {k + shift: exp[log[x] + lead_log] for k, x in c_terms.items()
+             if k + shift < bound}
+    for factor in factors:
+        terms = _product_terms(params, terms, factor, bound)
     for steps in divisors:
         terms = _long_division(params, terms, steps, bound)
     return PerfSeries._canonical(params, d, terms, out_prec)
-
-
-def _shared_factors(num, den):
-    """The positions (in ``num``, in ``den``) of the exact factors that
-    occur on both sides, with the same ``dexp`` and terms, paired off one
-    for one: each pair cancels from c * prod(num) / prod(den).  The
-    divisors wait in buckets keyed by dexp and the sum of the exponents,
-    and a numerator factor compares terms only within its bucket."""
-    waiting = {}
-    for i, f in enumerate(den):
-        if f.prec is INF:
-            waiting.setdefault((f.dexp, sum(f.terms)), []).append(i)
-    dropped_num, dropped_den = set(), set()
-    if waiting:
-        for i, f in enumerate(num):
-            if f.prec is INF:
-                for slot in waiting.get((f.dexp, sum(f.terms)), ()):
-                    if slot not in dropped_den and den[slot].terms == f.terms:
-                        dropped_num.add(i)
-                        dropped_den.add(slot)
-                        break
-    return dropped_num, dropped_den
 
 
 # ---------------------------------------------------------------------------

@@ -122,35 +122,81 @@ MUTANTS = (
            "a product of 21 factors, 2^21 terms, is expanded"),
     Mutant("cancel-keeps-divisor-lead", "src/carlitz/series.py",
            """\
-        if i in dropped_den:
-            continue
-        k0 = min(t)
-        ll = log[t[k0]]
-        lead_log -= ll
+        lead_log += sign * ll
+        if len(ks) == 1 or val + ks[1] - k0 >= bound:
+            continue  # no step lands below the bound: only the lead acts
 """,
            """\
-        k0 = min(t)
-        ll = log[t[k0]]
-        lead_log -= ll
-        if i in dropped_den:
-            continue
+        if len(ks) == 1 or val + ks[1] - k0 >= bound:
+            lead_log += sign * ll
+            continue  # no step lands below the bound: only the lead acts
 """,
            ("tests/test_quotient_fold.py::"
             "test_shared_factors_cancel_as_the_oracle_divides",),
-           "a divisor cancelled against a numerator factor still divides "
-           "the lead by its own"),
+           "a factor's lead acts only when its part is passed over: the "
+           "leads of the parts that cancel, multiply or divide are lost"),
+    Mutant("cancel-ignores-side", "src/carlitz/series.py",
+           "counts[steps] = counts.get(steps, 0) + sign",
+           "counts[steps] = counts.get(steps, 0) + 1",
+           ("tests/test_quotient_fold.py::"
+            "test_shared_factors_cancel_as_the_oracle_divides",),
+           "an exact divisor counts +1 as a numerator does: it multiplies, "
+           "and cancels nothing"),
+    Mutant("cancel-keys-on-the-lead", "src/carlitz/series.py",
+           """\
+        if p is INF:
+            counts[steps] = counts.get(steps, 0) + sign
+        else:
+            divisors.append(steps)
+    for steps, times in counts.items():
+""",
+           """\
+        if p is INF:
+            counts[ll, steps] = counts.get((ll, steps), 0) + sign
+        else:
+            divisors.append(steps)
+    for (_, steps), times in counts.items():
+""",
+           ("tests/test_quotient_fold.py::"
+            "test_multiples_of_one_factor_cancel_as_the_oracle_divides",),
+           "exact parts cancel only when their factors have the same lead: "
+           "factors equal up to a scalar are multiplied and divided"),
     Mutant("fold-one-unit-early", "src/carlitz/series.py",
-           "if steps and val + steps[0][0] < bound:",
-           "if steps and val + steps[0][0] < bound - 1:",
+           "val + ks[1] - k0 >= bound:", "val + ks[1] - k0 >= bound - 1:",
            ("tests/test_quotient_fold.py::"
             "test_divisors_that_reach_the_bound_fold_as_the_oracle_divides",),
-           "a divisor whose least step lands one unit below the bound is "
-           "not divided"),
+           "a part whose least step lands one unit below the bound is not "
+           "passed over"),
+    Mutant("numerator-folds-one-unit-early", "src/carlitz/series.py",
+           "val + ks[1] - k0 >= bound:",
+           "val + ks[1] - k0 >= bound - (sign > 0):",
+           ("tests/test_quotient_fold.py::"
+            "test_numerators_that_reach_the_bound_fold_as_the_oracle_multiplies",),
+           "a numerator whose least step lands one unit below the bound is "
+           "not multiplied"),
     Mutant("chain-walk-never-restarts", "src/carlitz/series.py",
            "if k in out or k in cancelled:", "if k in out or cancelled:",
            ("tests/test_quotient_fold.py::"
             "test_one_step_chains_restart_as_the_heap_loop_divides",),
            "once a seed cancels a chain, no later seed starts a new one"),
+    Mutant("chain-step-drops-multiplier", "src/carlitz/series.py",
+           "                c = exp[log[c] + lu]",
+           "                c = exp[log[c]]",
+           ("tests/test_quotient_fold.py::"
+            "test_one_step_chains_restart_as_the_heap_loop_divides",),
+           "a one-step chain carries w_(k-j) up without the factor -eps_j"),
+    Mutant("relations-not-negated", "src/carlitz/opring.py",
+           "        table[y, x] = (-s, g)", "        table[y, x] = (s, g)",
+           ("tests/test_relation_table.py::"
+            "test_rewriting_matches_per_convention_oracle",),
+           "a reversed pair of the relation table keeps the sign of its "
+           "scalar"),
+    Mutant("d-twist-plus-one", "src/carlitz/opring.py",
+           "_TWIST = {FACTOR_TAU: 1, FACTOR_D: -1, FACTOR_DELTA: 0}",
+           "_TWIST = {FACTOR_TAU: 1, FACTOR_D: 0, FACTOR_DELTA: 0}",
+           ("tests/test_relation_table.py::"
+            "test_rewriting_matches_per_convention_oracle",),
+           "a scalar moved past d is not twisted by the inverse Frobenius"),
     Mutant("canonical-sheds-one-q-power", "src/carlitz/series.py",
            "while dexp and g % q == 0:", "if dexp and g % q == 0:",
            ("tests/test_series_canonical.py::test_canonical_grid_matches_the_scan",),

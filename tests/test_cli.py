@@ -544,12 +544,31 @@ def test_a_lower_integer_below_one_keeps_its_reason(argv, code, err, capsys):
     assert run(capsys, ["--q", "2"] + argv) == (code, "", err)
 
 
-def test_field_flags_stay_allowed_with_a_params_file(capsys):
-    code, out, _ = run(capsys, ["--q", "3", "hyper-eval", "--params", HYPER_FILE,
+FUNC_FILE = str(BENCH_DATA / "func.txt")
+
+
+@pytest.mark.parametrize("flags, verb, what", [
+    (["--q", "9"], ["op-apply", "tau", "--function", FUNC_FILE],
+     "op-apply reads its field from the function file, so it takes no --q"),
+    (["--q", "3"], ["hyper-eval", "--params", HYPER_FILE, "--z", "x^3",
+                    "--M", "2"],
+     "hyper-eval reads its field from the parameter file, so it takes no --q"),
+    (["--p", "2", "--v", "1", "--m", "2"],
+     ["hyper-residual", "--form", "gauss", "--params", HYPER_FILE, "--M", "2"],
+     "hyper-residual reads its field from the parameter file, so it takes no "
+     "--m, --p, --v"),
+], ids=["op-apply-q", "hyper-eval-q", "hyper-residual-p-v-m"])
+def test_field_flags_are_refused_with_a_file_that_names_the_field(
+        flags, verb, what, capsys):
+    _assert_usage_refusal(capsys, flags + verb, what)
+
+
+def test_a_file_that_names_the_field_runs_without_field_flags(capsys):
+    code, out, _ = run(capsys, ["op-apply", "tau", "--function", FUNC_FILE])
+    assert code == 0 and out.startswith("PERFFUNC 1\np 2\n")
+    code, out, _ = run(capsys, ["hyper-eval", "--params", HYPER_FILE,
                                 "--z", "x^3", "--M", "2"])
-    code2, out2, _ = run(capsys, ["hyper-eval", "--params", HYPER_FILE,
-                                  "--z", "x^3", "--M", "2"])
-    assert code == code2 == 0 and out == out2
+    assert code == 0 and out.startswith("x^3 + ")
 
 
 BRACKET = ["bracket", "--n", "1"]

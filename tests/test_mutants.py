@@ -12,7 +12,7 @@ from mutants import MUTANTS, ROOT
 
 def test_names_are_unique():
     names = [m.name for m in MUTANTS]
-    assert len(names) == len(set(names)) >= 8
+    assert len(names) == len(set(names)) >= 15
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])

@@ -1,12 +1,15 @@
 """Differential tests of the quotient kernel's cuts and of the chain walk.
 
 ``series._quotient`` works out its precision, bound and refusals from the
-full factor lists, then passes only over the factors that act: an exact
-factor on both sides cancels, a divisor whose least step lands at or past
-the bound from the quotient's valuation is not divided (only its lead
-acts), and the dividend's seeds are cut at the bound.  The oracle is the
-kernel's body before these cuts, ``oracles.ref_quotient``, which divides
-by every factor with the heap loop ``oracles.ref_long_division``.  Every
+full factor lists, then passes only over the factors that act.  Each
+factor, above the line or below it, is x^k0 * lead * (1 + eps): the exact
+parts 1 + eps count +1 above and -1 below and cancel, also those of
+factors equal only up to a monomial and a scalar; a part whose least step
+lands at or past the bound from the quotient's valuation is not passed
+over, on either side (only its lead acts); and the dividend's seeds are
+cut at the bound.  The oracle is the kernel's body before these cuts,
+``oracles.ref_quotient``, which multiplies by every numerator and divides
+by every divisor with the heap loop ``oracles.ref_long_division``.  Every
 result must match it in terms, dexp and prec value and type, and every
 refusal in exception type and text.
 
@@ -16,10 +19,11 @@ next seed after a seed cancels it; it must give the heap loop's terms.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
 
-from carlitz import INF, PerfSeries
+from carlitz import INF, FFElement, PerfSeries, series
 from carlitz.series import _grid_bound, _long_division, _quotient
 from oracles import ref_long_division, ref_quotient, ref_quotient_terms
 from test_quotient_kernel import (SHIPPED_FIELDS, WINDOWS, assert_same_outcome,
@@ -75,15 +79,65 @@ def test_shared_factors_cancel_as_the_oracle_divides(quotient, window, negate):
                         outcome(ref_quotient, c, num, den, window, negate))
 
 
+def _multiple(f, draw):
+    """s * x^e * f for a drawn scalar s != 0 and exponent e in Z[1/q]: an
+    exact factor with f's part 1 + eps, on its own grid."""
+    params = f.params
+    e = Fraction(draw(st.integers(-6, 6)), params.q ** draw(st.integers(0, 2)))
+    return f.shift(e).scale(FFElement(params, draw(st.integers(1, params.Q - 1))))
+
+
+@st.composite
+def multiples_on_both_sides(draw):
+    """(c, num, den, balanced): exact factors s * x^e * f on both sides,
+    each with its own s and e, for one or two drawn f.  When ``balanced``
+    each f has as many multiples above the line as below and nothing else
+    is on either side; otherwise the counts are unequal and factors of any
+    kind join them."""
+    params = draw(st.sampled_from(SHIPPED_FIELDS))
+    c = draw(factors(params))
+    balanced = draw(st.booleans())
+    num, den = [], []
+    if not balanced:
+        num = draw(st.lists(factors(params), max_size=2))
+        den = draw(st.lists(factors(params, kinds=NONZERO), max_size=1))
+    for _ in range(draw(st.integers(1, 2))):
+        f = draw(factors(params, kinds=EXACT))
+        above = draw(st.integers(1, 2))
+        below = above if balanced else draw(st.integers(0, 3))
+        num += [_multiple(f, draw) for _ in range(above)]
+        den += [_multiple(f, draw) for _ in range(below)]
+    assume(den)
+    return c, draw(st.permutations(num)), draw(st.permutations(den)), balanced
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(multiples_on_both_sides(), WINDOWS, st.booleans())
+def test_multiples_of_one_factor_cancel_as_the_oracle_divides(quotient, window,
+                                                              negate):
+    c, num, den, balanced = quotient
+    with mock.patch.object(series, "_product_terms",
+                           wraps=series._product_terms) as products, \
+            mock.patch.object(series, "_long_division",
+                              wraps=series._long_division) as divisions:
+        got = outcome(_quotient, c, num, den, window, negate)
+    assert_same_outcome(got, outcome(ref_quotient, c, num, den, window, negate))
+    if balanced:
+        # every part cancels: only c's seeds, moved and scaled, are left
+        assert products.call_count == divisions.call_count == 0
+
+
 # ---------------------------------------------------------------------------
-# divisors whose least step lands at the bound
+# factors whose least step lands at the bound
 # ---------------------------------------------------------------------------
 
 @st.composite
-def divisions_at_the_bound(draw):
-    """(c, num, den, window, negate): a quotient with one more exact
-    divisor whose least step from the quotient's valuation lands one unit
-    below, at or one unit past the bound."""
+def factors_at_the_bound(draw, above):
+    """(c, num, den, window, negate): a quotient with one more factor,
+    above the line when ``above`` and below it otherwise, whose least step
+    from the quotient's valuation lands one unit below, at or one unit
+    past the bound.  A divisor is exact; a numerator may be truncated at a
+    precision that leaves the bound where it is."""
     params = draw(st.sampled_from(SHIPPED_FIELDS))
     c = draw(factors(params, kinds=NONZERO))
     num = draw(st.lists(factors(params, kinds=NONZERO), max_size=2))
@@ -103,17 +157,29 @@ def divisions_at_the_bound(draw):
                                            max_size=2, unique=True))
     coeffs = draw(st.lists(st.integers(1, params.Q - 1),
                            min_size=len(steps) + 1, max_size=len(steps) + 1))
-    divisor = ref_make(params, d, dict(zip([k0] + [k0 + j for j in steps],
-                                           coeffs)), INF)
-    position = draw(st.integers(0, len(den)))
-    den.insert(position, divisor)
+    prec = INF
+    if above and draw(st.booleans()):
+        # its own relative precision lies past the bound
+        prec = Fraction(k0 + 2 * reach + 8, params.q ** d)
+    factor = ref_make(params, d, dict(zip([k0] + [k0 + j for j in steps],
+                                          coeffs)), prec)
+    side = num if above else den
+    side.insert(draw(st.integers(0, len(side))), factor)
     return c, num, den, window, draw(st.booleans())
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(divisions_at_the_bound())
+@given(factors_at_the_bound(above=False))
 def test_divisors_that_reach_the_bound_fold_as_the_oracle_divides(division):
     c, num, den, window, negate = division
+    assert_same_outcome(_quotient(c, num, den, window, negate),
+                        ref_quotient(c, num, den, window, negate))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(factors_at_the_bound(above=True))
+def test_numerators_that_reach_the_bound_fold_as_the_oracle_multiplies(product):
+    c, num, den, window, negate = product
     assert_same_outcome(_quotient(c, num, den, window, negate),
                         ref_quotient(c, num, den, window, negate))
 

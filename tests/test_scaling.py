@@ -3,8 +3,9 @@
 Every case runs at three sizes and counts through the module bindings:
 the calls of the quotient kernel ``_quotient`` and the factors passed to
 it (numerator and denominator together), the passes of the long division
-``_long_division`` and the terms they return, the two-term factors built by
-``brackets._two_term``, the calls of ``bracket`` through every module
+``_long_division`` and the terms they return, the products the kernel
+makes with ``_product_terms`` (``products``), the two-term factors built
+by ``brackets._two_term``, the calls of ``bracket`` through every module
 that binds it, the calls of ``PerfSeries.frobenius``, the term pairs of
 the product kernel ``_product_terms``, the rewrites of
 ``opring._rewrite_pair`` and the calls of ``DeltaPoly.eval_at``.  Each
@@ -14,13 +15,15 @@ one of them is nonzero at every size and may grow from one size to the
 next by at most the case's bound for it.
 
 The kernel counts (quotient calls, factors, two-term factors, Frobenius
-calls), the division counts (passes, division terms) and the bracket
-calls of the series cases grow per doubling of the size by at most
-``LINEAR`` (2.2x) or ``QUADRATIC`` (4.2x), or not at all (``CONSTANT``):
+calls), the division counts (passes, division terms), the kernel's
+products and the bracket calls of the series cases grow per doubling of
+the size by at most ``LINEAR`` (2.2x) or ``QUADRATIC`` (4.2x), or not at
+all (``CONSTANT``):
 
 * the exact ``hyper_series`` at M = 16 / 32 / 64 is linear: one
   q-twisted step per coefficient (48 / 96 / 192 factors over F_2, one
-  bracket a step and one for each parameter's T_down);
+  bracket a step and one for each parameter's T_down, one product a
+  step: 16 / 32 / 64);
 * ``MultiFunction.evaluate`` of one slot at m = 4 / 8 / 16 is linear:
   one quotient over the m factors of D_m.  At m = 8 and 16 every factor
   of D_m steps past the default window, so the quotient divides by none
@@ -29,14 +32,17 @@ calls of the series cases grow per doubling of the size by at most
 * ``hyper_series`` with a truncated parameter (F_2, a = x + O(x^5),
   b = 1 + x) at M = 16 / 32 / 64 is linear too: it takes the same steps
   (48 / 96 / 192 factors), where the direct quotient at every index
-  passed 408 / 1584 / 6240;
+  passed 408 / 1584 / 6240.  Its numerators step past the bound, so the
+  kernel makes no product with them: 0 / 0 / 0, pinned;
 * ``thakur_correspondence(F2, [2], [3], M)`` at M = 8 / 16 / 32 builds
   a quadratic number of factors: the t side passes the factors of every
   symbol at every index (160 / 508 / 1780 factors).  Its passes are
   constant, 31 at every M: the factors shared by (2)_m, (3)_m and D_m
   cancel, and the rest step past the window and fold (ROADMAP item 12),
-  where dividing by each took 107 / 339 / 1187 passes.  Building only
-  the factors that act would make the factors linear too.
+  where dividing by each took 107 / 339 / 1187 passes.  Its products are
+  constant too, 5 at every M: numerators fold as divisors do, where
+  multiplying by each took 8 / 16 / 32.  Building only the factors that
+  act would make the factors linear too.
 
 Two cases grow by a step of one in their size:
 
@@ -102,10 +108,16 @@ def work(monkeypatch):
     product_terms, rewrite_pair = series._product_terms, opring._rewrite_pair
     long_division, bracket = series._long_division, brackets.bracket
 
+    inside = []  # holds the kernel calls under way
+
     def quotient(c, num, den, *args, **kwargs):
         counts["quotient"] += 1
         counts["factors"] += len(num) + len(den)
-        return kernel(c, num, den, *args, **kwargs)
+        inside.append(c)
+        try:
+            return kernel(c, num, den, *args, **kwargs)
+        finally:
+            inside.pop()
 
     def counted_two_term(*args):
         counts["two_term"] += 1
@@ -117,6 +129,8 @@ def work(monkeypatch):
 
     def counted_product_terms(params, ta, tb, bound):
         counts["term_pairs"] += len(ta) * len(tb)
+        if inside:
+            counts["products"] += 1
         return product_terms(params, ta, tb, bound)
 
     def counted_long_division(*args):
@@ -187,7 +201,8 @@ def _admissibility_scan(n):
 #: case: (run, sizes, the bound per size step of each count bounded)
 CASES = {
     "exact_hyper_series": (_exact_hyper_series, (16, 32, 64),
-                           _bounded(LINEAR, *KERNEL, *DIVISION, "bracket")),
+                           _bounded(LINEAR, *KERNEL, *DIVISION, "bracket",
+                                    "products")),
     "one_slot_evaluate": (_one_slot_evaluate, (4, 8, 16),
                           _bounded(LINEAR, *KERNEL)),
     "truncated_hyper_series": (_truncated_hyper_series, (16, 32, 64),
@@ -195,7 +210,7 @@ CASES = {
     "thakur_correspondence": (_thakur_correspondence, (8, 16, 32),
                               {**_bounded(QUADRATIC, *KERNEL),
                                **_bounded(LINEAR, "frobenius", "bracket"),
-                               **_bounded(CONSTANT, *DIVISION)}),
+                               **_bounded(CONSTANT, *DIVISION, "products")}),
     "normalize_standard": (_normalize("standard"), (3, 4, 5),
                            _bounded(NORMALIZE_STEP, *REWRITING, "bracket")),
     "normalize_alt": (_normalize("alt"), (3, 4, 5),
@@ -247,6 +262,9 @@ def test_the_counts_of_the_cases(work):
         "exact_hyper_series": [160, 208, 304],
         "truncated_hyper_series": [21, 21, 21],
         "thakur_correspondence": [721, 721, 721]}
+    assert table("products") == {"exact_hyper_series": [16, 32, 64],
+                                 "thakur_correspondence": [5, 5, 5]}
+    assert figures("truncated_hyper_series", "products") == [0, 0, 0]
     assert figures("one_slot_evaluate", "passes") == [4, 0, 0]
     assert figures("one_slot_evaluate", "division_terms") == [32, 0, 0]
     assert table("bracket") == {"exact_hyper_series": [18, 34, 66],
