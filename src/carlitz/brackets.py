@@ -38,7 +38,8 @@ and of the superincreasing q^k - 1, so distinct choices never meet and
 D_n and L_n have exactly 2^n terms.  That count alone decides the
 refusal: a product of more than 20 factors, with more than
 ``_TERM_LIMIT`` (2^20) terms, is refused with a UsageError that names
-the limit, before any factor is built.
+the limit, before any factor is built.  The quotient kernel refuses any
+other product past the same limit once it has made it.
 
 Only the brackets are memoized per field configuration (a bounded cache
 on the FieldParams instance; entries are immutable, so concurrent reads
@@ -48,7 +49,7 @@ are safe and a racing recompute is benign).
 from __future__ import annotations
 
 from .errors import UsageError
-from .series import INF, PerfSeries, _quotient
+from .series import _TERM_LIMIT, INF, PerfSeries, _quotient
 from .ffield import FieldParams
 
 #: Index value for the limit bracket [inf] = -x.
@@ -56,10 +57,6 @@ INFINITY = INF
 
 # Memoize the bracket [n] only for |n| up to this bound.
 _CACHE_LIMIT = 64
-
-# Expand no product of two-term factors with more terms than this: a
-# product of n factors has up to 2^n terms, D_n and L_n exactly 2^n.
-_TERM_LIMIT = 2 ** 20
 
 
 def _two_term(params: FieldParams, i: int, j: int) -> PerfSeries:

@@ -22,6 +22,8 @@ v, no other monomial can reach that term or cancel it: Q has valuation
 exactly v at every tuple, for every index bound.  :func:`admissibility_check`
 then reports "ok" with mu = v, the report the scan gives, without
 evaluating Q; any other Q (a tie at v included) is scanned tuple by tuple.
+A scan over more than ``_SCAN_LIMIT`` (2^16) tuples, (i_max + 2)^n, is
+refused with a UsageError before Q is evaluated at all.
 
 The scan and the diagonal P and Q of each step evaluate through one
 routine, :meth:`DeltaPoly.eval_at`, by Horner's rule in each
@@ -60,6 +62,9 @@ from .funcspace import MultiFunction
 from .opring import NormalForm
 from .series import INF, PerfSeries, SeriesMap, _quotient
 from . import textio
+
+# Evaluate Q at no more tuples than this in one admissibility scan.
+_SCAN_LIMIT = 2 ** 16
 
 
 class DeltaPoly(SeriesMap):
@@ -267,13 +272,19 @@ def admissibility_check(eq: EvolutionEquation, i_max: int) -> AdmissibilityRepor
     value with no terms but finite precision reports "indeterminate"
     instead, which is a different state from failure.  On success the
     report carries the largest valuation seen, i.e. mu = min |Q| =
-    q^(-mu_valuation).  Both ways give the same report.
+    q^(-mu_valuation).  Both ways give the same report.  A scan of more
+    than ``_SCAN_LIMIT`` tuples is refused before its first evaluation.
     """
     if i_max < 0:
         raise UsageError("i_max must be >= 0")
     v = _dominant_valuation(eq.Q)
     if v is not None:
         return AdmissibilityReport("ok", v, None, i_max)
+    tuples = (i_max + 2) ** eq.n
+    if tuples > _SCAN_LIMIT:
+        raise UsageError("the admissibility scan over {0..%d, inf}^%d would "
+                         "evaluate Q at %d tuples, more than %d"
+                         % (i_max, eq.n, tuples, _SCAN_LIMIT))
     worst = None
     choices = list(range(i_max + 1)) + [INFINITY]
     values = {}  # each bracket value, read from its cache on first use

@@ -13,6 +13,9 @@ reads the config file and the PERFFUNC, PERFPROBLEM and PERFHYPER files.
 A verb whose input file names its field (``op-apply``, ``cauchy-solve``,
 and ``hyper-eval`` and ``hyper-residual`` with --params) refuses every
 field flag as usage, as ``dim-count`` does, which counts over no field.
+``bracket`` refuses, as usage, an index whose exponent q^|n| has more
+than 4300 digits, more than an int prints or reads by default, before
+q^|n| is built.
 
 Each run is a fresh interpreter that serves one verb, so this module
 imports at its top only what every verb uses (errors, ffield, series,
@@ -35,6 +38,10 @@ from .ffield import FieldParams
 from .series import PerfSeries
 
 USAGE_ERRORS = (ParameterMismatchError, ParseError, UsageError)
+
+# The most digits the exponent q^|n| of a printed bracket may have: the
+# interpreter's default limit on converting an int to or from text.
+_EXPONENT_DIGITS = 4300
 
 
 def _field_params(args) -> FieldParams:
@@ -109,7 +116,15 @@ def _parse_index(text: str):
 
 def cmd_bracket(args):
     params = _field_params(args)
-    value = br.bracket(params, _parse_index(args.n))
+    n = _parse_index(args.n)
+    # since q >= 2, q^|n| is built only below the bit length of the limit
+    limit = 10 ** _EXPONENT_DIGITS
+    if n != br.INFINITY and (abs(n) >= limit.bit_length()
+                             or params.q ** abs(n) >= limit):
+        raise UsageError("bracket index %d: its exponent q^%d has more than "
+                         "%d digits, which cannot be printed or read back"
+                         % (n, abs(n), _EXPONENT_DIGITS))
+    value = br.bracket(params, n)
     text = textio.format_series(value)
     _emit(args, text, {"command": "bracket", "n": args.n, "value": text})
     return 0

@@ -4,7 +4,11 @@ Two representations:
 
 * :class:`LinearSeries` is a one-variable F_q-linear series
   sum_k a_k t^(q^k) with coefficients known for k <= ``known`` (None means
-  the function is an exact polynomial in t^(q^k)).
+  the function is an exact polynomial in t^(q^k)).  Its operations are
+  ``scale(s)`` (s u), ``tau`` (u^q), ``rescale(s)`` (the substitution
+  u(t) -> u(s t), which takes a_k to a_k s^(q^k)), ``delta`` and ``d``;
+  ``evaluate(t)`` is the sum of the coefficients of ``rescale(t)``.  The
+  contiguous identities of :mod:`carlitz.hyper` are expressions in them.
 
 * :class:`MultiFunction` is a function of one distinguished variable z and
   n further variables s_1..s_n, stored against the basis monomials
@@ -88,6 +92,12 @@ class LinearSeries(SeriesMap):
         return LinearSeries(self.params, {k: c * s for k, c in self.coeffs.items()},
                             self.known)
 
+    def rescale(self, s: PerfSeries) -> "LinearSeries":
+        """u(t) -> u(s t); coefficient a_k becomes a_k * s^(q^k)."""
+        return LinearSeries(self.params,
+                            {k: c * s.frobenius(k) for k, c in self.coeffs.items()},
+                            self.known)
+
     def tau(self) -> "LinearSeries":
         """u -> u^q; coefficient a_k moves to slot k+1 as a_k^q."""
         out = {k + 1: c.frobenius(1) for k, c in self.coeffs.items()}
@@ -121,11 +131,10 @@ class LinearSeries(SeriesMap):
         The stored support is treated as the whole function; when the
         object is a truncation of something longer, cap the result with
         ``.truncate(bound)`` at a valuation bound for the omitted tail.
+        u(t) is u(t * 1): the sum of the coefficients of ``rescale(t)``.
         """
-        acc = PerfSeries.zero(self.params)
-        for k, c in sorted(self.coeffs.items()):
-            acc = acc + c * t.frobenius(k)
-        return acc
+        terms = self.rescale(t).coeffs
+        return sum((terms[k] for k in sorted(terms)), PerfSeries.zero(self.params))
 
     def is_zero_on_known(self) -> bool:
         if self.known is None:

@@ -73,6 +73,12 @@ Residual checks apply the defining operators to the truncated series:
   (Delta-a)(Delta-b) - (Delta-c)d forced by d tau - tau d = [1]^(1/q))
 * the same product form at bracket parameters for the integer family.
 
+The contiguous function identities 5.7 and 5.8 are expressions in the
+truncated functions as :class:`~carlitz.funcspace.LinearSeries`, built
+from the three operations of their formulas (``scale`` for a scalar
+multiple, ``tau`` for the q-th power and ``rescale`` for z -> s z); the
+check runs no loop over the indices (see :func:`contiguous_check`).
+
 The admissibility scan is effective: val(b - [nu]) equals val(b + x) as
 soon as q^nu exceeds it, so only finitely many indices need checking and
 the profile max_nu val(b - [nu]) is exact.  From the profiles comes the
@@ -488,13 +494,31 @@ def contiguous_check(ident: str, params: FieldParams, *, a=None, b=None,
       5.6   <Tm1(a)>_m = -([1]+a^q)^(q^m) / ([m-1]-a)^q * <a>_m
                                                     (m >= 1, a != [m-1])
 
-    Function identities (parameters ``a``, ``b``, ``c``; coefficient-wise
-    for every index up to ``M``):
+    Function identities (parameters ``a``, ``b``, ``c``; truncation ``M``):
 
       5.7   F(T1(a), b; c; a z) - F(a, T1(b); c; b z) = (a - b) F(a, b; c; z)
       5.8   F(a,b;c;z) - F(a,b;c;z)^q + (c^q - b^q) F(a,b;T1(c);c^(-1) z)^q
               - (a^q + [1]) F(Tm1(a), b; c; (a^q+[1])^(-1) z) = 0
             (c invertible and a^q + [1] invertible)
+
+    Each is one expression in the truncated functions as LinearSeries,
+    written as its formula: s F is ``F.scale(s)``, F^q is ``F.tau()``
+    and F(s z) is ``F.rescale(s)``.  With F = F(a, b; c), 5.7 is
+
+      F(T1(a), b; c).rescale(a) - F(a, T1(b); c).rescale(b)
+          - F.scale(a - b)
+
+    and 5.8, with T_down(a) = a^q + [1] = Tm1(a), is
+
+      F - F.tau() + F(a, b; T1(c)).rescale(c^(-1)).scale(c - b).tau()
+          - F(Tm1(a), b; c).rescale(T_down(a)^(-1)).scale(T_down(a)),
+
+    since (c^q - b^q) G^q = ((c - b) G)^q.  F(a, b; T1(c)) is truncated
+    at M - 1, as tau moves it up one index, and is the empty series at
+    M = 0.  The two inverses are built once at ``window``; ``rescale``
+    twists them, so the one at index m keeps relative precision R q^m.
+    ``ok`` says the expression is zero at its precision on every known
+    index, and ``residuals`` are its M + 1 coefficients.
     """
     if ident in ("5.3", "5.4", "5.5", "5.6"):
         if a is None or m is None:
@@ -528,56 +552,43 @@ def _symbol_check(ident, a, m, window) -> CheckResult:
         rhs = -(a.frobenius(m + 1) * pochhammer(shift_up(a), m).frobenius(1))
     elif ident == "5.5":
         lhs = pochhammer(shift_down(a), m)
-        rhs = -((bracket(params, 1) + a.frobenius(1)).frobenius(m)
-                * pochhammer(a, m - 1).frobenius(1))
+        rhs = -(shift_down(a).frobenius(m) * pochhammer(a, m - 1).frobenius(1))
     else:  # 5.6
         denom = (bracket(params, m - 1) - a).frobenius(1)
         if denom.is_zero():
             raise UsageError("5.6 needs a != [m-1]")
         if denom.is_zero_at_prec():
             raise PrecisionError("5.6: [m-1] - a is zero at its precision")
-        lhs = pochhammer(shift_down(a), m)
-        rhs = -((bracket(params, 1) + a.frobenius(1)).frobenius(m)
-                * pochhammer(a, m)).divide(denom, window)
+        down = shift_down(a)
+        lhs = pochhammer(down, m)
+        rhs = -(down.frobenius(m) * pochhammer(a, m)).divide(denom, window)
     diff = lhs - rhs
     return CheckResult(ident, lhs == rhs, [diff])
 
 
 def _function_check(ident, params, a, b, c, M, window) -> CheckResult:
     base = HyperParams(params, (a, b), (c,))
-    residuals = []
-    ok = True
     if ident == "5.7":
-        left_a = HyperParams(params, (shift_up(a), b), (c,))
-        left_b = HyperParams(params, (a, shift_up(b)), (c,))
-        h, h_a, h_b = (hyper_series(hp, M, window=window).coefficient
-                       for hp in (base, left_a, left_b))
-        for m in range(M + 1):
-            lhs = h_a(m) * a.frobenius(m) - h_b(m) * b.frobenius(m)
-            rhs = (a - b) * h(m)
-            residuals.append(lhs - rhs)
-            ok = ok and lhs == rhs
-        return CheckResult(ident, ok, residuals)
-    # 5.8
-    if c.is_zero() or c.is_zero_at_prec():
-        raise UsageError("5.8 needs c invertible")
-    shifted_a = shift_down(a)  # the scalar a^q + [1] equals Tm1(a)
-    if shifted_a.is_zero() or shifted_a.is_zero_at_prec():
-        raise UsageError("5.8 needs a^q + [1] invertible")
-    third = HyperParams(params, (a, b), (shift_up(c),))
-    fourth = HyperParams(params, (shifted_a, b), (c,))
-    inv_c = c.invert(window=window)
-    inv_sa = shifted_a.invert(window=window)
-    scale3 = c.frobenius(1) - b.frobenius(1)
-    h = hyper_series(base, M, window=window).coefficient
-    h3 = hyper_series(third, M - 1, window=window).coefficient if M else None
-    h4 = hyper_series(fourth, M, window=window).coefficient
-    for m in range(M + 1):
-        total = h(m)
-        if m >= 1:
-            total = total - h(m - 1).frobenius(1)
-            total = total + scale3 * h3(m - 1).frobenius(1) * inv_c.frobenius(m)
-        total = total - shifted_a * h4(m) * inv_sa.frobenius(m)
-        residuals.append(total)
-        ok = ok and total.is_zero_at_prec()
-    return CheckResult(ident, ok, residuals)
+        f = hyper_series(base, M, window=window)
+        f_a = hyper_series(HyperParams(params, (shift_up(a), b), (c,)), M,
+                           window=window)
+        f_b = hyper_series(HyperParams(params, (a, shift_up(b)), (c,)), M,
+                           window=window)
+        total = f_a.rescale(a) - f_b.rescale(b) - f.scale(a - b)
+    else:  # 5.8; c is invertible, as HyperParams refuses a c without terms
+        down_a = shift_down(a)  # the scalar a^q + [1] equals Tm1(a)
+        if down_a.is_zero() or down_a.is_zero_at_prec():
+            raise UsageError("5.8 needs a^q + [1] invertible")
+        third = HyperParams(params, (a, b), (shift_up(c),))
+        fourth = HyperParams(params, (down_a, b), (c,))
+        inv_c = c.invert(window=window)
+        inv_a = down_a.invert(window=window)
+        f = hyper_series(base, M, window=window)
+        f3 = (hyper_series(third, M - 1, window=window) if M
+              else LinearSeries.zero(params))
+        f4 = hyper_series(fourth, M, window=window)
+        total = (f - f.tau()
+                 + f3.rescale(inv_c).scale(c - b).tau()
+                 - f4.rescale(inv_a).scale(down_a))
+    return CheckResult(ident, total.is_zero_on_known(),
+                       list(map(total.coefficient, range(M + 1))))

@@ -142,6 +142,10 @@ INF = math.inf
 # exact non-monomial series, whose true inverse is an infinite series.
 DEFAULT_INVERT_WINDOW = 32
 
+# Keep no product of the quotient kernel with more terms than this: D_20
+# and L_20 have exactly this many.
+_TERM_LIMIT = 2 ** 20
+
 
 class AtLeast(NamedTuple):
     """Lower-bound-only valuation: the series is zero below ``bound`` but
@@ -715,7 +719,11 @@ def _quotient(c: PerfSeries, num, den, window, negate=False) -> PerfSeries:
     * every other part multiplies c's seeds, as the map {0: 1, j: eps_j},
       or long-divides them (:func:`_long_division`), every pass cut at the
       bound.  The step list, sorted by j, is built only where it is read:
-      as the key of an exact part and as a divisor's steps."""
+      as the key of an exact part and as a divisor's steps.
+
+    A product that keeps more than ``_TERM_LIMIT`` (2^20) terms is
+    refused with a UsageError, in the words of the D_n and L_n refusal of
+    :mod:`carlitz.brackets`."""
     if window is not None:
         if not isinstance(window, (int, Fraction)):
             raise UsageError("window must be an int or a Fraction, got %r"
@@ -804,6 +812,9 @@ def _quotient(c: PerfSeries, num, den, window, negate=False) -> PerfSeries:
              if k + shift < bound}
     for factor in factors:
         terms = _product_terms(params, terms, factor, bound)
+        if len(terms) > _TERM_LIMIT:
+            raise UsageError("an expanded product must have at most %d "
+                             "terms, got %d" % (_TERM_LIMIT, len(terms)))
     for steps in divisors:
         terms = _long_division(params, terms, steps, bound)
     return PerfSeries._canonical(params, d, terms, out_prec)

@@ -19,7 +19,10 @@ object.  Canonical printing uses ascending exponents, drops zero terms,
 and prints an exact zero as ``0``.  It reads each term from the series'
 integer grid, the key k standing for the exponent k / q^dexp, so no term
 builds a Fraction: one gcd puts the exponent in lowest terms, by the rule
-that also writes the bound of a precision marker.
+that also writes the bound of a precision marker.  Every integer of a
+literal or an operator expression is read by one helper, ``_digits``,
+which refuses one of more digits than the interpreter converts (4300 by
+default) as a ParseError at its span.
 
 Operator expressions combine ``tau``, ``d``, ``delta1`` ... ``deltaN``,
 parenthesized series literals acting as scalars, ``*`` for composition,
@@ -67,6 +70,18 @@ def _tokenize(text):
         pos = m.end()
     tokens.append(("eof", "", (len(text), len(text))))
     return tokens
+
+
+def _digits(tok, text=None) -> int:
+    """The integer written by the digits of ``tok`` (or by ``text``, digits
+    inside it); a ParseError at the token's span when they are more than
+    the interpreter converts (4300 by default)."""
+    text = tok[1] if text is None else text
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError("an integer of %d digits is too long to read"
+                         % len(text), tok[2]) from None
 
 
 class _Cursor:
@@ -124,20 +139,20 @@ def _parse_exponent(cur: _Cursor, params: FieldParams = None) -> Fraction:
     which may be any rational."""
     if cur.at("int"):
         tok = cur.next()
-        return Fraction(int(tok[1]))
+        return Fraction(_digits(tok))
     tok = cur.expect("op", "(")
     sign = 1
     if cur.at("op", "-"):
         cur.next()
         sign = -1
     num_tok = cur.expect("int")
-    num = sign * int(num_tok[1])
+    num = sign * _digits(num_tok)
     den = 1
     den_tok = None
     if cur.at("op", "/"):
         cur.next()
         den_tok = cur.expect("int")
-        den = int(den_tok[1])
+        den = _digits(den_tok)
         if den == 0:
             raise ParseError("zero exponent denominator", den_tok[2])
     cur.expect("op", ")")
@@ -178,7 +193,7 @@ def _parse_coefficient(cur: _Cursor, params: FieldParams) -> int:
     """Returns a coefficient index; accepts INT or g / g^j."""
     if cur.at("int"):
         tok = cur.next()
-        return params.from_int(int(tok[1]))
+        return params.from_int(_digits(tok))
     tok = cur.expect("name")
     if tok[1] != "g":
         raise ParseError("unknown coefficient symbol %r" % tok[1], tok[2])
@@ -189,7 +204,7 @@ def _parse_coefficient(cur: _Cursor, params: FieldParams) -> int:
     if cur.at("op", "^"):
         cur.next()
         jtok = cur.expect("int")
-        j = int(jtok[1])
+        j = _digits(jtok)
     return params.pow_int(params.gen_idx, j)
 
 
@@ -311,7 +326,7 @@ def parse_operator(text: str, params: FieldParams, n: int):
         if cur.at("op", "^"):
             cur.next()
             etok = cur.expect("int")
-            k = int(etok[1])
+            k = _digits(etok)
             out = [()]
             for _ in range(k):
                 out = [w1 + w2 for w1 in out for w2 in base]
@@ -335,7 +350,7 @@ def parse_operator(text: str, params: FieldParams, n: int):
                 return [(D,)]
             if m:
                 cur.next()
-                j = int(m.group(1))
+                j = _digits(tok, m.group(1))
                 if not 1 <= j <= n:
                     raise ParseError(
                         "generator index %d out of range 1..%d" % (j, n), tok[2])
@@ -351,7 +366,7 @@ def parse_operator(text: str, params: FieldParams, n: int):
             raise ParseError("unknown generator %r" % tok[1], tok[2])
         if tok[0] == "int":
             cur.next()
-            return [(scalar_factor(PerfSeries.constant(params, int(tok[1]))),)]
+            return [(scalar_factor(PerfSeries.constant(params, _digits(tok))),)]
         raise ParseError("expected an operator atom, found %r"
                          % (tok[1] or "end of input"), tok[2])
 

@@ -197,6 +197,24 @@ MUTANTS = (
            ("tests/test_relation_table.py::"
             "test_rewriting_matches_per_convention_oracle",),
            "a scalar moved past d is not twisted by the inverse Frobenius"),
+    Mutant("rescale-twists-one-more", "src/carlitz/funcspace.py",
+           "{k: c * s.frobenius(k) for k, c in self.coeffs.items()}",
+           "{k: c * s.frobenius(k + 1) for k, c in self.coeffs.items()}",
+           ("tests/test_one_path.py::"
+            "test_rescale_matches_per_coefficient_products",
+            "tests/test_one_path.py::test_check_57_matches_recomputing_loop",
+            "tests/test_one_path.py::test_check_58_matches_recomputing_loop"),
+           "rescale(s) multiplies a_k by s^(q^(k+1)) in place of s^(q^k)"),
+    Mutant("scan-limit-one-up", "src/carlitz/cauchy.py",
+           "if tuples > _SCAN_LIMIT:", "if tuples > _SCAN_LIMIT + 1:",
+           ("tests/test_admissibility_certificate.py::"
+            "test_a_scan_past_its_limit_is_refused_before_any_evaluation",),
+           "a scan of 2^16 + 1 tuples runs"),
+    Mutant("term-limit-at-or-above", "src/carlitz/series.py",
+           "if len(terms) > _TERM_LIMIT:", "if len(terms) >= _TERM_LIMIT:",
+           ("tests/test_cli.py::"
+            "test_the_largest_factorial_prints_its_2_to_the_20_terms",),
+           "a product of exactly 2^20 terms, such as D_20, is refused"),
     Mutant("canonical-sheds-one-q-power", "src/carlitz/series.py",
            "while dexp and g % q == 0:", "if dexp and g % q == 0:",
            ("tests/test_series_canonical.py::test_canonical_grid_matches_the_scan",),

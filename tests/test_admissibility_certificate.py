@@ -24,6 +24,7 @@ from carlitz import INF, PerfSeries, bracket, cauchy
 from carlitz.brackets import INFINITY
 from carlitz.cauchy import (DeltaPoly, EvolutionEquation, admissibility_check,
                             hypergeometric_equation)
+from carlitz.errors import UsageError
 from carlitz.ffield import FFElement
 from carlitz.series import _grid_bound
 from oracles import ref_admissibility_check
@@ -234,3 +235,38 @@ def test_the_recommended_bound_gives_the_scan_report(name):
         got = admissibility_check(eq, i_max)
     assert bool(calls) != dominated
     assert_same_report(got, ref_admissibility_check(eq, i_max))
+
+
+def product_equation(params, n):
+    """Q = t_1 ... t_n: no constant term, so it is scanned, and it
+    vanishes at the first tuple, (0, ..., 0)."""
+    return equation(params, n, {(1,) * n: PerfSeries.one(params)})
+
+
+@pytest.mark.parametrize("n, i_max", [(1, 2 ** 16 - 1), (3, 39), (3, 1000),
+                                      (2, 10 ** 6)])
+def test_a_scan_past_its_limit_is_refused_before_any_evaluation(F2, n, i_max):
+    # (i_max + 2)^n tuples, more than 2^16
+    with evaluations() as calls:
+        with pytest.raises(UsageError, match="at %d tuples, more than 65536$"
+                           % (i_max + 2) ** n):
+            admissibility_check(product_equation(F2, n), i_max)
+    assert not calls
+
+
+@pytest.mark.parametrize("n, i_max", [(1, 2 ** 16 - 2), (2, 254), (3, 38),
+                                      (4, 14)])
+def test_a_scan_at_its_limit_runs(F2, n, i_max):
+    with evaluations() as calls:
+        report = admissibility_check(product_equation(F2, n), i_max)
+    assert report.status == "fail" and report.witness == (0,) * n
+    assert len(calls) == 1
+
+
+def test_a_certified_q_is_answered_at_any_bound(F2):
+    eq = equation(F2, 3, {(0, 0, 0): PerfSeries.one(F2),
+                          (1, 1, 1): PerfSeries.x(F2)})
+    for i_max in (39, 1000, 10 ** 9):
+        with evaluations() as calls:
+            assert admissibility_check(eq, i_max) == ("ok", 0, None, i_max)
+        assert not calls

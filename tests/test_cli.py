@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from carlitz import FieldParams, PerfSeries, bracket, brackets
+from carlitz import FieldParams, PerfSeries, bracket, brackets, textio
 from carlitz.cauchy import InitialData, format_problem, hypergeometric_equation
 from carlitz.cli import build_parser, main
 
@@ -484,6 +484,75 @@ DIM = ["dim-count", "--kind", "gamma", "--n", "1", "--nu-max", "6"]
 BENCH_DATA = pathlib.Path(__file__).parents[1] / "perfbench" / "data"
 HYPER_FILE, PROBLEM_N1 = str(BENCH_DATA / "hyper.txt"), str(BENCH_DATA / "problem_n1.txt")
 MIXED = "either in --params or as --a/--b/--alpha/--beta, not both"
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["--q", "2", "bracket", "--n", "20000"], 20000),
+    (["--q", "2", "bracket", "--n", "-20000"], 20000),
+    (["--q", "2", "bracket", "--n", "14285"], 14285),
+    (["--q", "9", "bracket", "--n", "5000"], 5000),
+    (["--q", "2", "bracket", "--n", "1000000000"], 1000000000),
+], ids=["q2-20000", "q2-minus-20000", "q2-14285", "q9-5000", "q2-1000000000"])
+def test_a_bracket_whose_exponent_cannot_be_printed_is_refused(argv, n, capsys):
+    # q^|n| would have more digits than an int prints or reads (4300 by
+    # default); the refusal comes before q^|n| is built
+    start = time.perf_counter()
+    _assert_usage_refusal(capsys, argv, "its exponent q^%d has more than "
+                                        "4300 digits" % n)
+    assert time.perf_counter() - start < 1
+
+
+def test_the_largest_printable_brackets_print_and_read_back(capsys):
+    # 2^14284 has 4300 digits and 2^14285 has 4301
+    params = FieldParams.default(2, 1)
+    for n, text in ((10000, "x + x^%d" % 2 ** 10000),
+                    (14284, "x + x^%d" % 2 ** 14284),
+                    (-14284, "x^(1/%d) + x" % 2 ** 14284)):
+        code, out, _ = run(capsys, ["--q", "2", "bracket", "--n", str(n)])
+        assert (code, out.strip()) == (0, text)
+        code, out, _ = run(capsys, ["--q", "2", "parse-roundtrip", "--kind",
+                                    "series", text])
+        assert (code, out.strip()) == (0, text + "\nround-trip ok")
+        assert textio.parse_series(text, params) == bracket(params, n)
+
+
+BIG = "1" + "0" * 4358  # 4359 digits, more than an int reads by default
+TOO_LONG = [
+    (["--q", "2"], "series", "x^" + BIG, "x^"),
+    (["--q", "2"], "series", "x^(1/%s)" % BIG, "x^(1/"),
+    (["--q", "2"], "series", "x^(-%s/2)" % BIG, "x^(-"),
+    (["--q", "2"], "series", "x + O(x^%s)" % BIG, "x + O(x^"),
+    (["--q", "3"], "series", BIG + "*x", ""),
+    (["--q", "4"], "series", "g^%s*x" % BIG, "g^"),
+    (["--q", "2"], "operator", "tau^" + BIG, "tau^"),
+    (["--q", "2"], "operator", BIG + "*tau", ""),
+    (["--q", "2"], "operator", "delta" + BIG, None),
+]
+
+
+@pytest.mark.parametrize("flags, kind, text, head", TOO_LONG,
+                         ids=["exponent", "denominator", "numerator",
+                              "precision", "coefficient", "generator-power",
+                              "operator-power", "scalar", "delta-index"])
+def test_an_integer_too_long_to_read_is_a_syntax_refusal(flags, kind, text,
+                                                         head, capsys):
+    # the refusal points at the digits; deltaN at its whole name
+    start = time.perf_counter()
+    span = (0, len(text)) if head is None else (len(head), len(head) + len(BIG))
+    _assert_syntax_refusal(
+        capsys, flags + ["parse-roundtrip", "--kind", kind, text],
+        "an integer of 4359 digits is too long to read (at %d..%d)" % span)
+    assert time.perf_counter() - start < 1
+
+
+def test_an_admissibility_scan_past_its_limit_is_refused(capsys):
+    # problem_n3's Q has no dominant term, so it is scanned: 1002^3 tuples
+    start = time.perf_counter()
+    _assert_usage_refusal(
+        capsys, ["cauchy-solve", str(BENCH_DATA / "problem_n3.txt"),
+                 "--imax", "1000"],
+        "would evaluate Q at 1006012008 tuples, more than 65536")
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("argv, what", [

@@ -4,10 +4,12 @@ against the bodies it replaced.
 The oracles are the former per-site copies, kept in the tests and nowhere
 else: the direct coefficient products of both hypergeometric families
 (shared with test_hyper_stream through ``oracles``), and below the
-hyper_eval summation loop, the two alpha/profile sums, the 5.8 check that
-recomputes h_(m-1), the per-convention op_apply, the merge-add and
-equality of each map-backed class, and the exponent-grid loop of
-from_terms, shift and the parser's monomials.  Outputs are compared as
+hyper_eval summation loop, the two alpha/profile sums, the 5.7 and 5.8
+checks that recompute every coefficient index by index (5.8 recomputing
+h_(m-1)), the per-coefficient products of ``LinearSeries.rescale`` and
+the summation loop of ``LinearSeries.evaluate``, the per-convention
+op_apply, the merge-add and equality of each map-backed class, and the
+exponent-grid loop of from_terms, shift and the parser's monomials.  Outputs are compared as
 printed text (format_series, to_text, repr), byte for byte, over seeded
 draws in every shipped field (q in {2, 3, 4, 5, 8, 9}, m in {1, 2}).
 Last, the syntax tree of the package shows one division rule and one
@@ -22,6 +24,8 @@ and ``brackets`` names neither ``reduce`` nor ``mul``, since each symbol
 is one kernel call.  And one addition rule: every field has an addition
 table, so no module compares one with None, and only ``ffield`` names
 ``_ADD_TABLE_LIMIT``, the order above which its rows are not stored.
+And the function identities are LinearSeries expressions:
+``hyper._function_check`` has no loop and no Frobenius twist of its own.
 And one coefficient path: ``hyper`` names neither ``_is_exact`` nor
 ``_pochhammer_factors`` nor ``DEFAULT_INVERT_WINDOW``, since no step
 branches on the precision of the parameters, no coefficient past h_0 is a
@@ -84,6 +88,18 @@ def ref_hyper_eval(hp, z, M, window=None):
     for m in range(M + 1):
         acc = acc + ref_hyper_coeff(hp, m, window=window) * z.frobenius(m)
     return acc.truncate(ref_tail_valuation(hp, z.valuation(), M + 1))
+
+
+def ref_check_57(params, a, b, c, M, window=None):
+    base = hyper.HyperParams(params, (a, b), (c,))
+    left_a = hyper.HyperParams(params, (shift_up(a), b), (c,))
+    left_b = hyper.HyperParams(params, (a, shift_up(b)), (c,))
+    residuals = []
+    for m in range(M + 1):
+        lhs = (ref_hyper_coeff(left_a, m, window=window) * a.frobenius(m)
+               - ref_hyper_coeff(left_b, m, window=window) * b.frobenius(m))
+        residuals.append(lhs - (a - b) * ref_hyper_coeff(base, m, window=window))
+    return residuals
 
 
 def ref_check_58(params, a, b, c, M, window=None):
@@ -303,6 +319,44 @@ def test_check_58_matches_recomputing_loop(params):
     got = hyper.contiguous_check("5.8", params, a=a, b=b, c=c, M=3)
     assert ([fmt(s) for s in got.residuals]
             == [fmt(s) for s in ref_check_58(params, a, b, c, 3)])
+
+
+@fields
+def test_check_57_matches_recomputing_loop(params):
+    rng = rng_for(params, "5.7")
+    hp, _ = draw_hyper(rng, params)
+    a, b = hp.a_list
+    c = hp.b_list[0]
+    cut = Fraction(rng.randint(2 * params.q, 6 * params.q), params.q)
+    for a, b, M, window in ((a, b, 3, None), (a, b, 0, None), (a, b, 2, 8),
+                            (a.truncate(cut), b, 2, None),
+                            (a, b.truncate(cut), 2, 8)):
+        got = hyper.contiguous_check("5.7", params, a=a, b=b, c=c, M=M,
+                                     window=window)
+        want = ref_check_57(params, a, b, c, M, window=window)
+        assert [fmt(s) for s in got.residuals] == [fmt(s) for s in want]
+        assert got.ok == all(s.is_zero_at_prec() for s in want)
+
+
+def test_rescale_matches_per_coefficient_products():
+    # a_k -> a_k s^(q^k), the coefficients and the known bound kept
+    for params in FIELDS[::3]:
+        rng = rng_for(params, "rescale")
+        coeffs = {k: draw_series(rng, params, lo=-1, hi=3) for k in (0, 1, 3)}
+        for known in (None, 3, 5):
+            f = LinearSeries(params, coeffs, known)
+            for s in (draw_series(rng, params, lo=0, hi=2),
+                      draw_series(rng, params, lo=-1, hi=2).truncate(Fraction(7, 2)),
+                      PerfSeries.zero(params)):
+                got = f.rescale(s)
+                want = {k: c * s.frobenius(k) for k, c in coeffs.items()}
+                assert got.known == known
+                assert ({k: fmt(c) for k, c in got.coeffs.items()}
+                        == {k: fmt(c) for k, c in want.items() if not c.is_zero()})
+                acc = PerfSeries.zero(params)  # the summation loop
+                for k, c in sorted(coeffs.items()):
+                    acc = acc + c * s.frobenius(k)
+                assert fmt(f.evaluate(s)) == fmt(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +617,17 @@ def test_brackets_names_no_pairwise_product():
     # D_n, L_n, (alpha)_n and <a>_m are each one call of the kernel
     names = _names(ast.parse((SRC / "brackets.py").read_text()))
     assert not names & {"reduce", "mul"}
+
+
+def test_function_identities_are_linear_series_expressions():
+    # 5.7 and 5.8 are built from scale, tau and rescale: the check walks
+    # no index and twists no coefficient itself
+    tree = ast.parse((SRC / "hyper.py").read_text())
+    fn = dict(_top_level_defs(tree))["_function_check"]
+    for node in ast.walk(fn):
+        assert not isinstance(node, (ast.For, ast.While, ast.comprehension)), (
+            node.lineno if hasattr(node, "lineno") else node)
+    assert "frobenius" not in {_callee(call) for call in _calls(fn)}
 
 
 def test_hyper_has_one_coefficient_path():

@@ -17,6 +17,7 @@ share no code with either.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from carlitz import INF, PerfSeries, bracket, hyper, sampling
@@ -24,7 +25,7 @@ from carlitz.brackets import carlitz_D
 from carlitz.cauchy import (DeltaPoly, EvolutionEquation, InitialData,
                             admissibility_check, cauchy_solve,
                             hypergeometric_equation)
-from carlitz.errors import CarlitzError
+from carlitz.errors import CarlitzError, UsageError
 from carlitz.funcspace import MultiFunction
 from carlitz.series import _quotient
 from oracles import (assert_same, ref_cauchy_coeffs, ref_cauchy_step,
@@ -334,3 +335,12 @@ def test_hyper_eval_is_the_full_sum(params, seed, upper, lower, window, M):
     full = hyper.hyper_series(hp, M, window=window).evaluate(z).truncate(
         hyper._tail_valuation(hp, z.valuation(), M + 1))
     assert_same(hyper.hyper_eval(hp, z, M, window=window), full)
+
+
+def test_a_product_past_the_term_limit_is_refused(F2):
+    # the i + 1025 j, i < 1025 and j < 1024, are 2^20 + 1024 exponents
+    f = PerfSeries.from_terms(F2, {i: 1 for i in range(1025)})
+    g = PerfSeries.from_terms(F2, {1025 * j: 1 for j in range(1024)})
+    with pytest.raises(UsageError,
+                       match="at most 1048576 terms, got 1049600$"):
+        _quotient(PerfSeries.one(F2), [f, g], (), None)
